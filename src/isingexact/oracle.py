@@ -6,13 +6,26 @@ backtracking, a broken-profile DP, and the Hafnian).  Every closed-form
 module in the package is validated against these.
 
 The configuration sum does not loop over 2^N states in Python.  Spins map to
-bits, a bond is (anti)parallel according to the XOR of two bit columns, and
+bits, a bond is (anti)parallel according to the XOR of its two bits, and
 bonds sharing a coupling value are grouped so that only the *number* of
-antiparallel bonds per group matters.  Chunked numpy bit arithmetic builds a
-density of states over those group counts (plus magnetization when a field
-is present); the partition function is then a short log-sum-exp over the
-occupied bins.  The density of states is structural (independent of the
-coupling values), so it is cached per graph shape.
+antiparallel bonds per group matters.  Every configuration still gets its
+own key in a density of states over those group counts (plus magnetization
+when a field is present), but most of the per-bond work is done once:
+
+* the sites split into a low half (the first min(N, 14) sites) and a high
+  half.  One table over the low states holds the weighted counts of the
+  bonds inside the low half; one scalar per high state holds those of the
+  bonds inside the high half;
+* bonds crossing the split are grouped into layers whose low endpoints are
+  distinct, so a whole layer is a single popcount of the low state XOR-ed
+  with the high partners' spins;
+* flipping every spin keeps every bond count and maps the popcount p to
+  N - p, so only states with the top spin down are enumerated and the other
+  half is mirrored in.
+
+The partition function is then a max-shifted log-sum-exp over the occupied
+bins.  The density of states is structural (independent of the coupling
+values), so it is cached per graph shape.
 """
 
 from __future__ import annotations
@@ -23,11 +36,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import CapacityError, DomainError, LatticeSpec, ReducedCouplings
 
 MAX_ENUM_SITES = 26
+# sites in the low half of the DOS split (low states are held as uint16)
+_LOW_BITS = 14
+# log2 of the configurations handled per numpy chunk; bounds chunk memory
 _CHUNK_BITS = 20
 
 # structural density-of-states cache: key -> flat int64 array
@@ -83,31 +98,88 @@ def _group_edges(edges) -> List[Tuple[float, int, Tuple[Tuple[int, int], ...]]]:
     return [(k, c, tuple(pairs)) for (k, c), pairs in sorted(grouped.items())]
 
 
+def _bond_counts(states: np.ndarray, offset: int, width: int,
+                 edge_groups: Sequence[Tuple[Tuple[int, int], ...]],
+                 strides: Sequence[int], with_field: bool) -> np.ndarray:
+    """Partial keys of `states`, the bit patterns of sites offset..offset+width-1:
+    stride-weighted antiparallel counts of the bonds with both ends inside
+    that window, plus the stride-weighted popcount when a field is present."""
+    key = np.zeros(states.shape, dtype=np.int64)
+    for stride, edges in zip(strides, edge_groups):
+        acc = np.zeros(states.shape, dtype=np.int64)
+        for a, b in edges:
+            if offset <= min(a, b) and max(a, b) < offset + width:
+                acc += ((states >> (a - offset)) ^ (states >> (b - offset))) & 1
+        key += stride * acc
+    if with_field:
+        key += strides[-1] * np.bitwise_count(states).astype(np.int64)
+    return key
+
+
+def _cross_layers(n_low: int, edges) -> List[List[Tuple[int, int]]]:
+    """Split the (low, high) bonds crossing the split into layers in which no
+    two bonds share a low endpoint."""
+    layers: List[List[Tuple[int, int]]] = []
+    for a, b in edges:
+        a, b = min(a, b), max(a, b)
+        if not a < n_low <= b:
+            continue
+        for layer in layers:
+            if all(a != x for x, _ in layer):
+                layer.append((a, b))
+                break
+        else:
+            layers.append([(a, b)])
+    return layers
+
+
 def _density_of_states(num_sites: int,
                        edge_groups: Sequence[Tuple[Tuple[int, int], ...]],
                        with_field: bool) -> np.ndarray:
-    """Joint histogram over (antiparallel-bond count per group[, popcount])."""
+    """Joint histogram over (antiparallel-bond count per group[, popcount]),
+    flat with group 0 varying fastest and the popcount slowest.  Built by
+    the low/high split and spin-flip mirror described in the module
+    docstring."""
     dims = [len(g) + 1 for g in edge_groups]
+    strides = [1]
+    for d in dims:
+        strides.append(strides[-1] * d)
     if with_field:
         dims.append(num_sites + 1)
     total_bins = int(np.prod(dims, dtype=np.int64))
+    n_low = min(num_sites, _LOW_BITS)
+    n_high = num_sites - n_low
+
+    lo = np.arange(1 << n_low, dtype=np.int64)
+    key_low = _bond_counts(lo, 0, n_low, edge_groups, strides, with_field)
+    if n_high == 0:
+        return np.bincount(key_low, minlength=total_bins)
+
+    # top spin fixed down: 2^(n_high - 1) high states
+    hi = np.arange(1 << (n_high - 1), dtype=np.int64)
+    key_high = _bond_counts(hi, n_low, n_high, edge_groups, strides, with_field)
+    lo16 = lo.astype(np.uint16)
+    cross = []
+    for stride, edges in zip(strides, edge_groups):
+        for layer in _cross_layers(n_low, edges):
+            mask = sum(1 << a for a, _ in layer)
+            flip = sum(((hi >> (b - n_low)) & 1) << a for a, b in layer)
+            cross.append((stride, lo16 & np.uint16(mask), flip.astype(np.uint16)))
+
     dos = np.zeros(total_bins, dtype=np.int64)
-    n_conf = 1 << num_sites
-    chunk = min(n_conf, 1 << _CHUNK_BITS)
-    for start in range(0, n_conf, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.uint64)
-        key = np.zeros(idx.shape, dtype=np.uint64)
-        stride = 1
-        for g, edges in enumerate(edge_groups):
-            acc = np.zeros(idx.shape, dtype=np.uint64)
-            for a, b in edges:
-                acc += ((idx >> np.uint64(a)) ^ (idx >> np.uint64(b))) & np.uint64(1)
-            key += acc * np.uint64(stride)
-            stride *= dims[g]
-        if with_field:
-            key += np.bitwise_count(idx) * np.uint64(stride)
-        dos += np.bincount(key.astype(np.int64), minlength=total_bins)
-    return dos
+    rows = 1 << max(_CHUNK_BITS - n_low, 0)
+    for start in range(0, len(hi), rows):
+        block = slice(start, start + rows)
+        key = key_low + key_high[block, None]
+        for stride, low_bits, flip in cross:
+            count = np.bitwise_count(low_bits ^ flip[block, None])
+            key += count if stride == 1 else count * np.int64(stride)
+        dos += np.bincount(key.ravel(), minlength=total_bins)
+
+    if not with_field:
+        return 2 * dos
+    by_popcount = dos.reshape(num_sites + 1, -1)
+    return (by_popcount + by_popcount[::-1]).ravel()
 
 
 def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
@@ -160,7 +232,9 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
     # Fortran order: group 0 varies fastest, matching the key construction
     flat_energy = energy.flatten(order="F")
     occupied = dos > 0
-    return float(logsumexp(flat_energy[occupied], b=dos[occupied]))
+    e = flat_energy[occupied]
+    top = e.max()
+    return float(top + np.log(np.sum(dos[occupied] * np.exp(e - top))))
 
 
 def _enumerate_direct(g: WeightedGraph, h: float) -> float:

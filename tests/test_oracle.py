@@ -5,10 +5,13 @@ machinery the production path uses."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isingexact import oracle
 from isingexact.core import LatticeSpec, ReducedCouplings
 from isingexact.oracle import (
     MatchingWeights,
@@ -19,7 +22,9 @@ from isingexact.oracle import (
     count_matchings_graph,
     enumerate_partition_graph,
     hafnian,
+    _density_of_states,
     _enumerate_direct,
+    _group_edges,
 )
 
 
@@ -30,6 +35,73 @@ def naive_log_z(g: WeightedGraph, h: float = 0.0) -> float:
         e += h * sum(spins)
         total += math.exp(e)
     return math.log(total)
+
+
+def reference_density_of_states(num_sites, edge_groups, with_field):
+    """Per-bond reference for the oracle's density of states: one numpy pass
+    per bond over every configuration, no split and no spin-flip mirror."""
+    dims = [len(g) + 1 for g in edge_groups]
+    if with_field:
+        dims.append(num_sites + 1)
+    total_bins = int(np.prod(dims, dtype=np.int64))
+    dos = np.zeros(total_bins, dtype=np.int64)
+    n_conf = 1 << num_sites
+    chunk = min(n_conf, 1 << 20)
+    for start in range(0, n_conf, chunk):
+        idx = np.arange(start, start + chunk, dtype=np.uint64)
+        key = np.zeros(idx.shape, dtype=np.uint64)
+        stride = 1
+        for g, edges in enumerate(edge_groups):
+            acc = np.zeros(idx.shape, dtype=np.uint64)
+            for a, b in edges:
+                acc += ((idx >> np.uint64(a)) ^ (idx >> np.uint64(b))) & np.uint64(1)
+            key += acc * np.uint64(stride)
+            stride *= dims[g]
+        if with_field:
+            key += np.bitwise_count(idx) * np.uint64(stride)
+        dos += np.bincount(key.astype(np.int64), minlength=total_bins)
+    return dos
+
+
+def _edge_structure(edges):
+    return tuple(pairs for _, _, pairs in _group_edges(edges))
+
+
+@st.composite
+def spin_graphs(draw):
+    """Graphs on 1-18 sites with couplings drawn from a small set, so groups
+    repeat, plus parallel edges and self-loops."""
+    n = draw(st.integers(1, 18))
+    site = st.integers(0, n - 1)
+    edge = st.tuples(site, site, st.sampled_from((0.3, -0.5, 0.7)))
+    edges = draw(st.lists(edge, max_size=min(3 * n, 30)))
+    return n, tuple(edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=spin_graphs(), with_field=st.booleans(),
+       low_bits=st.sampled_from((3, 8, oracle._LOW_BITS)))
+def test_density_of_states_matches_per_bond_reference(graph, with_field, low_bits):
+    n, edges = graph
+    structure = _edge_structure(edges)
+    with mock.patch.object(oracle, "_LOW_BITS", low_bits):
+        dos = _density_of_states(n, structure, with_field)
+    ref = reference_density_of_states(n, structure, with_field)
+    assert dos.dtype == np.int64
+    np.testing.assert_array_equal(dos, ref)
+    assert dos.sum() == 2 ** n
+    if with_field:
+        by_popcount = dos.reshape(n + 1, -1)
+        np.testing.assert_array_equal(by_popcount, by_popcount[::-1])
+
+
+@pytest.mark.parametrize("k_v", [0.31, 0.57])
+def test_density_of_states_twenty_site_torus(k_v):
+    # 20 sites leave six high bits past the default split
+    g = build_lattice_graph(LatticeSpec(4, 5), ReducedCouplings(k_h=0.31, k_v=k_v))
+    structure = _edge_structure(g.edges)
+    np.testing.assert_array_equal(_density_of_states(20, structure, False),
+                                  reference_density_of_states(20, structure, False))
 
 
 def test_single_bond():
