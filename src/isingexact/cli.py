@@ -193,8 +193,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _sweep_row(k: float, points: int) -> tuple:
-    q = QuadratureSpec(points_per_axis=points)
+def _sweep_row(k: float, q: QuadratureSpec) -> tuple:
     return (k, onsager_free_energy(k, k, q), internal_energy(k, q=q),
             specific_heat(k, q=q))
 
@@ -202,6 +201,7 @@ def _sweep_row(k: float, points: int) -> tuple:
 def _cmd_sweep(args) -> int:
     if args.steps < 1:
         raise DomainError("steps must be >= 1")
+    q = QuadratureSpec(points_per_axis=args.points)
     if args.steps == 1:
         ks = [args.k_from]
     else:
@@ -210,7 +210,7 @@ def _cmd_sweep(args) -> int:
     workers = max(1, int(os.environ.get("ISING_THREADS", os.cpu_count() or 1)))
     print("k,minus_beta_f,internal_energy,specific_heat")
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for row in pool.map(lambda k: _sweep_row(k, args.points), ks):
+        for row in pool.map(lambda k: _sweep_row(k, q), ks):
             print(",".join(_fmt(v) for v in row))
     return 0
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, K_CRIT
+from .core import CapacityError, DomainError, K_CRIT
+
+MAX_POINTS = 4096   # points per axis; the grid holds MAX_POINTS^2 float64 nodes
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.points_per_axis < 16:
             raise DomainError("quadrature needs at least 16 points per axis")
+        if self.points_per_axis > MAX_POINTS:
+            raise CapacityError(
+                f"{self.points_per_axis} quadrature points per axis exceed the {MAX_POINTS} ceiling")
 
 
 _DEFAULT_Q = QuadratureSpec()

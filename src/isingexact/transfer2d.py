@@ -44,15 +44,16 @@ def build_transfer(n: int, k_a: float, k_b: float) -> TransferOperator:
     if not (math.isfinite(k_a) and math.isfinite(k_b)):
         raise DomainError("couplings must be finite")
     dim = 1 << n
-    idx = np.arange(dim)
-    # spins[i, nu] = +-1 for state i
-    bits = (idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    spins = 1.0 - 2.0 * bits
-    # inter-row: sum_nu s_nu^(i) s_nu^(j) = spins @ spins.T
-    inter = spins @ spins.T
-    # intra-row cyclic bond sum per state
-    intra = np.einsum("ij,ij->i", spins, np.roll(spins, -1, axis=1))
-    t = np.exp(k_a * inter) * np.exp(k_b * intra)[None, :]
+    idx = np.arange(dim, dtype=np.uint16)
+    # a bond sum over n spin pairs is n - 2 * (antiparallel pairs), so the
+    # inter-row sum takes only n + 1 values: exponentiate those once and
+    # index them with the Hamming distance of the two row states
+    levels = n - 2.0 * np.arange(n + 1)
+    t = np.exp(k_a * levels)[np.bitwise_count(idx[:, None] ^ idx[None, :])]
+    # intra-row cyclic bonds compare each spin with its rotated neighbour
+    rotated = ((idx << 1) | (idx >> (n - 1))) & (dim - 1)
+    intra = n - 2.0 * np.bitwise_count(idx ^ rotated)
+    t *= np.exp(k_b * intra)
     return TransferOperator(n_cols=n, k_a=k_a, k_b=k_b, entries=t)
 
 
@@ -72,7 +73,7 @@ def partition_torus_transfer(m: int, t: TransferOperator) -> float:
     for _ in range(m - 2):
         x = x @ a
         norm = float(x.max())
-        x = x / norm
+        x /= norm
         log_scale += math.log(norm)
     trace = float(np.einsum("ij,ji->", x, a))
     return log_scale + math.log(trace)

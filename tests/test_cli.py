@@ -100,6 +100,15 @@ def test_exit_code_capacity_error(capsys):
     assert "error" in err
 
 
+def test_quadrature_points_beyond_ceiling_exit_code(capsys):
+    for argv in (("free-energy", "--method", "onsager", "--k", "0.3"),
+                 ("sweep", "--k-from", "0.2", "--k-to", "0.3", "--steps", "2")):
+        code, out, err = _run(capsys, *argv, "--points", "100000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_code_domain_error(capsys):
     code, out, err = _run(capsys, "z", "--method", "kaufman", "--rows", "3",
                           "--cols", "3", "--kh", "0.3", "--kv", "0.3",

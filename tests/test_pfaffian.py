@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingexact.core import LatticeSpec, ReducedCouplings
+from isingexact.core import K_CRIT, LatticeSpec, ReducedCouplings
 from isingexact.oracle import (
     MatchingWeights,
     build_lattice_graph,
@@ -13,6 +13,7 @@ from isingexact.oracle import (
     enumerate_partition_graph,
 )
 from isingexact.pfaffian import (
+    _ising_block_matrix,
     build_dimer_matrix,
     dimer_count_free,
     dimer_count_torus,
@@ -22,11 +23,46 @@ from isingexact.pfaffian import (
     pfaffian_value,
 )
 from isingexact.spectral import dimer_count_free as dimer_product
+from isingexact.spectral import kacward_log_z, kaufman_partition
 
 
 def _random_skew(dim, rng):
     a = rng.normal(size=(dim, dim))
     return a - a.T
+
+
+def reference_pfaffian(a):
+    """Unblocked Parlett-Reid: every rank-2 update is applied at its step."""
+    a = np.array(a, dtype=np.float64, copy=True)
+    n = a.shape[0]
+    scale = float(np.abs(a).max())
+    if scale == 0.0:
+        return (0, -math.inf)
+    sign = 1
+    log_mag = 0.0
+    for k in range(0, n - 1, 2):
+        kp = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if abs(a[kp, k]) <= 1e-12 * scale:
+            return (0, -math.inf)
+        if kp != k + 1:
+            a[[k + 1, kp], :] = a[[kp, k + 1], :]
+            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
+            sign = -sign
+        piv = a[k, k + 1]
+        sign *= 1 if piv > 0 else -1
+        log_mag += math.log(abs(piv))
+        if k + 2 < n:
+            tau = a[k, k + 2:] / piv
+            w = a[k + 2:, k + 1]
+            a[k + 2:, k + 2:] += np.outer(tau, w) - np.outer(w, tau)
+    return (sign, log_mag)
+
+
+def _assert_matches_reference(a):
+    sign, log_mag = pfaffian(a)
+    ref_sign, ref_log_mag = reference_pfaffian(a)
+    assert sign == ref_sign
+    assert log_mag == pytest.approx(ref_log_mag, rel=1e-10)
 
 
 def test_canonical_block_matrix():
@@ -39,7 +75,7 @@ def test_canonical_block_matrix():
     assert pfaffian_value(a) == pytest.approx(math.prod(vals), rel=1e-13)
 
 
-@pytest.mark.parametrize("dim", list(range(2, 65, 2)))
+@pytest.mark.parametrize("dim", list(range(2, 65, 2)) + [66, 96, 128, 130, 200])
 def test_pfaffian_squared_equals_determinant(dim):
     rng = np.random.default_rng(1234 + dim)
     a = _random_skew(dim, rng)
@@ -53,6 +89,38 @@ def test_singular_matrix_flagged():
     a = np.zeros((4, 4))
     sign, log_mag = pfaffian(a)
     assert sign == 0 and log_mag == -math.inf
+
+
+# dimensions on both sides of the pending-update flushes (every 32 steps)
+@pytest.mark.parametrize("dim", [2, 62, 64, 66, 126, 128, 130, 258])
+def test_blocked_matches_reference(dim):
+    _assert_matches_reference(_random_skew(dim, np.random.default_rng(77 + dim)))
+
+
+@pytest.mark.parametrize("side", [2, 4, 6, 8])
+@pytest.mark.parametrize("s1,s2", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_cluster_matrices_match_reference_at_criticality(side, s1, s2):
+    # at K_c the (+, +) variant is singular up to roundoff
+    z = math.tanh(K_CRIT)
+    _assert_matches_reference(_ising_block_matrix(side, side, z, z, s1, s2))
+
+
+def test_singular_mid_block():
+    a = np.zeros((80, 80))
+    a[:10, :10] = _random_skew(10, np.random.default_rng(3))
+    assert pfaffian(a) == (0, -math.inf)
+
+
+def test_singular_only_after_pending_updates():
+    # rank 10: the stored columns stay nonzero after five steps, and only
+    # the deferred updates cancel them
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=(80, 10))
+    j = np.kron(np.eye(5), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    x = b @ j @ b.T
+    a = x - x.T
+    assert pfaffian(a) == (0, -math.inf)
+    assert reference_pfaffian(a) == (0, -math.inf)
 
 
 @given(st.permutations(range(6)))
@@ -148,3 +216,11 @@ def test_closed_form_determinant_cross_check():
     for s1, s2 in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]:
         assert math.isfinite(ising_torus_logdet(4, 3, z1, z2, s1, s2))
     assert math.isfinite(ising_pfaffian_torus(4, 3, 0.7, 0.4))
+
+
+@pytest.mark.parametrize("kh,kv", [(K_CRIT, K_CRIT), (0.3, 0.6)])
+def test_large_torus_against_spectral_routes(kh, kv):
+    # four Pfaffians of dimension 1600
+    got = ising_pfaffian_torus(20, 20, kh, kv)
+    assert got == pytest.approx(kaufman_partition(20, 20, kv, kh), rel=1e-9)
+    assert got == pytest.approx(kacward_log_z(20, 20, kh, kv), rel=1e-9)

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from isingexact.core import DomainError, K_CRIT
+from isingexact.core import CapacityError, DomainError, K_CRIT
 from isingexact.spectral import kaufman_partition
 from isingexact.thermo import (
+    MAX_POINTS,
     QuadratureSpec,
     critical_point_square,
     dirac_free_energy,
@@ -52,6 +53,9 @@ def test_quadrature_self_convergence_off_critical():
 def test_quadrature_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(points_per_axis=8)
+    assert QuadratureSpec(points_per_axis=MAX_POINTS).points_per_axis == MAX_POINTS
+    with pytest.raises(CapacityError):
+        QuadratureSpec(points_per_axis=MAX_POINTS + 1)
 
 
 def test_anisotropic_symmetry():
