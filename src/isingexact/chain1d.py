@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, log_cosh
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def recursive_open(p: ChainParams) -> float:
             alpha /= norm
             beta /= norm
             log_scale += math.log(norm)
-    return (s * math.log(2.0) + (s - 1) * _log_cosh(p.k) + s * _log_cosh(p.h)
+    return (s * math.log(2.0) + (s - 1) * log_cosh(p.k) + s * log_cosh(p.h)
             + log_scale + math.log(alpha))
 
 
@@ -106,6 +106,3 @@ def induction_closed(p: ChainParams) -> float:
         log_scale += math.log(norm)
     return log_scale + math.log(z.sum())
 
-
-def _log_cosh(x: float) -> float:
-    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)

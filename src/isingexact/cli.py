@@ -49,7 +49,16 @@ from . import (
 from .pfaffian import dimer_count_free as dimer_count_free_pf
 from .spectral import dimer_count_free as dimer_count_free_product
 
-_Z_METHODS = ("oracle", "transfer", "kaufman", "pfaffian", "kacward")
+# Torus-only routes as fn(rows, cols, kh, kv).  Kaufman's transfer direction
+# runs along the columns: (k_t, k_s) = (kv, kh).  Each entry looks its
+# function up at call time, so a patched module attribute takes effect.
+_TORUS_METHODS = {
+    "transfer": lambda rows, cols, kh, kv: log_z_torus(rows, cols, kh, kv),
+    "kaufman": lambda rows, cols, kh, kv: kaufman_partition(rows, cols, kv, kh),
+    "pfaffian": lambda rows, cols, kh, kv: ising_pfaffian_torus(rows, cols, kh, kv),
+    "kacward": lambda rows, cols, kh, kv: kacward_log_z(rows, cols, kh, kv),
+}
+_Z_METHODS = ("oracle",) + tuple(_TORUS_METHODS)
 
 
 def _fmt(x) -> str:
@@ -105,15 +114,9 @@ def _compute_log_z(method: str, rows: int, cols: int, kh: float, kv: float,
         raise DomainError(f"method {method!r} has no diagonal-coupling form")
     if bc != "torus":
         raise DomainError(f"method {method!r} is torus-only")
-    if method == "transfer":
-        return MethodResult(log_z_torus(rows, cols, kh, kv), method, params)
-    if method == "kaufman":
-        return MethodResult(kaufman_partition(rows, cols, kv, kh), method, params)
-    if method == "pfaffian":
-        return MethodResult(ising_pfaffian_torus(rows, cols, kh, kv), method, params)
-    if method == "kacward":
-        return MethodResult(kacward_log_z(rows, cols, kh, kv), method, params)
-    raise DomainError(f"unknown method {method!r}")
+    if method not in _TORUS_METHODS:
+        raise DomainError(f"unknown method {method!r}")
+    return MethodResult(_TORUS_METHODS[method](rows, cols, kh, kv), method, params)
 
 
 def _cmd_z(args) -> int:
@@ -208,10 +211,13 @@ def _cmd_sweep(args) -> int:
         step = (args.k_to - args.k_from) / (args.steps - 1)
         ks = [args.k_from + i * step for i in range(args.steps)]
     workers = max(1, int(os.environ.get("ISING_THREADS", os.cpu_count() or 1)))
-    print("k,minus_beta_f,internal_energy,specific_heat")
+    # every row is computed before any output, so a failing row leaves
+    # stdout empty
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for row in pool.map(lambda k: _sweep_row(k, q), ks):
-            print(",".join(_fmt(v) for v in row))
+        rows = list(pool.map(lambda k: _sweep_row(k, q), ks))
+    print("k,minus_beta_f,internal_energy,specific_heat")
+    for row in rows:
+        print(",".join(_fmt(v) for v in row))
     return 0
 
 

@@ -46,6 +46,11 @@ def signed_logsumexp(terms) -> tuple:
     return (top + math.log(abs(acc)), 1 if acc > 0 else -1)
 
 
+def log_cosh(x: float) -> float:
+    """ln cosh x without overflow for large |x|."""
+    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
+
+
 def dual_coupling(k: float) -> float:
     """Map a coupling to its dual: sinh(2k) * sinh(2k*) = 1.
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -331,33 +331,21 @@ def count_matchings(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> f
     exhaustive backtracking: sum over matchings of z1^#row-bonds z2^#col-bonds.
 
     Odd site count returns 0 (no perfect matching exists)."""
-    if m * n > 36:
-        raise CapacityError("backtracking counter is limited to 36 sites")
-    if (m * n) % 2:
-        return 0.0
-    full = (1 << (m * n)) - 1
+    def edges():
+        # row-major, right (z2) before down (z1): the backtracker sums in
+        # edge order.  Lazy, so the site-count ceiling is checked first.
+        for p in range(m * n):
+            i, j = divmod(p, n)
+            if j + 1 < n:
+                yield (p, p + 1, w.z2)
+            if i + 1 < m:
+                yield (p, p + n, w.z1)
 
-    def cell(i, j):
-        return i * n + j
-
-    def rec(cov: int) -> float:
-        if cov == full:
-            return 1.0
-        # lowest uncovered cell
-        p = (~cov & (cov + 1)).bit_length() - 1
-        i, j = divmod(p, n)
-        total = 0.0
-        if j + 1 < n and not cov >> cell(i, j + 1) & 1:
-            total += w.z2 * rec(cov | 1 << p | 1 << cell(i, j + 1))
-        if i + 1 < m and not cov >> cell(i + 1, j) & 1:
-            total += w.z1 * rec(cov | 1 << p | 1 << cell(i + 1, j))
-        return total
-
-    return rec(0)
+    return count_matchings_graph(m * n, edges())
 
 
 def count_matchings_graph(num_sites: int,
-                          edges: Sequence[Tuple[int, int, float]]) -> float:
+                          edges: Iterable[Tuple[int, int, float]]) -> float:
     """Generating function over perfect matchings of an arbitrary weighted
     graph (backtracking); parallel edges count as distinct dimer slots."""
     if num_sites > 36:

@@ -22,13 +22,18 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import CapacityError, DomainError, LatticeSpec, signed_logsumexp
+from .core import CapacityError, DomainError, LatticeSpec, log_cosh, signed_logsumexp
 from .oracle import MatchingWeights
+from .spectral import _kacward_log_product
 
 MAX_DIM = 4096
 _BLOCK = 32   # elimination steps whose trailing updates are applied at once
 
-TORUS_VARIANTS = ("torus1", "torus2", "torus3", "torus4")
+# The four torus matrices: wrap signs (s1, s2) and weight in the
+# combination 1/2 (-Pf A1 + Pf A2 + Pf A3 + Pf A4)
+_TORUS_TERMS = {"torus1": (1.0, 1.0, -0.5), "torus2": (1.0, -1.0, 0.5),
+                "torus3": (-1.0, 1.0, 0.5), "torus4": (-1.0, -1.0, 0.5)}
+TORUS_VARIANTS = tuple(_TORUS_TERMS)
 VARIANTS = ("free", "cylinder_a", "cylinder_b") + TORUS_VARIANTS
 
 
@@ -125,22 +130,13 @@ def pfaffian_value(a: np.ndarray) -> float:
 # oriented grid matrices
 # ---------------------------------------------------------------------------
 
-def _skew_shift(length: int, corner: float) -> np.ndarray:
-    """Skew shift matrix: +1 on the superdiagonal, antisymmetric completion,
-    and `corner` in the (last, first) slot for wrapped boundaries."""
-    q = np.zeros((length, length))
+def _shift(length: int, corner: float) -> np.ndarray:
+    """+1 on the superdiagonal and `corner` in the (last, first) slot."""
+    h = np.zeros((length, length))
     for i in range(length - 1):
-        q[i, i + 1] = 1.0
-        q[i + 1, i] = -1.0
-    if corner != 0.0 and length > 1:
-        q[length - 1, 0] += corner
-        q[0, length - 1] += -corner
-    return q
-
-
-def _torus_signs(variant: str) -> Tuple[float, float]:
-    return {"torus1": (1.0, 1.0), "torus2": (1.0, -1.0),
-            "torus3": (-1.0, 1.0), "torus4": (-1.0, -1.0)}[variant]
+        h[i, i + 1] = 1.0
+    h[length - 1, 0] = corner
+    return h
 
 
 def build_dimer_matrix(spec: LatticeSpec, w: MatchingWeights,
@@ -173,9 +169,11 @@ def build_dimer_matrix(spec: LatticeSpec, w: MatchingWeights,
     elif variant == "cylinder_a":
         s2 = -1.0
     elif variant in TORUS_VARIANTS:
-        s1, s2 = _torus_signs(variant)
-    q_m = _skew_shift(m, s1)
-    q_n = _skew_shift(n, s2)
+        s1, s2, _ = _TORUS_TERMS[variant]
+    h_m = _shift(m, s1)
+    h_n = _shift(n, s2)
+    q_m = h_m - h_m.T
+    q_n = h_n - h_n.T
     f_m = np.diag((-1.0) ** (np.arange(m) + 1))
     mat = w.z1 * np.kron(np.eye(n), q_m) + w.z2 * np.kron(q_n, f_m)
     return KasteleynMatrix(spec=spec, weights=w, variant=variant, matrix=mat)
@@ -184,8 +182,7 @@ def build_dimer_matrix(spec: LatticeSpec, w: MatchingWeights,
 def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
     """Matching generating function of the free grid as a single Pfaffian."""
     spec = LatticeSpec(m, n, "square", "free")
-    sign, log_mag = pfaffian(build_dimer_matrix(spec, w, "free").matrix)
-    return 0.0 if sign == 0 else sign * math.exp(log_mag)
+    return pfaffian_value(build_dimer_matrix(spec, w, "free").matrix)
 
 
 def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
@@ -200,19 +197,18 @@ def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) ->
     if m % 2:
         m, n, z1, z2 = n, m, z2, z1
     spec = LatticeSpec(m, n, "square", "torus")
-    coeffs = (-0.5, 0.5, 0.5, 0.5)
-    total_log, total_sign = signed_logsumexp(
-        _combine(spec, MatchingWeights(z1, z2), coeffs))
+    w = MatchingWeights(z1, z2)
+    terms = []
+    for variant, (_, _, weight) in _TORUS_TERMS.items():
+        sign, log_mag = pfaffian(build_dimer_matrix(spec, w, variant).matrix)
+        terms.append(_weighted_term(weight, sign, log_mag))
+    total_log, total_sign = signed_logsumexp(terms)
     return 0.0 if total_sign == 0 else total_sign * math.exp(total_log)
 
 
-def _combine(spec, w, coeffs):
-    terms = []
-    for variant, coeff in zip(TORUS_VARIANTS, coeffs):
-        sign, log_mag = pfaffian(build_dimer_matrix(spec, w, variant).matrix)
-        c_sign = 1 if coeff > 0 else -1
-        terms.append((log_mag + math.log(abs(coeff)), sign * c_sign))
-    return terms
+def _weighted_term(weight: float, sign: int, log_mag: float) -> Tuple[float, int]:
+    """weight * sign * e^log_mag as a (log-magnitude, sign) pair."""
+    return (log_mag + math.log(abs(weight)), sign * (1 if weight > 0 else -1))
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +221,6 @@ _A0 = np.array([
     [1.0, -1.0, 0.0, 1.0],
     [1.0, 1.0, -1.0, 0.0],
 ])
-
-
-def _shift(length: int, corner: float) -> np.ndarray:
-    h = np.zeros((length, length))
-    for i in range(length - 1):
-        h[i, i + 1] = 1.0
-    h[length - 1, 0] = corner
-    return h
 
 
 def _ising_block_matrix(m: int, n: int, z1: float, z2: float,
@@ -261,19 +249,10 @@ def ising_torus_logdet(m: int, n: int, z1: float, z2: float,
                                    - 2 z2 (1-z1^2) cos t2]
 
     with t on the integer grid 2 pi r / L for wrap sign +1 and the
-    half-integer grid pi (2r+1) / L for wrap sign -1."""
-    def grid(length, s):
-        r = np.arange(length)
-        return 2.0 * np.pi * r / length if s > 0 else np.pi * (2.0 * r + 1.0) / length
-
-    t1 = grid(m, s1)[:, None]
-    t2 = grid(n, s2)[None, :]
-    factors = ((1.0 + z1 * z1) * (1.0 + z2 * z2)
-               - 2.0 * z1 * (1.0 - z2 * z2) * np.cos(t1)
-               - 2.0 * z2 * (1.0 - z1 * z1) * np.cos(t2))
-    if float(factors.min()) <= 0.0:
-        return -math.inf
-    return float(np.log(factors).sum())
+    half-integer grid pi (2r+1) / L for wrap sign -1.  This is the Kac-Ward
+    double product with x = z2, y = z1; -inf when a factor vanishes."""
+    return _kacward_log_product(m, n, z2, z1, "integer" if s1 > 0 else "half",
+                                "integer" if s2 > 0 else "half")
 
 
 def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
@@ -294,24 +273,21 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
         raise CapacityError(f"cluster matrix dimension {4*m*n} exceeds {MAX_DIM}")
     z1 = math.tanh(k_v)   # row-direction bonds couple neighboring rows
     z2 = math.tanh(k_h)
-    coeffs = (-0.5, 0.5, 0.5, 0.5)
     variants = []
-    for (sgn1, sgn2), coeff in zip(((1, 1), (1, -1), (-1, 1), (-1, -1)), coeffs):
-        a = _ising_block_matrix(m, n, z1, z2, sgn1, sgn2)
-        sign, log_mag = pfaffian(a)
-        log_det = ising_torus_logdet(m, n, z1, z2, sgn1, sgn2)
-        variants.append((coeff, sign, log_mag, log_det))
+    for s1, s2, weight in _TORUS_TERMS.values():
+        sign, log_mag = pfaffian(_ising_block_matrix(m, n, z1, z2, s1, s2))
+        log_det = ising_torus_logdet(m, n, z1, z2, s1, s2)
+        variants.append((weight, sign, log_mag, log_det))
     top = max(lm for _, s, lm, _ in variants if s != 0)
     terms = []
-    for coeff, sign, log_mag, log_det in variants:
+    for weight, sign, log_mag, log_det in variants:
         # near criticality one wrap-sign matrix is almost singular; its
         # Pfaffian is pure roundoff and its term is negligible, so the
         # determinant cross-check only applies to contributing variants
         if sign != 0 and log_mag > top - 15.0 and not math.isclose(
                 2.0 * log_mag, log_det, rel_tol=1e-8, abs_tol=1e-8):
             raise AssertionError("Pfaffian^2 disagrees with the closed-form determinant")
-        c_sign = 1 if coeff > 0 else -1
-        terms.append((log_mag + math.log(abs(coeff)), sign * c_sign))
+        terms.append(_weighted_term(weight, sign, log_mag))
     log_sum, total_sign = signed_logsumexp(terms)
     if (m * n) % 2:
         # odd site count flips the global Pfaffian sign (site-ordering
@@ -319,9 +295,6 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
         total_sign = -total_sign
     if total_sign <= 0:
         raise DomainError("four-Pfaffian combination lost positivity")
-    pref = m * n * (math.log(2.0) + _log_cosh(k_h) + _log_cosh(k_v))
+    pref = m * n * (math.log(2.0) + log_cosh(k_h) + log_cosh(k_v))
     return pref + log_sum
 
-
-def _log_cosh(x: float) -> float:
-    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, dual_coupling, signed_logsumexp
+from .core import DomainError, ReducedCouplings, dual_coupling, log_cosh, signed_logsumexp
 from .oracle import MatchingWeights
-from .core import ReducedCouplings
 
 
 @dataclass(frozen=True)
@@ -139,16 +138,25 @@ def kacward_products(m: int, n: int, k_h: float, k_v: float,
     """
     if not (k_h > 0 and k_v > 0):
         raise DomainError("couplings must be positive")
-    x = math.tanh(k_h)
-    y = math.tanh(k_v)
-    theta = _grid(gp.parity_v, m)[:, None]
-    phi = _grid(gp.parity_h, n)[None, :]
+    log_p = _kacward_log_product(m, n, math.tanh(k_h), math.tanh(k_v),
+                                 gp.parity_v, gp.parity_h)
+    if log_p == -math.inf:
+        return (-math.inf, 0, True)
+    return (log_p, 1, False)
+
+
+def _kacward_log_product(m: int, n: int, x: float, y: float,
+                         parity_v: str, parity_h: str) -> float:
+    """log of the double product of kacward_products in the fugacities
+    x, y; -inf when a factor vanishes (below 1e-300)."""
+    theta = _grid(parity_v, m)[:, None]
+    phi = _grid(parity_h, n)[None, :]
     factors = ((1.0 + x * x) * (1.0 + y * y)
                - 2.0 * y * (1.0 - x * x) * np.cos(theta)
                - 2.0 * x * (1.0 - y * y) * np.cos(phi))
     if float(factors.min()) < 1e-300:
-        return (-math.inf, 0, True)
-    return (float(np.log(factors).sum()), 1, False)
+        return -math.inf
+    return float(np.log(factors).sum())
 
 
 def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
@@ -175,7 +183,7 @@ def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
     log_sum, sign = signed_logsumexp(terms)
     if sign <= 0:
         raise DomainError("parity-product combination lost positivity")
-    pref = m * n * (math.log(2.0) + _log_cosh(k_h) + _log_cosh(k_v))
+    pref = m * n * (math.log(2.0) + log_cosh(k_h) + log_cosh(k_v))
     return -math.log(2.0) + pref + log_sum
 
 
@@ -233,6 +241,3 @@ def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:
         raise DomainError("a grid point hits a vanishing factor (critical manifold)")
     return math.log(2.0) + float(np.log(bracket).sum()) / (2.0 * m * n)
 
-
-def _log_cosh(x: float) -> float:
-    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)

@@ -10,6 +10,11 @@ Conventions.  A star with couplings (L1, L2, L3) attached to outer spins
 which fixes both the coupling map and the scale factor R, and pairs the
 couplings so that sinh 2K_i sinh 2L_i is the same for all i (its common
 value is 1/k).
+
+The correlation integrals A(K, k) and B(K, k) are evaluated in the angle
+tan(alpha) = sinh(x), where both integrands are analytic on [0, pi/2] for
+every k > 0; a fixed 128-node Gauss-Legendre rule integrates them to
+roundoff.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from scipy.integrate import quad
+import numpy as np
 
 from .core import DomainError
 
@@ -123,27 +128,41 @@ def modulus_k(k1: float, k2: float, k3: float) -> float:
 # correlation functional
 # ---------------------------------------------------------------------------
 
-_UPPER_INF = 45.0   # integrand decays like e^{-x}; exhausted well before this
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
+
+
+def _angle_rule(k_arg: float, k: float):
+    """sin^2(alpha) at the Gauss-Legendre nodes on [0, phi], phi =
+    arctan(sinh 2K), and the node weights times 1/sqrt(1 - (1-k^2) sin^2 alpha).
+
+    phi is evaluated as 2 arctan(tanh K), which is finite for every K and
+    equals pi/2 at K = inf; the square root as cos^2 + k^2 sin^2, which does
+    not cancel near alpha = pi/2 for small k."""
+    half = math.atan(math.tanh(k_arg))   # phi / 2
+    alpha = half * (_GL_NODES + 1.0)
+    sin2 = np.sin(alpha) ** 2
+    return sin2, half * _GL_WEIGHTS / np.sqrt(np.cos(alpha) ** 2 + k * k * sin2)
 
 
 def integral_a(k_arg: float, k: float) -> float:
-    """A(K, k) = int_0^{2K} dx / sqrt(1 + k^2 sinh^2 x).
+    """A(K, k) = int_0^{2K} dx / sqrt(1 + k^2 sinh^2 x)
+               = int_0^phi dalpha / sqrt(1 - (1-k^2) sin^2 alpha)
 
-    Under tan(alpha) = sinh(x) the infinite integral becomes the complete
+    under tan(alpha) = sinh(x), with phi = arctan(sinh 2K); a 128-node
+    Gauss-Legendre rule on [0, phi].  The infinite integral is the complete
     elliptic integral of the complementary modulus, A(inf, k) = K(k')."""
-    upper = _UPPER_INF if math.isinf(k_arg) else 2.0 * k_arg
-    val, _ = quad(lambda x: 1.0 / math.sqrt(1.0 + (k * math.sinh(x)) ** 2),
-                  0.0, upper, limit=200)
-    return val
+    _, kernel = _angle_rule(k_arg, k)
+    return float(kernel.sum())
 
 
 def integral_b(k_arg: float, k: float) -> float:
-    """B(K, k) = int_0^{2K} tanh^2 x dx / sqrt(1 + k^2 sinh^2 x);
-    B(inf, k) = (K(k') - E(k')) / k'^2 under the same substitution."""
-    upper = _UPPER_INF if math.isinf(k_arg) else 2.0 * k_arg
-    val, _ = quad(lambda x: math.tanh(x) ** 2 / math.sqrt(1.0 + (k * math.sinh(x)) ** 2),
-                  0.0, upper, limit=200)
-    return val
+    """B(K, k) = int_0^{2K} tanh^2 x dx / sqrt(1 + k^2 sinh^2 x)
+               = int_0^phi sin^2 alpha dalpha / sqrt(1 - (1-k^2) sin^2 alpha)
+
+    (tanh x = sin alpha) by the same rule as integral_a;
+    B(inf, k) = (K(k') - E(k')) / k'^2."""
+    sin2, kernel = _angle_rule(k_arg, k)
+    return float(sin2 @ kernel)
 
 
 def ab_coefficients(k: float) -> Tuple[float, float]:

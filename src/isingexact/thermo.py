@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, DomainError, K_CRIT
+from .core import CapacityError, DomainError, K_CRIT, log_cosh
 
 MAX_POINTS = 4096   # points per axis; the grid holds MAX_POINTS^2 float64 nodes
 
@@ -22,7 +22,6 @@ MAX_POINTS = 4096   # points per axis; the grid holds MAX_POINTS^2 float64 nodes
 @dataclass(frozen=True)
 class QuadratureSpec:
     points_per_axis: int = 256
-    refinement: int = 0   # optional doubling count for self-convergence checks
 
     def __post_init__(self):
         if self.points_per_axis < 16:
@@ -75,7 +74,7 @@ def fermionic_free_energy(k: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
     a = (1.0 + z * z) ** 2
     b = 2.0 * z * (1.0 - z * z)
     mean = _mean_log_bracket(q, lambda p, r: a + b * (np.cos(p) + np.cos(r)))
-    return math.log(2.0) + 2.0 * _log_cosh(k) + 0.5 * mean
+    return math.log(2.0) + 2.0 * log_cosh(k) + 0.5 * mean
 
 
 def dirac_free_energy(theta: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
@@ -151,6 +150,3 @@ def specific_heat(k: float, dk: float = 1e-4,
     dn = onsager_free_energy(k - dk, k - dk, q)
     return k * k * (up - 2.0 * mid + dn) / (dk * dk)
 
-
-def _log_cosh(x: float) -> float:
-    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -107,6 +110,26 @@ def test_quadrature_points_beyond_ceiling_exit_code(capsys):
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_sweep_failing_row_prints_nothing(capsys):
+    code, out, err = _run(capsys, "sweep", "--k-from", "-0.1", "--k-to", "0.3",
+                          "--steps", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, isingexact.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 def test_exit_code_domain_error(capsys):

@@ -23,7 +23,7 @@ from isingexact.pfaffian import (
     pfaffian_value,
 )
 from isingexact.spectral import dimer_count_free as dimer_product
-from isingexact.spectral import kacward_log_z, kaufman_partition
+from isingexact.spectral import GridParity, kacward_log_z, kacward_products, kaufman_partition
 
 
 def _random_skew(dim, rng):
@@ -188,6 +188,37 @@ def test_torus_dimer_count_odd_odd_is_zero():
     assert dimer_count_torus(3, 5) == 0.0
 
 
+def reference_skew_shift(length, corner):
+    """Skew shift matrix: +1 on the superdiagonal, antisymmetric completion,
+    and `corner` in the (last, first) slot for wrapped boundaries."""
+    q = np.zeros((length, length))
+    for i in range(length - 1):
+        q[i, i + 1] = 1.0
+        q[i + 1, i] = -1.0
+    if corner != 0.0 and length > 1:
+        q[length - 1, 0] += corner
+        q[0, length - 1] += -corner
+    return q
+
+
+_REFERENCE_WRAP_SIGNS = {
+    "free": (0.0, 0.0), "cylinder_a": (0.0, -1.0), "cylinder_b": (-1.0, 0.0),
+    "torus1": (1.0, 1.0), "torus2": (1.0, -1.0), "torus3": (-1.0, 1.0), "torus4": (-1.0, -1.0),
+}
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 4), (4, 4), (4, 5), (6, 3)])
+@pytest.mark.parametrize("variant", list(_REFERENCE_WRAP_SIGNS))
+def test_dimer_matrix_matches_reference(m, n, variant):
+    w = MatchingWeights(1.7, 0.4)
+    s1, s2 = _REFERENCE_WRAP_SIGNS[variant]
+    f_m = np.diag((-1.0) ** (np.arange(m) + 1))
+    want = (w.z1 * np.kron(np.eye(n), reference_skew_shift(m, s1))
+            + w.z2 * np.kron(reference_skew_shift(n, s2), f_m))
+    got = build_dimer_matrix(LatticeSpec(m, n), w, variant).matrix
+    assert np.array_equal(got, want)
+
+
 def test_dimer_matrix_is_skew():
     spec = LatticeSpec(4, 4)
     for variant in ("free", "cylinder_a", "torus1", "torus4"):
@@ -216,6 +247,25 @@ def test_closed_form_determinant_cross_check():
     for s1, s2 in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]:
         assert math.isfinite(ising_torus_logdet(4, 3, z1, z2, s1, s2))
     assert math.isfinite(ising_pfaffian_torus(4, 3, 0.7, 0.4))
+
+
+_PARITY = {1.0: "integer", -1.0: "half"}
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 5), (4, 4), (5, 7)])
+@pytest.mark.parametrize("kh,kv", [(0.3, 0.6), (0.9, 0.2), (K_CRIT, K_CRIT)])
+def test_closed_form_determinant_is_the_kacward_product(m, n, kh, kv):
+    z1, z2 = math.tanh(kv), math.tanh(kh)
+    for s1, s2 in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]:
+        log_p, _, _ = kacward_products(m, n, kh, kv, GridParity(_PARITY[s1], _PARITY[s2]))
+        assert ising_torus_logdet(m, n, z1, z2, s1, s2) == log_p
+
+
+def test_closed_form_determinant_vanishes_at_criticality():
+    z = math.tanh(K_CRIT)
+    for m, n in [(2, 2), (3, 4), (5, 7)]:
+        assert ising_torus_logdet(m, n, z, z, 1.0, 1.0) == -math.inf
+        assert kacward_products(m, n, K_CRIT, K_CRIT, GridParity()) == (-math.inf, 0, True)
 
 
 @pytest.mark.parametrize("kh,kv", [(K_CRIT, K_CRIT), (0.3, 0.6)])

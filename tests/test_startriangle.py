@@ -2,9 +2,10 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import ellipe, ellipk
 
-from isingexact.core import DomainError, LatticeSpec, ReducedCouplings
+from isingexact.core import K_CRIT, DomainError, LatticeSpec, ReducedCouplings
 from isingexact.oracle import build_lattice_graph, enumerate_partition_graph
 from isingexact.startriangle import (
     ab_coefficients,
@@ -98,6 +99,32 @@ def test_partition_functions_related_by_scale_factor():
 
 
 # ------------------------------------------------------------ correlation
+
+_UPPER_INF = 45.0   # the x-space integrands decay like e^{-x}
+
+
+def reference_integral_a(k_arg, k):
+    """A(K, k) by adaptive quadrature in the original variable x."""
+    upper = _UPPER_INF if math.isinf(k_arg) else 2.0 * k_arg
+    val, _ = quad(lambda x: 1.0 / math.sqrt(1.0 + (k * math.sinh(x)) ** 2),
+                  0.0, upper, epsabs=0.0, epsrel=1e-13, limit=400)
+    return val
+
+
+def reference_integral_b(k_arg, k):
+    """B(K, k) by adaptive quadrature in the original variable x."""
+    upper = _UPPER_INF if math.isinf(k_arg) else 2.0 * k_arg
+    val, _ = quad(lambda x: math.tanh(x) ** 2 / math.sqrt(1.0 + (k * math.sinh(x)) ** 2),
+                  0.0, upper, epsabs=0.0, epsrel=1e-13, limit=400)
+    return val
+
+
+@pytest.mark.parametrize("k", [0.01, 0.1, 0.5, 0.999, 1.001, 2.2, 33.0, 100.0])
+@pytest.mark.parametrize("k_arg", [0.05, K_CRIT, 0.9, 22.0, math.inf])
+def test_integrals_match_adaptive_quadrature(k_arg, k):
+    assert integral_a(k_arg, k) == pytest.approx(reference_integral_a(k_arg, k), rel=1e-11)
+    assert integral_b(k_arg, k) == pytest.approx(reference_integral_b(k_arg, k), rel=1e-11)
+
 
 @pytest.mark.parametrize("k", [0.2, 0.5, 0.8, 1.5, 2.2])
 def test_infinite_argument_normalization(k):
