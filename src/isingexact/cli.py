@@ -16,9 +16,7 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import (
     CapacityError,
@@ -196,11 +194,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _sweep_row(k: float, q: QuadratureSpec) -> tuple:
-    return (k, onsager_free_energy(k, k, q), internal_energy(k, q=q),
-            specific_heat(k, q=q))
-
-
 def _cmd_sweep(args) -> int:
     if args.steps < 1:
         raise DomainError("steps must be >= 1")
@@ -210,11 +203,10 @@ def _cmd_sweep(args) -> int:
     else:
         step = (args.k_to - args.k_from) / (args.steps - 1)
         ks = [args.k_from + i * step for i in range(args.steps)]
-    workers = max(1, int(os.environ.get("ISING_THREADS", os.cpu_count() or 1)))
     # every row is computed before any output, so a failing row leaves
     # stdout empty
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda k: _sweep_row(k, q), ks))
+    rows = [(k, onsager_free_energy(k, k, q), internal_energy(k, q=q),
+             specific_heat(k, q=q)) for k in ks]
     print("k,minus_beta_f,internal_energy,specific_heat")
     for row in rows:
         print(",".join(_fmt(v) for v in row))
@@ -250,7 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=float, default=None)
     p.add_argument("--k3", type=float, default=None)
     p.add_argument("--points", type=int, default=256,
-                   help="quadrature points per axis")
+                   help="midpoint-rule nodes on the one angle left after the "
+                        "closed-form inner integral")
     add_format(p)
     p.set_defaults(func=_cmd_free_energy)
 
@@ -281,12 +274,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("sweep",
-                       help="CSV of -beta f, u, c over a coupling range "
-                            "(parallel across couplings; set ISING_THREADS)")
+                       help="CSV of -beta f, u, c over evenly spaced couplings, "
+                            "one row per coupling in input order")
     p.add_argument("--k-from", type=float, required=True, dest="k_from")
     p.add_argument("--k-to", type=float, required=True, dest="k_to")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--points", type=int, default=256)
+    p.add_argument("--points", type=int, default=256,
+                   help="midpoint-rule nodes of each free-energy integral")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

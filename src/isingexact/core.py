@@ -54,13 +54,15 @@ def log_cosh(x: float) -> float:
 def dual_coupling(k: float) -> float:
     """Map a coupling to its dual: sinh(2k) * sinh(2k*) = 1.
 
-    Equivalently k* = artanh(e^{-2k}).  The map is a strictly decreasing
-    involution on (0, inf) with fixed point K_CRIT; it exchanges the high-
-    and low-temperature sides of the square-lattice model.
+    Equivalently k* = -(1/2) ln tanh k = (1/2) ln(1 + 2/(e^{2k} - 1)), taken
+    as log1p of 2e^{-2k} / (1 - e^{-2k}) so that neither tiny nor huge k
+    loses digits or overflows.  The map is a strictly decreasing involution
+    on (0, inf) with fixed point K_CRIT; it exchanges the high- and
+    low-temperature sides of the square-lattice model.
     """
     if not math.isfinite(k) or k <= 0.0:
         raise DomainError(f"dual_coupling requires a finite positive coupling, got {k!r}")
-    return math.atanh(math.exp(-2.0 * k))
+    return 0.5 * math.log1p(-2.0 * math.exp(-2.0 * k) / math.expm1(-2.0 * k))
 
 
 @dataclass(frozen=True)

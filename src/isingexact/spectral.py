@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ReducedCouplings, dual_coupling, log_cosh, signed_logsumexp
+from .core import (CapacityError, DomainError, ReducedCouplings, dual_coupling, log_cosh,
+                   signed_logsumexp)
 from .oracle import MatchingWeights
 
 
@@ -145,10 +146,16 @@ def kacward_products(m: int, n: int, k_h: float, k_v: float,
     return (log_p, 1, False)
 
 
+MAX_KACWARD_FACTORS = 1 << 24   # 4096 x 4096 factors, 128 MiB of float64 per product
+
+
 def _kacward_log_product(m: int, n: int, x: float, y: float,
                          parity_v: str, parity_h: str) -> float:
     """log of the double product of kacward_products in the fugacities
     x, y; -inf when a factor vanishes (below 1e-300)."""
+    if m * n > MAX_KACWARD_FACTORS:
+        raise CapacityError(
+            f"{m} x {n} = {m * n} Kac-Ward factors exceed the {MAX_KACWARD_FACTORS} ceiling")
     theta = _grid(parity_v, m)[:, None]
     phi = _grid(parity_h, n)[None, :]
     factors = ((1.0 + x * x) * (1.0 + y * y)

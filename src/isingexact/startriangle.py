@@ -19,6 +19,7 @@ roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -128,7 +129,12 @@ def modulus_k(k1: float, k2: float, k3: float) -> float:
 # correlation functional
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """The 128-node Gauss-Legendre rule on [-1, 1], built on first use: the
+    eigenvalue solve behind it is not paid by processes that never take a
+    correlation integral."""
+    return np.polynomial.legendre.leggauss(128)
 
 
 def _angle_rule(k_arg: float, k: float):
@@ -138,10 +144,11 @@ def _angle_rule(k_arg: float, k: float):
     phi is evaluated as 2 arctan(tanh K), which is finite for every K and
     equals pi/2 at K = inf; the square root as cos^2 + k^2 sin^2, which does
     not cancel near alpha = pi/2 for small k."""
+    nodes, weights = _gauss_legendre()
     half = math.atan(math.tanh(k_arg))   # phi / 2
-    alpha = half * (_GL_NODES + 1.0)
+    alpha = half * (nodes + 1.0)
     sin2 = np.sin(alpha) ** 2
-    return sin2, half * _GL_WEIGHTS / np.sqrt(np.cos(alpha) ** 2 + k * k * sin2)
+    return sin2, half * weights / np.sqrt(np.cos(alpha) ** 2 + k * k * sin2)
 
 
 def integral_a(k_arg: float, k: float) -> float:

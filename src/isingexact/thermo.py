@@ -1,10 +1,18 @@
 """Thermodynamic-limit free energies and derived observables.
 
-All integrals are smooth periodic double integrals evaluated on a midpoint
-(half-offset) trapezoidal tensor grid over [0, 2pi)^2.  The half offset
-means the (0, 0) node -- where the integrand develops its integrable log
-singularity at criticality -- is never sampled, so one code path covers the
-critical point too.  Away from criticality the rule converges spectrally.
+Each free energy is a double integral over [0, 2pi)^2 whose inner integral
+has the closed form
+
+    (1/2pi) int ln(A - B cos w) dw = ln((A + sqrt(A^2 - B^2)) / 2),  A >= |B|,
+
+so what remains is a smooth periodic integral over one angle, evaluated by
+the midpoint rule (nodes 2pi (j + 1/2) / N).  The half offset means the
+node w = 0 -- where the integrand develops its integrable log singularity at
+criticality -- is never sampled, so one code path covers the critical point
+too.  Away from criticality the rule converges spectrally.  A - B is always
+formed as a sum of non-negative terms, so it does not cancel near
+criticality, and large couplings are scaled out before any cosh or sinh
+could overflow.
 """
 
 from __future__ import annotations
@@ -14,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, DomainError, K_CRIT, log_cosh
+from .core import CapacityError, DomainError, log_cosh
 
-MAX_POINTS = 4096   # points per axis; the grid holds MAX_POINTS^2 float64 nodes
+MAX_POINTS = 4096   # quadrature nodes on the one remaining axis
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    points_per_axis: int = 256
+    points_per_axis: int = 256   # nodes of the midpoint rule on the outer angle
 
     def __post_init__(self):
         if self.points_per_axis < 16:
@@ -34,14 +42,17 @@ class QuadratureSpec:
 _DEFAULT_Q = QuadratureSpec()
 
 
-def _midpoint_grid(points: int) -> np.ndarray:
-    return 2.0 * np.pi * (np.arange(points) + 0.5) / points
+def _half_angles(q: QuadratureSpec) -> np.ndarray:
+    """w/2 at the midpoint nodes w = 2pi (j + 1/2) / N."""
+    n = q.points_per_axis
+    return np.pi * (np.arange(n) + 0.5) / n
 
 
-def _mean_log_bracket(q: QuadratureSpec, bracket) -> float:
-    w1 = _midpoint_grid(q.points_per_axis)[:, None]
-    w2 = _midpoint_grid(q.points_per_axis)[None, :]
-    return float(np.mean(np.log(bracket(w1, w2))))
+def _mean_log_root(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Mean over the nodes of ln((A + sqrt(A^2 - B^2)) / 2), from lo = A - |B|
+    and hi = A + |B|.  A + sqrt(A^2 - B^2) = (sqrt lo + sqrt hi)^2 / 2, so the
+    root never cancels against A."""
+    return 2.0 * float(np.mean(np.log(0.5 * (np.sqrt(lo) + np.sqrt(hi)))))
 
 
 def onsager_free_energy(k1: float, k2: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
@@ -49,13 +60,33 @@ def onsager_free_energy(k1: float, k2: float, q: QuadratureSpec = _DEFAULT_Q) ->
 
     ln 2 + (1/2) (2 pi)^{-2} int int ln[cosh 2k1 cosh 2k2
                                         - sinh 2k1 cos w1 - sinh 2k2 cos w2]
+
+    The w2 integral is closed (A = c - s1 cos w1, B = s2); the rule runs over
+    the angle of the weaker coupling, where the integrand is smoothest, which
+    also makes the value symmetric in (k1, k2) bit for bit.  c, s1, s2 are
+    taken in units of e^{2(k1+k2)}/4, in which c - s1 - s2 = (1 - t1 - t2 -
+    t1 t2)^2 with t = e^{-2k}: a square that vanishes on the critical line
+    sinh 2k1 sinh 2k2 = 1.
     """
     if not (k1 > 0 and k2 > 0):
         raise DomainError("couplings must be positive")
-    c = math.cosh(2 * k1) * math.cosh(2 * k2)
-    s1, s2 = math.sinh(2 * k1), math.sinh(2 * k2)
-    mean = _mean_log_bracket(q, lambda w1, w2: c - s1 * np.cos(w1) - s2 * np.cos(w2))
-    return math.log(2.0) + 0.5 * mean
+    k1, k2 = sorted((k1, k2))
+    t1, t2 = math.exp(-2.0 * k1), math.exp(-2.0 * k2)
+    s1 = -2.0 * t2 * math.expm1(-4.0 * k1)
+    s2 = -2.0 * t1 * math.expm1(-4.0 * k2)
+    gap = (1.0 - t1 - t2 - t1 * t2) ** 2
+    lo = gap + 2.0 * s1 * np.sin(_half_angles(q)) ** 2
+    return k1 + k2 + 0.5 * _mean_log_root(lo, lo + 2.0 * s2)
+
+
+def _isotropic_mean(y: float, half_angle_sq: np.ndarray) -> float:
+    """The closed inner integral of ln[(1+y^2)^2 -+ 2y(1-y^2)(cos p + cos r)]
+    over r, averaged over the nodes p.  With b = 2y(1-y^2), A - |B| is the
+    bracket's minimum (y^2 + 2y - 1)^2 plus 2b times half_angle_sq: cos^2(p/2)
+    for the + sign, sin^2(p/2) for the - sign."""
+    b = 2.0 * y * (1.0 - y * y)
+    lo = (y * y + 2.0 * y - 1.0) ** 2 + 2.0 * b * half_angle_sq
+    return _mean_log_root(lo, lo + 2.0 * b)
 
 
 def fermionic_free_energy(k: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
@@ -70,11 +101,8 @@ def fermionic_free_energy(k: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
     """
     if not k > 0:
         raise DomainError("coupling must be positive")
-    z = math.tanh(k)
-    a = (1.0 + z * z) ** 2
-    b = 2.0 * z * (1.0 - z * z)
-    mean = _mean_log_bracket(q, lambda p, r: a + b * (np.cos(p) + np.cos(r)))
-    return math.log(2.0) + 2.0 * log_cosh(k) + 0.5 * mean
+    return math.log(2.0) + 2.0 * log_cosh(k) + 0.5 * _isotropic_mean(
+        math.tanh(k), np.cos(_half_angles(q)) ** 2)
 
 
 def dirac_free_energy(theta: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
@@ -82,14 +110,14 @@ def dirac_free_energy(theta: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
 
     ln 2 - ln(1 - x^2) + (1/8 pi^2) int int
         ln[(1+x^2)^2 - 2 x (1-x^2)(cos p + cos q)]
+
+    with -ln(1 - x^2) taken as 2 ln cosh theta, which stays finite where x
+    rounds to 1.
     """
     if not theta > 0:
         raise DomainError("coupling must be positive")
-    x = math.tanh(theta)
-    a = (1.0 + x * x) ** 2
-    b = 2.0 * x * (1.0 - x * x)
-    mean = _mean_log_bracket(q, lambda p, r: a - b * (np.cos(p) + np.cos(r)))
-    return math.log(2.0) - math.log1p(-x * x) + 0.5 * mean
+    return (math.log(2.0) + 2.0 * log_cosh(theta)
+            + 0.5 * _isotropic_mean(math.tanh(theta), np.sin(_half_angles(q)) ** 2))
 
 
 def triangular_free_energy(k1: float, k2: float, k3: float,
@@ -100,18 +128,30 @@ def triangular_free_energy(k1: float, k2: float, k3: float,
         + sinh 2k1 sinh 2k2 sinh 2k3 - sinh 2k1 cos w1 - sinh 2k2 cos w2
         - sinh 2k3 cos(w1 + w2)]
 
-    k3 = 0 reduces to the square-lattice form term by term.
+    k3 = 0 reduces to the square-lattice form term by term.  The bracket is
+    symmetric in the three couplings; the rule runs over the angle of the
+    weakest.  With s2 cos w2 + s3 cos(w1 + w2) = R cos(w2 + phi),
+    R^2 = s2^2 + s3^2 + 2 s2 s3 cos w1, the w2 integral is closed with
+    A = c - s1 cos w1 and B = R.  In units of e^{2(k1+k2+k3)}/4, with
+    t = e^{-2k}, c - s1 - s2 - s3 = (1 - t1 t2 - t2 t3 - t3 t1)^2.
     """
     if k1 < 0 or k2 < 0 or k3 < 0:
         raise DomainError("couplings must be non-negative")
     if k1 == 0 and k2 == 0 and k3 == 0:
         return math.log(2.0)
-    c = math.cosh(2 * k1) * math.cosh(2 * k2) * math.cosh(2 * k3) \
-        + math.sinh(2 * k1) * math.sinh(2 * k2) * math.sinh(2 * k3)
-    s1, s2, s3 = (math.sinh(2 * k1), math.sinh(2 * k2), math.sinh(2 * k3))
-    mean = _mean_log_bracket(
-        q, lambda w1, w2: c - s1 * np.cos(w1) - s2 * np.cos(w2) - s3 * np.cos(w1 + w2))
-    return math.log(2.0) + 0.5 * mean
+    k1, k2, k3 = sorted((k1, k2, k3))
+    t1, t2, t3 = math.exp(-2.0 * k1), math.exp(-2.0 * k2), math.exp(-2.0 * k3)
+    s1 = -2.0 * t2 * t3 * math.expm1(-4.0 * k1)
+    s2 = -2.0 * t3 * t1 * math.expm1(-4.0 * k2)
+    s3 = -2.0 * t1 * t2 * math.expm1(-4.0 * k3)
+    gap = (1.0 - t1 * t2 - t2 * t3 - t3 * t1) ** 2
+    sin2 = np.sin(_half_angles(q)) ** 2
+    r = np.sqrt((s2 + s3) ** 2 - 4.0 * s2 * s3 * sin2)
+    # A - R = gap + 2 s1 sin^2(w1/2) + (s2 + s3 - R), the last term rationalized
+    lo = gap + 2.0 * s1 * sin2
+    if s2 * s3 > 0.0:
+        lo = lo + 4.0 * s2 * s3 * sin2 / (s2 + s3 + r)
+    return k1 + k2 + k3 + 0.5 * _mean_log_root(lo, lo + 2.0 * r)
 
 
 def critical_point_square() -> float:

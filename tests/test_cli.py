@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from isingexact.cli import run
+from isingexact.thermo import (QuadratureSpec, internal_energy, onsager_free_energy,
+                               specific_heat)
 
 
 def _run(capsys, *argv):
@@ -73,6 +75,21 @@ def test_sweep_csv_shape(capsys):
     assert len(first) == 4
 
 
+def test_sweep_rows_are_the_scalar_calls(capsys, monkeypatch):
+    q = QuadratureSpec(points_per_axis=64)
+    step = (0.5 - 0.3) / 4
+    want = ["k,minus_beta_f,internal_energy,specific_heat"] + [
+        ",".join(format(v, ".17g") for v in (k, onsager_free_energy(k, k, q),
+                                             internal_energy(k, q=q), specific_heat(k, q=q)))
+        for k in (0.3 + i * step for i in range(5))]
+    argv = ("sweep", "--k-from", "0.3", "--k-to", "0.5", "--steps", "5", "--points", "64")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0 and out.splitlines() == want
+    # the sweep reads no environment: a thread-count variable is ignored
+    monkeypatch.setenv("ISING_THREADS", "abc")
+    assert _run(capsys, *argv)[:2] == (0, out)
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     _, out1, _ = _run(capsys, "compare", "--rows", "3", "--cols", "3",
                       "--kh", "0.5", "--kv", "0.2")
@@ -96,11 +113,13 @@ def test_exit_code_flag_error(capsys):
 
 
 def test_exit_code_capacity_error(capsys):
-    code, out, err = _run(capsys, "z", "--method", "transfer", "--rows", "2",
-                          "--cols", "99", "--kh", "0.1", "--kv", "0.1")
-    assert code == 3
-    assert out == ""
-    assert "error" in err
+    # the Kac-Ward case is refused before numpy is asked for 74.5 GiB
+    for method, rows, cols in (("transfer", "2", "99"), ("kacward", "100000", "100000")):
+        code, out, err = _run(capsys, "z", "--method", method, "--rows", rows,
+                              "--cols", cols, "--kh", "0.1", "--kv", "0.1")
+        assert code == 3
+        assert out == ""
+        assert "error" in err
 
 
 def test_quadrature_points_beyond_ceiling_exit_code(capsys):
@@ -112,6 +131,26 @@ def test_quadrature_points_beyond_ceiling_exit_code(capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_free_energy_at_large_coupling(capsys):
+    for method, want in (("onsager", 800.0), ("fermionic", 800.0), ("dirac", 800.0),
+                         ("triangular", 1200.0)):
+        code, out, err = _run(capsys, "free-energy", "--method", method, "--k", "400")
+        assert code == 0, err
+        assert json.loads(out)["f"] == pytest.approx(want, rel=1e-15)
+
+
+def test_kaufman_at_tiny_coupling_matches_oracle(capsys):
+    for rows, cols in ((4, 4), (3, 5)):
+        values = []
+        for method in ("kaufman", "oracle"):
+            code, out, err = _run(capsys, "z", "--method", method, "--rows", str(rows),
+                                  "--cols", str(cols), "--kh", "1e-300", "--kv", "1e-300")
+            assert code == 0, err
+            values.append(json.loads(out)["log_z"])
+        # ln Z -> mn ln 2; Kaufman's four products cancel from ~5e3 down to it
+        assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+
 def test_sweep_failing_row_prints_nothing(capsys):
     code, out, err = _run(capsys, "sweep", "--k-from", "-0.1", "--k-to", "0.3",
                           "--steps", "3")
@@ -121,13 +160,15 @@ def test_sweep_failing_row_prints_nothing(capsys):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor the Gauss-Legendre machinery (built on first use) or a thread pool
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    unwanted = ("scipy", "numpy.polynomial", "concurrent.futures")
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, isingexact.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print(sorted(m for m in sys.modules if m.startswith({unwanted!r})))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "[]"
 
@@ -143,4 +184,4 @@ def test_exit_code_domain_error(capsys):
 
 def test_seventeen_digit_floats(capsys):
     _, out, _ = _run(capsys, "free-energy", "--method", "onsager", "--k", "0.3")
-    assert "0.79055907095126277" in out
+    assert format(onsager_free_energy(0.3, 0.3), ".17g") in out

@@ -24,6 +24,17 @@ def test_dual_is_an_involution(k):
     assert dual_coupling(dual_coupling(k)) == pytest.approx(k, rel=1e-12)
 
 
+def test_dual_is_an_involution_from_tiny_to_large_couplings():
+    for k in [10.0 ** e for e in range(-300, 3)] + [0.02 * 1.25 ** i for i in range(40)]:
+        assert dual_coupling(dual_coupling(k)) == pytest.approx(k, rel=1e-14)
+
+
+def test_dual_of_a_tiny_coupling():
+    # -(1/2) ln tanh k -> (1/2) ln(1/k) as k -> 0; the artanh form hit artanh(1.0)
+    assert dual_coupling(1e-300) == pytest.approx(0.5 * math.log(1e300), rel=1e-15)
+    assert dual_coupling(1e3) == 0.0          # e^{-2000} underflows, nothing overflows
+
+
 @given(st.floats(min_value=0.02, max_value=5.0))
 def test_dual_product_identity(k):
     assert math.sinh(2 * k) * math.sinh(2 * dual_coupling(k)) == pytest.approx(1.0, rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingexact.core import DomainError, K_CRIT, LatticeSpec, ReducedCouplings
+from isingexact.core import CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings
 from isingexact.oracle import MatchingWeights, build_lattice_graph, count_matchings, enumerate_partition_graph
 from isingexact.spectral import (
     GridParity,
@@ -85,6 +85,13 @@ def test_parity_products_nonnegative_and_zero_flag():
 def test_kacward_against_oracle(m, n, kh, kv):
     assert kacward_log_z(m, n, kh, kv) == pytest.approx(
         _oracle_torus(m, n, kh, kv), rel=1e-10)
+
+
+def test_kacward_refuses_oversized_products_before_allocating():
+    with pytest.raises(CapacityError):
+        kacward_log_z(100000, 100000, 0.3, 0.3)
+    with pytest.raises(CapacityError):
+        kacward_products(4097, 4096, 0.3, 0.3, GridParity())
 
 
 def test_grid_parity_validation():

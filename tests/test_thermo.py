@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from isingexact.core import CapacityError, DomainError, K_CRIT
@@ -15,6 +17,69 @@ from isingexact.thermo import (
     specific_heat,
     triangular_free_energy,
 )
+
+# -beta f at K_CRIT: (1/2) ln 2 + 2G/pi, G Catalan's constant
+CRITICAL_FREE_ENERGY = 0.5 * math.log(2.0) + 2.0 * 0.91596559417721901505 / math.pi
+
+
+def _mean_log_bracket(points, bracket):
+    """Reference rule: the mean of ln bracket(w1, w2) on the N x N midpoint
+    grid over [0, 2pi)^2, with no inner integral closed."""
+    w = 2.0 * np.pi * (np.arange(points) + 0.5) / points
+    return float(np.mean(np.log(bracket(w[:, None], w[None, :]))))
+
+
+def _reference_free_energies(k1, k2, k3, points=256):
+    """The four free-energy forms on the 2D grid: (onsager(k1, k2),
+    fermionic(k1), dirac(k1), triangular(k1, k2, k3))."""
+    c = math.cosh(2 * k1) * math.cosh(2 * k2)
+    s1, s2 = math.sinh(2 * k1), math.sinh(2 * k2)
+    onsager = math.log(2.0) + 0.5 * _mean_log_bracket(
+        points, lambda w1, w2: c - s1 * np.cos(w1) - s2 * np.cos(w2))
+    z = math.tanh(k1)
+    a, b = (1.0 + z * z) ** 2, 2.0 * z * (1.0 - z * z)
+    fermionic = math.log(2.0) + 2.0 * math.log(math.cosh(k1)) + 0.5 * _mean_log_bracket(
+        points, lambda p, r: a + b * (np.cos(p) + np.cos(r)))
+    dirac = math.log(2.0) - math.log1p(-z * z) + 0.5 * _mean_log_bracket(
+        points, lambda p, r: a - b * (np.cos(p) + np.cos(r)))
+    c3 = c * math.cosh(2 * k3) + s1 * s2 * math.sinh(2 * k3)
+    s3 = math.sinh(2 * k3)
+    triangular = math.log(2.0) + 0.5 * _mean_log_bracket(
+        points, lambda w1, w2: c3 - s1 * np.cos(w1) - s2 * np.cos(w2) - s3 * np.cos(w1 + w2))
+    return onsager, fermionic, dirac, triangular
+
+
+# away from both critical manifolds, where the 256 x 256 grid has converged
+@pytest.mark.parametrize("k1,k2,k3", [(0.2, 0.2, 0.2), (0.2, 0.4, 0.05), (0.6, 0.35, 0.25),
+                                      (0.9, 0.7, 0.4), (1.2, 0.15, 0.6), (0.35, 0.35, 0.0)])
+def test_one_dimensional_forms_match_the_2d_grid(k1, k2, k3):
+    onsager, fermionic, dirac, triangular = _reference_free_energies(k1, k2, k3)
+    assert abs(onsager_free_energy(k1, k2) - onsager) < 1e-13
+    assert abs(fermionic_free_energy(k1) - fermionic) < 1e-13
+    assert abs(dirac_free_energy(k1) - dirac) < 1e-13
+    assert abs(triangular_free_energy(k1, k2, k3) - triangular) < 1e-13
+
+
+def test_critical_free_energy_anchor():
+    q = QuadratureSpec(points_per_axis=MAX_POINTS)
+    for f in (onsager_free_energy(K_CRIT, K_CRIT, q), fermionic_free_energy(K_CRIT, q),
+              dirac_free_energy(K_CRIT, q)):
+        assert abs(f - CRITICAL_FREE_ENERGY) < 2e-8
+
+
+def test_large_couplings_stay_finite():
+    # -beta f -> k1 + k2 (k1 + k2 + k3 on the triangular lattice) as k grows
+    assert onsager_free_energy(400.0, 400.0) == pytest.approx(800.0, rel=1e-15)
+    assert fermionic_free_energy(400.0) == pytest.approx(800.0, rel=1e-15)
+    assert dirac_free_energy(400.0) == pytest.approx(800.0, rel=1e-15)
+    assert triangular_free_energy(400.0, 400.0, 400.0) == pytest.approx(1200.0, rel=1e-15)
+    assert onsager_free_energy(400.0, 0.3) == pytest.approx(400.3, rel=1e-15)
+
+
+def test_triangular_is_symmetric_in_its_couplings():
+    values = {triangular_free_energy(*ks) for ks in itertools.permutations((0.2, 0.5, 0.9))}
+    assert len(values) == 1
+
 
 # frozen by an independent high-resolution run (4096 points per axis)
 ONSAGER_REFERENCE = {
