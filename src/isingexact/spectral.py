@@ -60,18 +60,27 @@ def gamma_spectrum(n: int, k_t: float, k_s: float) -> GammaSpectrum:
     for k >= 1, and gamma_0 = 2 (k_t* - k_s) signed.
 
     k_t is the coupling along the transfer direction (whose dual k_t*
-    appears), k_s the in-row coupling.
+    appears), k_s the in-row coupling.  The arccosh argument is taken
+    through cosh gamma - 1 = 2 sinh^2(a - b) + 2 sin^2(theta/2) sinh 2a sinh 2b
+    (a = k_t*, b = k_s), a sum of non-negative terms, as sinh(gamma/2) =
+    e^{a+b} w with w free of overflow.  From a + b = 700 on, where e^{a+b}
+    nears overflow and arcsinh x equals ln 2x to double precision, gamma is
+    2 (a + b + ln 2w).
     """
     if not (k_t > 0.0 and math.isfinite(k_t)):
         raise DomainError("k_t must be positive (its dual enters the spectrum)")
     if not (k_s >= 0.0 and math.isfinite(k_s)):
         raise DomainError("k_s must be non-negative")
     kd = dual_coupling(k_t)
-    c = math.cosh(2.0 * kd) * math.cosh(2.0 * k_s)
-    s = math.sinh(2.0 * kd) * math.sinh(2.0 * k_s)
-    k = np.arange(2 * n)
-    arg = c - np.cos(np.pi * k / n) * s
-    gamma = np.arccosh(np.maximum(arg, 1.0))
+    theta = np.pi * np.arange(2 * n) / n
+    w = 0.5 * np.sqrt(math.exp(-4.0 * min(kd, k_s)) * math.expm1(-2.0 * abs(kd - k_s)) ** 2
+                      + np.sin(0.5 * theta) ** 2 * (math.expm1(-4.0 * kd)
+                                                   * math.expm1(-4.0 * k_s)))
+    if kd + k_s < 700.0:
+        gamma = 2.0 * np.arcsinh(math.exp(kd + k_s) * w)
+    else:
+        with np.errstate(divide="ignore"):
+            gamma = 2.0 * (kd + k_s + np.log(2.0 * w))
     gamma[0] = 2.0 * (kd - k_s)
     return GammaSpectrum(n=n, gamma=gamma)
 
@@ -82,10 +91,11 @@ def _log_2cosh(x: np.ndarray) -> np.ndarray:
 
 
 def _log_2sinh_abs(x: np.ndarray) -> np.ndarray:
-    """log(2 |sinh x|); -inf at x = 0."""
+    """log(2 |sinh x|) = |x| + ln(1 - e^{-2|x|}), with 1 - e^{-2|x|} taken by
+    expm1 so tiny |x| keeps its digits; -inf at x = 0."""
     ax = np.abs(x)
     with np.errstate(divide="ignore"):
-        return ax + np.log1p(-np.exp(-2.0 * ax))
+        return ax + np.log(-np.expm1(-2.0 * ax))
 
 
 def kaufman_partition(m: int, n: int, k_t: float, k_s: float) -> float:
@@ -120,7 +130,7 @@ def kaufman_partition(m: int, n: int, k_t: float, k_s: float) -> float:
     if sign <= 0:
         raise DomainError("spectral combination lost positivity (invalid couplings?)")
     return (-math.log(2.0)
-            + 0.5 * m * n * math.log(2.0 * math.sinh(2.0 * k_t))
+            + 0.5 * m * n * float(_log_2sinh_abs(2.0 * k_t))
             + log_sum)
 
 
@@ -172,14 +182,16 @@ def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
         Z = 1/2 (2 cosh k_h cosh k_v)^{mn} (s sqrt(P_ii) + sqrt(P_ih)
             + sqrt(P_hi) + sqrt(P_hh))
 
-    where s = sign(sinh 2k_h sinh 2k_v - 1).  The integer/integer product is
-    the square of the signed sinh term of the spectral four-product, so its
-    square root must re-enter with that temperature-dependent sign; at the
-    critical manifold the product vanishes and the term drops out.
+    where s = sign(sinh 2k_h sinh 2k_v - 1), taken as the sign of
+    ln(2 sinh 2k_h) + ln(2 sinh 2k_v) - ln 4 so that large couplings do not
+    overflow.  The integer/integer product is the square of the signed sinh
+    term of the spectral four-product, so its square root must re-enter with
+    that temperature-dependent sign; at the critical manifold the product
+    vanishes and the term drops out.
     """
     parities = [GridParity("integer", "integer"), GridParity("integer", "half"),
                 GridParity("half", "integer"), GridParity("half", "half")]
-    s1 = math.sinh(2.0 * k_h) * math.sinh(2.0 * k_v) - 1.0
+    s1 = float(_log_2sinh_abs(2.0 * k_h) + _log_2sinh_abs(2.0 * k_v)) - 2.0 * math.log(2.0)
     signs = [0 if s1 == 0.0 else (1 if s1 > 0 else -1), 1, 1, 1]
     terms = []
     for gp, sgn in zip(parities, signs):

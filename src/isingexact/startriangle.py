@@ -176,12 +176,13 @@ def ab_coefficients(k: float) -> Tuple[float, float]:
     """The modulus-only coefficients of f = a A - b B.
 
     k < 1 (low temperature):   a = (2/pi) E(k),  b = (2/pi) (1-k^2) K(k)
+                               (a = b = 1 at k = 0)
     k > 1 (high temperature), with l = 1/k:
         a = (2/pi) (E(l) - (1-l^2) K(l)) / l,   b = -(2/pi) (1-l^2) K(l) / l
     """
     lam = 2.0 / math.pi
-    if k <= 0:
-        raise DomainError("modulus must be positive")
+    if not k >= 0:
+        raise DomainError("modulus must be non-negative")
     if k == 1.0:
         raise DomainError("modulus k = 1 is the critical point (singular)")
     if k < 1.0:
@@ -220,10 +221,13 @@ def square_lattice_energy(k_h: float, k_v: float) -> float:
 
         u = coth 2K f(K, k) + coth 2L f(L, k),  k = 1/(sinh 2K sinh 2L)
 
-    Each term is the nearest-neighbor correlation weighted by its bond."""
+    Each term is the nearest-neighbor correlation weighted by its bond.  The
+    modulus is taken as 4 e^{-2K-2L} / ((1 - e^{-4K})(1 - e^{-4L})), which
+    does not overflow; it underflows to k = 0, the zero-temperature limit,
+    where f(K, 0) = tanh 2K."""
     if not (k_h > 0 and k_v > 0):
         raise DomainError("couplings must be positive")
-    mod = 1.0 / (math.sinh(2 * k_h) * math.sinh(2 * k_v))
+    mod = 4.0 * math.exp(-2.0 * (k_h + k_v)) / (math.expm1(-4.0 * k_h) * math.expm1(-4.0 * k_v))
     return (correlation_f(k_h, mod) / math.tanh(2 * k_h)
             + correlation_f(k_v, mod) / math.tanh(2 * k_v))
 

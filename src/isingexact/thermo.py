@@ -55,6 +55,13 @@ def _mean_log_root(lo: np.ndarray, hi: np.ndarray) -> float:
     return 2.0 * float(np.mean(np.log(0.5 * (np.sqrt(lo) + np.sqrt(hi)))))
 
 
+def _finite(f: float) -> float:
+    """-beta f, refused once the couplings push it past the float range."""
+    if not math.isfinite(f):
+        raise DomainError(f"-beta f = {f!r} is outside the float range")
+    return f
+
+
 def onsager_free_energy(k1: float, k2: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
     """-beta f per site of the anisotropic square lattice:
 
@@ -76,7 +83,7 @@ def onsager_free_energy(k1: float, k2: float, q: QuadratureSpec = _DEFAULT_Q) ->
     s2 = -2.0 * t1 * math.expm1(-4.0 * k2)
     gap = (1.0 - t1 - t2 - t1 * t2) ** 2
     lo = gap + 2.0 * s1 * np.sin(_half_angles(q)) ** 2
-    return k1 + k2 + 0.5 * _mean_log_root(lo, lo + 2.0 * s2)
+    return _finite(k1 + k2 + 0.5 * _mean_log_root(lo, lo + 2.0 * s2))
 
 
 def _isotropic_mean(y: float, half_angle_sq: np.ndarray) -> float:
@@ -101,8 +108,8 @@ def fermionic_free_energy(k: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
     """
     if not k > 0:
         raise DomainError("coupling must be positive")
-    return math.log(2.0) + 2.0 * log_cosh(k) + 0.5 * _isotropic_mean(
-        math.tanh(k), np.cos(_half_angles(q)) ** 2)
+    return _finite(math.log(2.0) + 2.0 * log_cosh(k) + 0.5 * _isotropic_mean(
+        math.tanh(k), np.cos(_half_angles(q)) ** 2))
 
 
 def dirac_free_energy(theta: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
@@ -116,8 +123,8 @@ def dirac_free_energy(theta: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
     """
     if not theta > 0:
         raise DomainError("coupling must be positive")
-    return (math.log(2.0) + 2.0 * log_cosh(theta)
-            + 0.5 * _isotropic_mean(math.tanh(theta), np.sin(_half_angles(q)) ** 2))
+    return _finite(math.log(2.0) + 2.0 * log_cosh(theta)
+                   + 0.5 * _isotropic_mean(math.tanh(theta), np.sin(_half_angles(q)) ** 2))
 
 
 def triangular_free_energy(k1: float, k2: float, k3: float,
@@ -151,7 +158,7 @@ def triangular_free_energy(k1: float, k2: float, k3: float,
     lo = gap + 2.0 * s1 * sin2
     if s2 * s3 > 0.0:
         lo = lo + 4.0 * s2 * s3 * sin2 / (s2 + s3 + r)
-    return k1 + k2 + k3 + 0.5 * _mean_log_root(lo, lo + 2.0 * r)
+    return _finite(k1 + k2 + k3 + 0.5 * _mean_log_root(lo, lo + 2.0 * r))
 
 
 def critical_point_square() -> float:

@@ -1,8 +1,23 @@
-"""Dense row-to-row transfer matrix for the 2D torus.
+"""Row-to-row transfer route for the 2D torus, as a spectrum.
 
-Builds the 2^n x 2^n operator whose m-th power's trace is the partition
-function of the m x n torus, and evaluates ln Tr(T^m) with per-step norm
-scaling so no overflow occurs for large m.
+Z of the m x n torus is Tr(T^m) = sum_i lambda_i^m over the 2^n eigenvalues
+of the symmetrised transfer matrix T_s = D^(1/2) V D^(1/2): V = (x)_nu
+(e^{k_a} I + e^{-k_a} sigma^x) carries the bonds between two rows and the
+diagonal D the cyclic bonds within a row.  T_s commutes with the cyclic
+translation of a row and with the global spin flip, so in the momentum
+states of Sandvik (AIP Conf. Proc. 1297, 135, 2010) it splits into one
+Hermitian block per momentum q and flip parity z, of size about 2^n / 2n,
+built directly from the orbit representatives; each block is one eigvalsh.
+Every weight is shifted by the exact largest entry of T_s, so no finite
+coupling overflows, and ln Z = m ln(largest entry) plus a max-shifted
+ln sum_i lambda_i^m.
+
+log_z_torus cuts the torus into rows along the side that gives the narrower
+transfer matrix, width min(m, n), among the cuts where that sum cannot
+cancel: the coupling between rows is >= 0 (then V >= 0, so every
+lambda_i >= 0), or the row count is even.  Only a torus with both couplings
+negative and both sides odd has no such cut; it takes products of the dense
+T = V D instead, whose entries are all positive.
 """
 
 from __future__ import annotations
@@ -16,70 +31,176 @@ from .core import CapacityError, DomainError
 
 MAX_COLS = 14
 
+# a signed spectral sum is refused once it amplifies eigenvalue rounding
+# (~1e-14 of the largest eigenvalue) by more than this many digits
+_MAX_DIGITS_LOST = 4.0
+
 
 @dataclass(frozen=True)
 class TransferOperator:
     n_cols: int
     k_a: float  # inter-row coupling
     k_b: float  # intra-row coupling (cyclic within the row)
-    entries: np.ndarray
+    log_shift: float          # ln of the largest entry of T_s
+    eigenvalues: np.ndarray   # the 2^n eigenvalues of T_s / exp(log_shift)
 
     @property
     def dim(self) -> int:
         return 1 << self.n_cols
 
 
-def build_transfer(n: int, k_a: float, k_b: float) -> TransferOperator:
-    """T_{ij} = prod_nu exp(k_a s_nu^(i) s_nu^(j)) * prod_nu exp(k_b s_nu^(j) s_{nu+1}^(j)).
-
-    Row states enumerate {+-1}^n in binary order with spin nu occupying bit
-    (n - 1 - nu), i.e. the first spin is the most significant bit, matching
-    the tensor-product ordering of the 2x2 building blocks.  The intra-row
-    product is cyclic: n = 1 contributes a constant self-bond factor
-    exp(k_b) and n = 2 a doubled bond, consistent with the enumeration
-    oracle's wrap conventions.
-    """
+def _check(n: int, k_a: float, k_b: float) -> None:
     if not 1 <= n <= MAX_COLS:
         raise CapacityError(f"transfer matrix supports 1..{MAX_COLS} columns, got {n}")
     if not (math.isfinite(k_a) and math.isfinite(k_b)):
         raise DomainError("couplings must be finite")
+
+
+def _rotate(states: np.ndarray, n: int) -> np.ndarray:
+    """Row states shifted cyclically by one site."""
+    return ((states << 1) | (states >> (n - 1))) & ((1 << n) - 1)
+
+
+def _row_bonds(states: np.ndarray, n: int, k_b: float) -> tuple:
+    """k_b times the cyclic in-row bond sum of each row state, less its
+    largest value over all rows, and that largest value."""
+    b = k_b * (n - 2.0 * np.bitwise_count(states ^ _rotate(states, n)))
+    top = float(b.max())
+    return b - top, top
+
+
+def _inter_row_exponents(n: int, k_a: float) -> np.ndarray:
+    """k_a times the inter-row bond sum at each Hamming distance 0..n of the
+    two rows (n - 2 * distance)."""
+    return k_a * (n - 2.0 * np.arange(n + 1))
+
+
+def build_transfer(n: int, k_a: float, k_b: float) -> TransferOperator:
+    """The spectrum of T_s for rows of n spins, block by block.
+
+    Row states are n-bit integers, spin nu in bit (n - 1 - nu).  The
+    intra-row product is cyclic: n = 1 contributes a constant self-bond
+    factor exp(k_b) and n = 2 a doubled bond, consistent with the
+    enumeration oracle's wrap conventions.
+
+    The 2n symmetries h are the rotations by r sites, with or without the
+    flip; the block of momentum q and flip parity z has character
+    chi(h) = e^{2 pi i q r / n} z^flip and holds the representatives a whose
+    stabiliser S_a it is trivial on.  Its entries are
+
+        M[a, b] = (|S_a| |S_b|)^(-1/2) sum_h conj(chi(h)) T_s(a, h b),
+
+    where T_s(a, h b) = d_a d_b exp(k_a * inter-row sum) and the flip only
+    negates the inter-row sum, so the sum over h is a phase contraction of
+    the weights e^{x} + z e^{-x} over the n rotations.  The blocks of q and
+    n - q are complex conjugates and share their eigenvalues.
+    """
+    _check(n, k_a, k_b)
     dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint16)
-    # a bond sum over n spin pairs is n - 2 * (antiparallel pairs), so the
-    # inter-row sum takes only n + 1 values: exponentiate those once and
-    # index them with the Hamming distance of the two row states
-    levels = n - 2.0 * np.arange(n + 1)
-    t = np.exp(k_a * levels)[np.bitwise_count(idx[:, None] ^ idx[None, :])]
-    # intra-row cyclic bonds compare each spin with its rotated neighbour
-    rotated = ((idx << 1) | (idx >> (n - 1))) & (dim - 1)
-    intra = n - 2.0 * np.bitwise_count(idx ^ rotated)
-    t *= np.exp(k_b * intra)
-    return TransferOperator(n_cols=n, k_a=k_a, k_b=k_b, entries=t)
+    states = np.arange(dim, dtype=np.int64)
+    rotations = [states]
+    for _ in range(n - 1):
+        rotations.append(_rotate(rotations[-1], n))
+    rotations = np.stack(rotations)
+    images = np.concatenate([rotations, rotations ^ (dim - 1)])   # (2n, 2^n): h s
+    reps = np.flatnonzero(images.min(axis=0) == states)
+    fixes = images[:, reps] == reps                     # (2n, R): h fixes rep a
+    row, row_top = _row_bonds(reps, n, k_b)
+    d = np.exp(0.5 * row) / np.sqrt(fixes.sum(axis=0))  # |S_a| = count of fixes
+    log_shift = n * abs(k_a) + row_top
+
+    # e^{x} +- e^{-x} over e^{n |k_a|}, each without cancellation
+    x = _inter_row_exponents(n, k_a)
+    top = np.exp(np.abs(x) - n * abs(k_a))
+    weights = {1: top * (1.0 + np.exp(-2.0 * np.abs(x))),
+               -1: np.sign(x) * top * -np.expm1(-2.0 * np.abs(x))}
+    # (n, R, R): Hamming distance of rep a to rep b rotated by r sites
+    distance = np.bitwise_count(reps[None, :, None] ^ images[:n, reps][:, None, :])
+
+    r = np.arange(n)
+    qs = np.arange(n // 2 + 1)
+    angle = (2.0 * np.pi / n) * ((qs[:, None] * r[None, :]) % n)
+    h_rot, h_flip = np.tile(r, 2), np.repeat([0, 1], n)
+    size = len(reps)
+    eigenvalues = []
+    for z, w in weights.items():
+        g = w[distance].reshape(n, -1)
+        re = np.cos(angle) @ g
+        im = -(np.sin(angle) @ g)
+        for q in qs:
+            # chi(h) = 1 iff 2 q r + n [flip and z = -1] = 0 mod 2n
+            trivial = (2 * q * h_rot + n * h_flip * (z < 0)) % (2 * n) == 0
+            keep = ~(fixes & ~trivial[:, None]).any(axis=0)
+            if not keep.any():
+                continue
+            block = re[q].reshape(size, size)[np.ix_(keep, keep)]
+            paired = 0 < 2 * q < n
+            if paired:
+                block = block + 1j * im[q].reshape(size, size)[np.ix_(keep, keep)]
+            dk = d[keep]
+            lam = np.linalg.eigvalsh(dk[:, None] * block * dk[None, :])
+            eigenvalues.extend([lam, lam] if paired else [lam])
+    return TransferOperator(n_cols=n, k_a=k_a, k_b=k_b, log_shift=log_shift,
+                            eigenvalues=np.concatenate(eigenvalues))
 
 
 def partition_torus_transfer(m: int, t: TransferOperator) -> float:
-    """ln Tr(T^m) by repeated multiplication with norm scaling.
+    """ln Tr(T^m) = m log_shift + ln sum_i lambda_i^m, the sum shifted by the
+    largest |lambda_i|.
 
-    The final product is never fully formed: Tr(X T) is contracted
-    elementwise, which also makes the common m = 2 case O(dim^2).
+    With k_a >= 0 (V is positive semi-definite) or m even, no term is
+    negative.  Otherwise the terms carry both signs, and the sum is
+    returned only while it amplifies the eigenvalues' rounding by at most
+    _MAX_DIGITS_LOST digits; past that, DomainError names the digits lost.
     """
     if m < 1:
         raise DomainError("m must be positive")
-    a = t.entries
+    top = float(np.abs(t.eigenvalues).max())
+    ratio = t.eigenvalues / top
+    total = float(np.sum(ratio ** m))
+    if t.k_a < 0 and m % 2:
+        scale = m * float(np.sum(np.abs(ratio) ** (m - 1)))
+        lost = math.log10(scale / abs(total)) if total != 0.0 else math.inf
+        if not (total > 0.0 and lost <= _MAX_DIGITS_LOST):
+            raise DomainError(
+                f"the signed spectral sum of {m} rows at k_a = {t.k_a!r} loses {lost:.1f} "
+                f"digits to cancellation (limit {_MAX_DIGITS_LOST:g})")
+    return m * (t.log_shift + math.log(top)) + math.log(total)
+
+
+def _dense_log_trace(m: int, n: int, k_a: float, k_b: float) -> float:
+    """ln Tr(T^m) from products of the dense 2^n x 2^n matrix T = V D,
+    shifted by the same largest entry as T_s and rescaled by its maximum
+    after every product.  All entries are positive, so nothing cancels.
+    The final product is never formed: Tr(X T) is contracted elementwise."""
+    _check(n, k_a, k_b)
+    states = np.arange(1 << n, dtype=np.uint16)
+    a = np.exp(_inter_row_exponents(n, k_a) - n * abs(k_a))[
+        np.bitwise_count(states[:, None] ^ states[None, :])]
+    row, row_top = _row_bonds(states, n, k_b)
+    a *= np.exp(row)
+    log_scale = m * (n * abs(k_a) + row_top)
     if m == 1:
-        return math.log(float(np.trace(a)))
+        return log_scale + math.log(float(np.trace(a)))
     x = a
-    log_scale = 0.0
     for _ in range(m - 2):
         x = x @ a
         norm = float(x.max())
         x /= norm
         log_scale += math.log(norm)
-    trace = float(np.einsum("ij,ji->", x, a))
-    return log_scale + math.log(trace)
+    return log_scale + math.log(float(np.einsum("ij,ji->", x, a)))
 
 
 def log_z_torus(m: int, n: int, k_h: float, k_v: float) -> float:
-    """Convenience wrapper: ln Z of the m x n torus with horizontal coupling
-    k_h (within rows) and vertical coupling k_v (between rows)."""
-    return partition_torus_transfer(m, build_transfer(n, k_a=k_v, k_b=k_h))
+    """ln Z of the m x n torus with horizontal coupling k_h (within rows)
+    and vertical coupling k_v (between rows), by the spectrum at the
+    narrowest cut whose sum cannot cancel (see the module docstring)."""
+    if m < 1 or n < 1:
+        raise DomainError("lattice sides must be positive")
+    # (rows, width, coupling between rows, coupling within a row)
+    cuts = [(m, n, k_v, k_h), (n, m, k_h, k_v)]
+    safe = [c for c in cuts if c[2] >= 0.0 or c[0] % 2 == 0]
+    rows, width, k_a, k_b = min(safe or cuts, key=lambda c: c[1])
+    if not safe:
+        return _dense_log_trace(rows, width, k_a, k_b)
+    return partition_torus_transfer(rows, build_transfer(width, k_a, k_b))

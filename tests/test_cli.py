@@ -114,7 +114,7 @@ def test_exit_code_flag_error(capsys):
 
 def test_exit_code_capacity_error(capsys):
     # the Kac-Ward case is refused before numpy is asked for 74.5 GiB
-    for method, rows, cols in (("transfer", "2", "99"), ("kacward", "100000", "100000")):
+    for method, rows, cols in (("transfer", "99", "99"), ("kacward", "100000", "100000")):
         code, out, err = _run(capsys, "z", "--method", method, "--rows", rows,
                               "--cols", cols, "--kh", "0.1", "--kv", "0.1")
         assert code == 3
@@ -139,6 +139,24 @@ def test_free_energy_at_large_coupling(capsys):
         assert json.loads(out)["f"] == pytest.approx(want, rel=1e-15)
 
 
+def test_free_energy_past_the_float_range_is_a_domain_error(capsys):
+    for method in ("onsager", "fermionic", "dirac", "triangular"):
+        code, out, err = _run(capsys, "free-energy", "--method", method, "--k", "1e308")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_every_route_at_large_coupling(capsys):
+    # ln Z -> 2 m n K + ln 2 on the 4 x 4 torus
+    for k, want in (("80", 2560.6931471805597), ("400", 12800.69314718056)):
+        for method in ("oracle", "transfer", "kaufman", "pfaffian", "kacward"):
+            code, out, err = _run(capsys, "z", "--method", method, "--rows", "4",
+                                  "--cols", "4", "--kh", k, "--kv", k)
+            assert code == 0, (method, err)
+            assert json.loads(out)["log_z"] == pytest.approx(want, rel=1e-15), method
+
+
 def test_kaufman_at_tiny_coupling_matches_oracle(capsys):
     for rows, cols in ((4, 4), (3, 5)):
         values = []
@@ -160,11 +178,12 @@ def test_sweep_failing_row_prints_nothing(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # nor the Gauss-Legendre machinery (built on first use) or a thread pool
+    # nor the Gauss-Legendre machinery (built on first use), an FFT or a
+    # thread pool
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    unwanted = ("scipy", "numpy.polynomial", "concurrent.futures")
+    unwanted = ("scipy", "numpy.polynomial", "numpy.fft", "concurrent.futures")
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, isingexact.cli; "

@@ -15,7 +15,9 @@ from isingexact.spectral import (
     kaufman_partition,
     triangular_log_z_per_site,
 )
+from isingexact.pfaffian import ising_pfaffian_torus
 from isingexact.thermo import onsager_free_energy, triangular_free_energy
+from isingexact.transfer2d import log_z_torus
 
 
 def _oracle_torus(m, n, kh, kv):
@@ -55,6 +57,16 @@ def test_spectrum_monotone_in_angle():
 def test_kaufman_against_oracle(m, n, kh, kv):
     assert kaufman_partition(m, n, kv, kh) == pytest.approx(
         _oracle_torus(m, n, kh, kv), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [400.0, 1000.0])
+def test_every_route_at_large_coupling(k):
+    # ln Z -> 2 m n K + ln 2 on the 4 x 4 torus (12800.69314718056 at K = 400);
+    # at K = 1000 the gamma spectrum takes its logarithmic branch
+    routes = [_oracle_torus(4, 4, k, k), log_z_torus(4, 4, k, k), kaufman_partition(4, 4, k, k),
+              ising_pfaffian_torus(4, 4, k, k), kacward_log_z(4, 4, k, k)]
+    for value in routes:
+        assert value == pytest.approx(2 * 16 * k + math.log(2.0), rel=1e-15)
 
 
 def test_kaufman_transpose_duality():

@@ -166,3 +166,9 @@ def test_b_coefficient_asymptotics():
 def test_energy_against_quadrature_derivative(k_c):
     assert square_lattice_energy(k_c, k_c) == pytest.approx(
         internal_energy(k_c), abs=1e-4)
+
+
+def test_energy_at_large_coupling():
+    # the modulus underflows to 0 and u -> 2 (both bonds of a site ordered)
+    for k_h, k_v in ((400.0, 400.0), (400.0, 250.0), (1e5, 0.9)):
+        assert square_lattice_energy(k_h, k_v) == pytest.approx(2.0, rel=1e-14)

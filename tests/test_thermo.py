@@ -76,6 +76,15 @@ def test_large_couplings_stay_finite():
     assert onsager_free_energy(400.0, 0.3) == pytest.approx(400.3, rel=1e-15)
 
 
+def test_free_energy_past_the_float_range_is_refused():
+    # -beta f -> k1 + k2 overflows; a single 1e308 coupling stays finite
+    assert onsager_free_energy(1e308, 0.3) == pytest.approx(1e308, rel=1e-15)
+    for f in (lambda: onsager_free_energy(1e308, 1e308), lambda: fermionic_free_energy(1e308),
+              lambda: dirac_free_energy(1e308), lambda: triangular_free_energy(1e308, 1e308, 0.3)):
+        with pytest.raises(DomainError, match="float range"):
+            f()
+
+
 def test_triangular_is_symmetric_in_its_couplings():
     values = {triangular_free_energy(*ks) for ks in itertools.permutations((0.2, 0.5, 0.9))}
     assert len(values) == 1

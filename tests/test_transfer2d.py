@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from isingexact.core import CapacityError, K_CRIT, LatticeSpec, ReducedCouplings
+from isingexact.core import CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings
 from isingexact.oracle import build_lattice_graph, enumerate_partition_graph
+from isingexact.spectral import gamma_spectrum, kaufman_partition
 from isingexact.transfer2d import MAX_COLS, build_transfer, log_z_torus, partition_torus_transfer
 
 
@@ -18,12 +19,28 @@ def reference_transfer_entries(n, k_a, k_b):
     return np.exp(k_a * inter) * np.exp(k_b * intra)[None, :]
 
 
+def reference_symmetrised(n, k_a, k_b):
+    """T_s = D^(1/2) V D^(1/2) = D^(1/2) T D^(-1/2) from the reference
+    T = V D; the diagonal of V is constant, so D is diag(T) up to a factor
+    that cancels."""
+    t = reference_transfer_entries(n, k_a, k_b)
+    root = np.sqrt(np.diag(t))
+    return t * root[:, None] / root[None, :]
+
+
+def reference_log_trace_power(m, n, k_a, k_b):
+    return math.log(np.trace(np.linalg.matrix_power(reference_transfer_entries(n, k_a, k_b), m)))
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_build_matches_spin_reference(n):
     for k_a, k_b in [(0.3, 0.6), (-0.5, 0.7), (0.9, -0.2), (-1.3, -2.1),
                      (K_CRIT, K_CRIT)]:
-        got = build_transfer(n, k_a, k_b).entries
-        assert np.array_equal(got, reference_transfer_entries(n, k_a, k_b))
+        t = build_transfer(n, k_a, k_b)
+        want = np.linalg.eigvalsh(reference_symmetrised(n, k_a, k_b))
+        got = np.sort(t.eigenvalues) * math.exp(t.log_shift)
+        assert got.shape == want.shape == (1 << n,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _oracle_torus(m, n, kh, kv):
@@ -31,29 +48,98 @@ def _oracle_torus(m, n, kh, kv):
     return enumerate_partition_graph(g)
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 8), (1, 5), (5, 1)])
-@pytest.mark.parametrize("kh,kv", [(0.3, 0.3), (0.3, 0.6), (0.9, 0.2)])
+# every torus with sides <= 6 and at most 24 sites, 1 x n strips included,
+# under every sign pattern: the cut is chosen by the signs and parity alone
+_SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 8), (1, 5), (5, 1)]
+_SHAPES += [(m, n) for m in range(1, 7) for n in range(1, 7)
+            if m * n <= 24 and (m, n) not in _SHAPES]
+
+
+@pytest.mark.parametrize("m,n", _SHAPES)
+@pytest.mark.parametrize("kh,kv", [(0.3, 0.3), (0.3, 0.6), (0.9, 0.2), (-0.3, -0.3),
+                                   (-1.3, 0.4), (0.5, -1.3), (-1.3, -2.1), (0.0, 0.4),
+                                   (1e-300, 1e-300), (80.0, 80.0), (400.0, -400.0)])
 def test_torus_against_oracle(m, n, kh, kv):
     assert log_z_torus(m, n, kh, kv) == pytest.approx(_oracle_torus(m, n, kh, kv), rel=1e-12)
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (3, 5), (5, 5)])
+def test_fully_frustrated_torus_against_oracle(m, n):
+    # both couplings < 0 and both sides odd: every spectral sum cancels (the
+    # direct sum is refused), the dense product of positive entries does not
+    assert log_z_torus(m, n, -5.0, -5.0) == pytest.approx(_oracle_torus(m, n, -5.0, -5.0),
+                                                          rel=1e-14)
+    with pytest.raises(DomainError, match="digits"):
+        partition_torus_transfer(m, build_transfer(n, -5.0, -5.0))
+
+
+def test_signed_sum_is_accurate_or_refused():
+    # k_a < 0 with an odd row count, called directly: within 1e-10 of the
+    # direct power of the reference matrix, or a DomainError naming the loss
+    answered = refused = 0
+    for n in range(1, 8):
+        for m in (1, 3, 5, 7):
+            for k_a in (-0.02, -0.3, -1.3, -5.0):
+                for k_b in (0.4, 0.0, -1.0):
+                    t = build_transfer(n, k_a, k_b)
+                    try:
+                        got = partition_torus_transfer(m, t)
+                    except DomainError as exc:
+                        assert "digits" in str(exc)
+                        refused += 1
+                        continue
+                    answered += 1
+                    assert abs(got - reference_log_trace_power(m, n, k_a, k_b)) < 1e-10
+    assert answered > 0 and refused > 0
 
 
 def test_operator_dimension():
     t = build_transfer(5, 0.2, 0.3)
     assert t.dim == 32
-    assert t.entries.shape == (32, 32)
+    assert t.eigenvalues.shape == (32,)
 
 
 def test_trace_power_matches_direct_power():
     t = build_transfer(4, 0.4, 0.25)
-    direct = math.log(np.trace(np.linalg.matrix_power(t.entries, 5)))
+    direct = reference_log_trace_power(5, 4, 0.4, 0.25)
     assert partition_torus_transfer(5, t) == pytest.approx(direct, rel=1e-12)
 
 
 def test_column_capacity_limit():
     with pytest.raises(CapacityError):
         build_transfer(MAX_COLS + 1, 0.3, 0.3)
+    # both sides wider than MAX_COLS: no cut fits
     with pytest.raises(CapacityError):
-        log_z_torus(2, MAX_COLS + 1, 0.3, 0.3)
+        log_z_torus(MAX_COLS + 1, MAX_COLS + 1, 0.3, 0.3)
+
+
+def test_narrow_cut_of_a_wide_torus_against_kaufman():
+    # 2 x 15 is cut at width 2
+    assert log_z_torus(2, MAX_COLS + 1, 0.3, 0.6) == pytest.approx(
+        kaufman_partition(2, MAX_COLS + 1, 0.6, 0.3), rel=1e-12)
+
+
+@pytest.mark.parametrize("side", [13, 14])
+def test_widest_tori_at_criticality_against_kaufman(side):
+    assert log_z_torus(side, side, K_CRIT, K_CRIT) == pytest.approx(
+        kaufman_partition(side, side, K_CRIT, K_CRIT), rel=1e-12)
+
+
+@pytest.mark.parametrize("k_a,k_b", [(0.3, 0.6), (K_CRIT, K_CRIT), (0.9, 0.2)])
+def test_largest_eigenvalue_against_kaufman(k_a, k_b):
+    # ln lambda_max = (n/2) ln(2 sinh 2k_a) + (1/2) sum of the odd gammas
+    for n in range(3, 13):
+        t = build_transfer(n, k_a, k_b)
+        got = t.log_shift + math.log(float(t.eigenvalues.max()))
+        gamma = gamma_spectrum(n, k_t=k_a, k_s=k_b).gamma
+        want = 0.5 * n * math.log(2.0 * math.sinh(2.0 * k_a)) + 0.5 * float(gamma[1::2].sum())
+        assert got == pytest.approx(want, rel=1e-13), n
+
+
+def test_large_coupling_does_not_overflow():
+    # ln Z -> 2 m n K + ln 2: the two ordered states
+    assert log_z_torus(4, 4, 80.0, 80.0) == pytest.approx(2560.6931471805597, rel=1e-15)
+    assert log_z_torus(4, 4, 400.0, 400.0) == pytest.approx(12800.69314718056, rel=1e-15)
 
 
 def test_transpose_symmetry():
