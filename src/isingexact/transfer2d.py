@@ -13,16 +13,20 @@ coupling overflows, and ln Z = m ln(largest entry) plus a max-shifted
 ln sum_i lambda_i^m.
 
 log_z_torus cuts the torus into rows along the side that gives the narrower
-transfer matrix, width min(m, n), among the cuts where that sum cannot
-cancel: the coupling between rows is >= 0 (then V >= 0, so every
-lambda_i >= 0), or the row count is even.  Only a torus with both couplings
-negative and both sides odd has no such cut; it takes products of the dense
-T = V D instead, whose entries are all positive.
+transfer matrix, width min(m, n), among the cuts of at most MAX_COLS columns
+where that sum cannot cancel: the coupling between rows is >= 0 (then
+V >= 0, so every lambda_i >= 0), or the row count is even.  A torus with
+both couplings negative and both sides odd has no such cut; it takes
+products of the dense T = V D at width min(m, n) instead, whose entries are
+all positive, and so does a torus whose only such cut is wider than
+MAX_COLS.  Where a product or the trace falls below the normal float range
+relative to the shift (|K| in the hundreds), that route is a DomainError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,27 +184,36 @@ def _dense_log_trace(m: int, n: int, k_a: float, k_b: float) -> float:
     row, row_top = _row_bonds(states, n, k_b)
     a *= np.exp(row)
     log_scale = m * (n * abs(k_a) + row_top)
+
+    def log(value: float) -> float:
+        # a product or trace below the normal range has lost its digits
+        if not value >= sys.float_info.min:
+            raise DomainError(f"the dense transfer product of {m} rows underflows at "
+                              f"k_a = {k_a!r}, k_b = {k_b!r}")
+        return math.log(value)
+
     if m == 1:
-        return log_scale + math.log(float(np.trace(a)))
+        return log_scale + log(float(np.trace(a)))
     x = a
     for _ in range(m - 2):
         x = x @ a
         norm = float(x.max())
+        log_scale += log(norm)
         x /= norm
-        log_scale += math.log(norm)
-    return log_scale + math.log(float(np.einsum("ij,ji->", x, a)))
+    return log_scale + log(float(np.einsum("ij,ji->", x, a)))
 
 
 def log_z_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     """ln Z of the m x n torus with horizontal coupling k_h (within rows)
     and vertical coupling k_v (between rows), by the spectrum at the
-    narrowest cut whose sum cannot cancel (see the module docstring)."""
+    narrowest cut of at most MAX_COLS columns whose sum cannot cancel, else
+    by the dense product at the narrowest cut (see the module docstring)."""
     if m < 1 or n < 1:
         raise DomainError("lattice sides must be positive")
-    # (rows, width, coupling between rows, coupling within a row)
-    cuts = [(m, n, k_v, k_h), (n, m, k_h, k_v)]
-    safe = [c for c in cuts if c[2] >= 0.0 or c[0] % 2 == 0]
-    rows, width, k_a, k_b = min(safe or cuts, key=lambda c: c[1])
+    # (rows, width, coupling between rows, coupling within a row), narrowest first
+    cuts = sorted([(m, n, k_v, k_h), (n, m, k_h, k_v)], key=lambda c: c[1])
+    safe = [c for c in cuts if c[1] <= MAX_COLS and (c[2] >= 0.0 or c[0] % 2 == 0)]
     if not safe:
-        return _dense_log_trace(rows, width, k_a, k_b)
+        return _dense_log_trace(*cuts[0])
+    rows, width, k_a, k_b = safe[0]
     return partition_torus_transfer(rows, build_transfer(width, k_a, k_b))

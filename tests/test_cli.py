@@ -8,6 +8,7 @@ import pytest
 from isingexact.cli import run
 from isingexact.thermo import (QuadratureSpec, internal_energy, onsager_free_energy,
                                specific_heat)
+from isingexact.transfer2d import log_z_torus
 
 
 def _run(capsys, *argv):
@@ -122,6 +123,17 @@ def test_exit_code_capacity_error(capsys):
         assert "error" in err
 
 
+def test_transfer_with_only_a_wide_safe_cut(capsys):
+    # the sign-safe cut is 15 columns wide; the dense product at the narrow
+    # cut answers, as it did before the cut was chosen
+    for rows, cols, kh, kv in (("15", "3", "0.3", "-0.3"), ("15", "4", "-0.3", "-0.3")):
+        code, out, err = _run(capsys, "z", "--method", "transfer", "--rows", rows,
+                              "--cols", cols, "--kh", kh, "--kv", kv)
+        assert code == 0, err
+        assert json.loads(out)["log_z"] == log_z_torus(int(rows), int(cols), float(kh),
+                                                       float(kv))
+
+
 def test_quadrature_points_beyond_ceiling_exit_code(capsys):
     for argv in (("free-energy", "--method", "onsager", "--k", "0.3"),
                  ("sweep", "--k-from", "0.2", "--k-to", "0.3", "--steps", "2")):
@@ -199,6 +211,11 @@ def test_exit_code_domain_error(capsys):
     assert code == 1
     assert out == ""
     assert "torus-only" in err
+    code, out, err = _run(capsys, "z", "--method", "transfer", "--rows", "15",
+                          "--cols", "1", "--kh", "400", "--kv", "-400")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "underflows" in err
 
 
 def test_seventeen_digit_floats(capsys):

@@ -6,6 +6,7 @@ import pytest
 from isingexact.core import CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings
 from isingexact.oracle import build_lattice_graph, enumerate_partition_graph
 from isingexact.spectral import gamma_spectrum, kaufman_partition
+import isingexact.transfer2d as transfer2d
 from isingexact.transfer2d import MAX_COLS, build_transfer, log_z_torus, partition_torus_transfer
 
 
@@ -143,6 +144,36 @@ def test_large_coupling_does_not_overflow():
 
 
 def test_transpose_symmetry():
-    # the torus does not care which direction transfers
-    assert log_z_torus(3, 5, 0.4, 0.7) == pytest.approx(
-        log_z_torus(5, 3, 0.7, 0.4), rel=1e-12)
+    # the torus does not care which direction transfers: 3 rows of width 5
+    # and 5 rows of width 3, each coupling kept on its bonds
+    assert partition_torus_transfer(3, build_transfer(5, 0.7, 0.4)) == pytest.approx(
+        partition_torus_transfer(5, build_transfer(3, 0.4, 0.7)), rel=1e-12)
+
+
+@pytest.mark.parametrize("m,n,kh,kv", [(15, 3, 0.3, -0.3), (3, 15, -0.3, 0.3),
+                                       (15, 4, -0.3, -0.3)])
+def test_cut_too_wide_for_the_spectrum_takes_the_dense_product(m, n, kh, kv, monkeypatch):
+    # the narrow cut has an odd row count and a negative coupling between
+    # rows; the sign-safe cut is 15 columns wide, so no spectrum is built
+    def refuse(*args):
+        raise AssertionError("spectrum built")
+
+    monkeypatch.setattr(transfer2d, "build_transfer", refuse)
+    rows, width = max(m, n), min(m, n)
+    k_a, k_b = (kv, kh) if width == n else (kh, kv)
+    assert log_z_torus(m, n, kh, kv) == pytest.approx(
+        reference_log_trace_power(rows, width, k_a, k_b), rel=1e-12)
+
+
+def test_wide_safe_cut_within_capacity_takes_the_spectrum():
+    # 13 x 3 with k_v < 0: the width-13 spectrum, not the width-3 product
+    assert log_z_torus(13, 3, 0.3, -0.3) == pytest.approx(
+        reference_log_trace_power(13, 3, -0.3, 0.3), rel=1e-12)
+
+
+def test_dense_product_underflow_is_a_domain_error():
+    # the trace is below the normal range relative to the shift: e^-900 on
+    # the fully frustrated 3 x 3 torus, 10 e^-800 on 15 x 1
+    for m, n, kh, kv in ((3, 3, -150.0, -150.0), (15, 1, 400.0, -400.0)):
+        with pytest.raises(DomainError, match="underflows"):
+            log_z_torus(m, n, kh, kv)
