@@ -27,7 +27,6 @@ from .oracle import (
 from .chain1d import ChainParams, induction_closed, recursive_open, transfer_closed
 from .transfer2d import build_transfer, log_z_torus, partition_torus_transfer
 from .spectral import (
-    GammaSpectrum,
     GridParity,
     dimer_count_free,
     gamma_spectrum,
@@ -71,7 +70,7 @@ __all__ = [
     "count_matchings", "count_matchings_dp", "enumerate_partition_graph",
     "ChainParams", "induction_closed", "recursive_open", "transfer_closed",
     "build_transfer", "log_z_torus", "partition_torus_transfer",
-    "GammaSpectrum", "GridParity", "dimer_count_free", "gamma_spectrum",
+    "GridParity", "dimer_count_free", "gamma_spectrum",
     "kacward_log_z", "kacward_products", "kaufman_partition",
     "triangular_log_z_per_site",
     "build_dimer_matrix", "dimer_count_torus", "ising_pfaffian_torus",

@@ -8,6 +8,7 @@ library; callers convert once at the boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,6 +17,8 @@ K_CRIT = 0.5 * math.log(1.0 + math.sqrt(2.0))
 
 GEOMETRIES = ("chain", "square", "triangular", "honeycomb")
 BOUNDARIES = ("free", "cylinder_h", "cylinder_v", "torus")
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class DomainError(ValueError):
@@ -46,6 +49,20 @@ def signed_logsumexp(terms) -> tuple:
     return (top + math.log(abs(acc)), 1 if acc > 0 else -1)
 
 
+def finite(value: float, what: str) -> float:
+    """value, refused once it is outside the float range."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} = {value!r} is outside the float range")
+    return value
+
+
+def exp_finite(log_value: float, what: str) -> float:
+    """e^log_value, refused once it is past the float range."""
+    if not log_value <= _LOG_MAX:
+        raise DomainError(f"{what} = e^{log_value!r} is past the float range")
+    return math.exp(log_value)
+
+
 def log_cosh(x: float) -> float:
     """ln cosh x without overflow for large |x|."""
     return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
@@ -67,27 +84,23 @@ def dual_coupling(k: float) -> float:
 
 @dataclass(frozen=True)
 class ReducedCouplings:
-    """Dimensionless couplings per bond direction, plus optional extras.
+    """Dimensionless couplings per bond direction.
 
     k_d is the diagonal coupling of the triangular lattice (and doubles as
-    the third edge-class coupling on the honeycomb lattice); h is a
-    dimensionless field used only by the 1D chain methods.
+    the third edge-class coupling on the honeycomb lattice).
     """
 
     k_h: float
     k_v: float
     k_d: Optional[float] = None
-    h: Optional[float] = None
 
     def __post_init__(self):
         for name in ("k_h", "k_v"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v!r}")
-        for name in ("k_d", "h"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
+        if self.k_d is not None and not math.isfinite(self.k_d):
+            raise DomainError(f"k_d must be finite, got {self.k_d!r}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +119,6 @@ class LatticeSpec:
             raise DomainError(f"unknown boundary {self.boundary!r}")
         if self.geometry == "chain" and self.rows != 1:
             raise DomainError("chain geometry forces rows = 1")
-
-    @property
-    def num_sites(self) -> int:
-        n = self.rows * self.cols
-        # the honeycomb embedding carries one extra (star-center) site per cell
-        return 2 * n if self.geometry == "honeycomb" else n
 
 
 @dataclass(frozen=True)

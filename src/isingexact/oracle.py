@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import CapacityError, DomainError, LatticeSpec, ReducedCouplings
+from .core import CapacityError, DomainError, LatticeSpec, ReducedCouplings, finite
 
 MAX_ENUM_SITES = 26
 # sites in the low half of the DOS split (low states are held as uint16)
@@ -76,8 +76,8 @@ class MatchingWeights:
     z2: float = 1.0
 
     def __post_init__(self):
-        if self.z1 < 0 or self.z2 < 0:
-            raise DomainError("matching weights must be non-negative")
+        if not (0.0 <= self.z1 < math.inf and 0.0 <= self.z2 < math.inf):
+            raise DomainError("matching weights must be finite and non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,8 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
     """ln sum_{sigma in {+-1}^N} exp(sum_e k_e s_a s_b + h sum_i s_i).
 
     Exact for any graph with at most 26 sites.  Accumulation happens in
-    log-space; the result is independent of enumeration order.
+    log-space; the result is independent of enumeration order.  A ln Z past
+    the float range is a DomainError.
     """
     if g.num_sites > MAX_ENUM_SITES:
         raise CapacityError(
@@ -204,7 +205,7 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
         dims = dims + [n + 1]
     n_bins = int(np.prod(dims, dtype=np.int64)) if dims else 1
     if n_bins > (1 << 22):
-        return _enumerate_direct(g, h)
+        return finite(_enumerate_direct(g, h), "ln Z")
 
     structure = tuple(pairs for _, _, pairs in groups)
     cache_key = (n, structure, with_field)
@@ -234,7 +235,7 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
     occupied = dos > 0
     e = flat_energy[occupied]
     top = e.max()
-    return float(top + np.log(np.sum(dos[occupied] * np.exp(e - top))))
+    return finite(float(top + np.log(np.sum(dos[occupied] * np.exp(e - top)))), "ln Z")
 
 
 def _enumerate_direct(g: WeightedGraph, h: float) -> float:
@@ -377,12 +378,17 @@ def count_matchings_dp(m: int, n: int, z1: float = 1.0, z2: float = 1.0) -> floa
     State after each row: bitmask of columns where a z1-bond (row-direction
     dimer) protrudes into the next row.  Within a row, cells not covered by
     protrusions must tile exactly with z2-bonds (adjacent column pairs).
-    Independent of the backtracking counter; handles 8 x 8 instantly.
+    The profile runs along the shorter side, by count(m, n, z1, z2) =
+    count(n, m, z2, z1).  Independent of the backtracking counter; handles
+    8 x 8 instantly.  A count past the float range is a DomainError.
     """
     if (m * n) % 2:
         return 0.0
+    if n > m:
+        m, n, z1, z2 = n, m, z2, z1
     if n > 24:
         raise CapacityError("profile width limited to 24 columns")
+    z1 = np.float64(z1)   # so a power past the float range is inf, not OverflowError
 
     def row_weight(free_mask: int) -> Optional[float]:
         """Tile the free cells of one row with horizontal (z2) dominoes."""
@@ -424,7 +430,7 @@ def count_matchings_dp(m: int, n: int, z1: float = 1.0, z2: float = 1.0) -> floa
                     break
                 out = (out - 1) & avail
         state = nxt
-    return float(state[0])
+    return finite(float(state[0]), "the dimer count")
 
 
 def hafnian(a: np.ndarray) -> float:

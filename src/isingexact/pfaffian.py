@@ -17,12 +17,12 @@ instead of being guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .core import CapacityError, DomainError, LatticeSpec, log_cosh, signed_logsumexp
+from .core import (CapacityError, DomainError, LatticeSpec, exp_finite, finite, log_cosh,
+                   signed_logsumexp)
 from .oracle import MatchingWeights
 from .spectral import _kacward_log_product
 
@@ -35,14 +35,6 @@ _TORUS_TERMS = {"torus1": (1.0, 1.0, -0.5), "torus2": (1.0, -1.0, 0.5),
                 "torus3": (-1.0, 1.0, 0.5), "torus4": (-1.0, -1.0, 0.5)}
 TORUS_VARIANTS = tuple(_TORUS_TERMS)
 VARIANTS = ("free", "cylinder_a", "cylinder_b") + TORUS_VARIANTS
-
-
-@dataclass(frozen=True)
-class KasteleynMatrix:
-    spec: LatticeSpec
-    weights: MatchingWeights
-    variant: str
-    matrix: np.ndarray
 
 
 def pfaffian(a: np.ndarray) -> Tuple[int, float]:
@@ -121,9 +113,9 @@ def _swap(x: np.ndarray, i: int, j: int) -> None:
 
 
 def pfaffian_value(a: np.ndarray) -> float:
-    """Pfaffian as a plain float (overflows for huge magnitudes)."""
+    """Pfaffian as a plain float; DomainError past the float range."""
     sign, log_mag = pfaffian(a)
-    return 0.0 if sign == 0 else sign * math.exp(log_mag)
+    return 0.0 if sign == 0 else sign * exp_finite(log_mag, "|Pf|")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +132,7 @@ def _shift(length: int, corner: float) -> np.ndarray:
 
 
 def build_dimer_matrix(spec: LatticeSpec, w: MatchingWeights,
-                       variant: str = "free") -> KasteleynMatrix:
+                       variant: str = "free") -> np.ndarray:
     """Oriented adjacency matrix of the m x n grid.
 
     Site (i, j) maps to p = j*m + i (row index runs fastest).  Bonds along
@@ -175,14 +167,13 @@ def build_dimer_matrix(spec: LatticeSpec, w: MatchingWeights,
     q_m = h_m - h_m.T
     q_n = h_n - h_n.T
     f_m = np.diag((-1.0) ** (np.arange(m) + 1))
-    mat = w.z1 * np.kron(np.eye(n), q_m) + w.z2 * np.kron(q_n, f_m)
-    return KasteleynMatrix(spec=spec, weights=w, variant=variant, matrix=mat)
+    return w.z1 * np.kron(np.eye(n), q_m) + w.z2 * np.kron(q_n, f_m)
 
 
 def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
     """Matching generating function of the free grid as a single Pfaffian."""
     spec = LatticeSpec(m, n, "square", "free")
-    return pfaffian_value(build_dimer_matrix(spec, w, "free").matrix)
+    return pfaffian_value(build_dimer_matrix(spec, w, "free"))
 
 
 def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
@@ -190,7 +181,8 @@ def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) ->
     (1/2) (-Pf A1 + Pf A2 + Pf A3 + Pf A4).
 
     The alternating-sign direction must have even length; odd-row grids are
-    transposed first (the torus count is orientation-invariant)."""
+    transposed first (the torus count is orientation-invariant).  A count
+    past the float range is a DomainError."""
     if (m * n) % 2:
         return 0.0
     z1, z2 = w.z1, w.z2
@@ -200,10 +192,10 @@ def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) ->
     w = MatchingWeights(z1, z2)
     terms = []
     for variant, (_, _, weight) in _TORUS_TERMS.items():
-        sign, log_mag = pfaffian(build_dimer_matrix(spec, w, variant).matrix)
+        sign, log_mag = pfaffian(build_dimer_matrix(spec, w, variant))
         terms.append(_weighted_term(weight, sign, log_mag))
     total_log, total_sign = signed_logsumexp(terms)
-    return 0.0 if total_sign == 0 else total_sign * math.exp(total_log)
+    return 0.0 if total_sign == 0 else total_sign * exp_finite(total_log, "the dimer count")
 
 
 def _weighted_term(weight: float, sign: int, log_mag: float) -> Tuple[float, int]:
@@ -296,5 +288,5 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     if total_sign <= 0:
         raise DomainError("four-Pfaffian combination lost positivity")
     pref = m * n * (math.log(2.0) + log_cosh(k_h) + log_cosh(k_v))
-    return pref + log_sum
+    return finite(pref + log_sum, "ln Z")
 

@@ -18,20 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CapacityError, DomainError, ReducedCouplings, dual_coupling, log_cosh,
-                   signed_logsumexp)
+from .core import (CapacityError, DomainError, ReducedCouplings, dual_coupling, exp_finite,
+                   finite, log_cosh, signed_logsumexp)
 from .oracle import MatchingWeights
-
-
-@dataclass(frozen=True)
-class GammaSpectrum:
-    """The 2n hyperbolic angles of an n-column transfer direction.
-
-    gamma[0] is carried *signed* (it changes sign at the self-dual point);
-    all other angles are non-negative."""
-
-    n: int
-    gamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,9 +44,11 @@ def _grid(parity: str, length: int) -> np.ndarray:
     return np.pi * (2.0 * r + 1.0) / length
 
 
-def gamma_spectrum(n: int, k_t: float, k_s: float) -> GammaSpectrum:
-    """gamma_k = arccosh(cosh 2k_t* cosh 2k_s - cos(pi k/n) sinh 2k_t* sinh 2k_s)
-    for k >= 1, and gamma_0 = 2 (k_t* - k_s) signed.
+def gamma_spectrum(n: int, k_t: float, k_s: float) -> np.ndarray:
+    """The 2n hyperbolic angles of an n-column transfer direction:
+    gamma_k = arccosh(cosh 2k_t* cosh 2k_s - cos(pi k/n) sinh 2k_t* sinh 2k_s)
+    for k >= 1, all non-negative, and gamma_0 = 2 (k_t* - k_s), signed (it
+    changes sign at the self-dual point).
 
     k_t is the coupling along the transfer direction (whose dual k_t*
     appears), k_s the in-row coupling.  The arccosh argument is taken
@@ -82,7 +73,7 @@ def gamma_spectrum(n: int, k_t: float, k_s: float) -> GammaSpectrum:
         with np.errstate(divide="ignore"):
             gamma = 2.0 * (kd + k_s + np.log(2.0 * w))
     gamma[0] = 2.0 * (kd - k_s)
-    return GammaSpectrum(n=n, gamma=gamma)
+    return gamma
 
 
 def _log_2cosh(x: np.ndarray) -> np.ndarray:
@@ -112,48 +103,36 @@ def kaufman_partition(m: int, n: int, k_t: float, k_s: float) -> float:
         raise DomainError("lattice sides must be positive")
     if not (k_s > 0.0):
         raise DomainError("k_s must be positive")
-    spec = gamma_spectrum(n, k_t, k_s)
-    half_m = 0.5 * m * spec.gamma
+    half_m = 0.5 * m * gamma_spectrum(n, k_t, k_s)
     odd = half_m[1::2]
     even = half_m[0::2]
-    gamma0 = half_m[0]
-
-    t_cosh_odd = float(_log_2cosh(odd).sum())
-    t_sinh_odd = float(_log_2sinh_abs(odd).sum())
-    t_cosh_even = float(_log_2cosh(even).sum())
-    terms = [(t_cosh_odd, 1), (t_sinh_odd, 1), (t_cosh_even, 1)]
-    if gamma0 != 0.0:
-        t_sinh_even = float(_log_2sinh_abs(even).sum())
-        sign0 = 1 if gamma0 > 0 else -1
-        terms.append((t_sinh_even, -sign0))
+    terms = [(float(_log_2cosh(odd).sum()), 1), (float(_log_2sinh_abs(odd).sum()), 1),
+             (float(_log_2cosh(even).sum()), 1),
+             (float(_log_2sinh_abs(even).sum()), -int(np.sign(half_m[0])))]
     log_sum, sign = signed_logsumexp(terms)
     if sign <= 0:
         raise DomainError("spectral combination lost positivity (invalid couplings?)")
-    return (-math.log(2.0)
-            + 0.5 * m * n * float(_log_2sinh_abs(2.0 * k_t))
-            + log_sum)
+    return finite(-math.log(2.0)
+                  + 0.5 * m * n * float(_log_2sinh_abs(2.0 * k_t))
+                  + log_sum, "ln Z")
 
 
 def kacward_products(m: int, n: int, k_h: float, k_v: float,
-                     gp: GridParity) -> tuple:
-    """Signed log of the double product over the chosen parity grids of
+                     gp: GridParity) -> float:
+    """log of the double product over the chosen parity grids of
 
         (1+x^2)(1+y^2) - 2y(1-x^2) cos theta - 2x(1-y^2) cos phi
 
     with x = tanh k_h, y = tanh k_v, theta on the row-direction grid
     (parity_v, size m) and phi on the column-direction grid (parity_h,
-    size n).  Returns (log |P|, sign, is_zero).  Each factor is
-    non-negative; it vanishes only at the critical manifold on the
-    integer/integer grid, which is reported via the zero flag rather than an
-    exception.
+    size n).  Each factor is non-negative; it vanishes only at the critical
+    manifold on the integer/integer grid, where the log is -inf rather than
+    an exception.
     """
     if not (k_h > 0 and k_v > 0):
         raise DomainError("couplings must be positive")
-    log_p = _kacward_log_product(m, n, math.tanh(k_h), math.tanh(k_v),
-                                 gp.parity_v, gp.parity_h)
-    if log_p == -math.inf:
-        return (-math.inf, 0, True)
-    return (log_p, 1, False)
+    return _kacward_log_product(m, n, math.tanh(k_h), math.tanh(k_v),
+                                gp.parity_v, gp.parity_h)
 
 
 MAX_KACWARD_FACTORS = 1 << 24   # 4096 x 4096 factors, 128 MiB of float64 per product
@@ -163,6 +142,8 @@ def _kacward_log_product(m: int, n: int, x: float, y: float,
                          parity_v: str, parity_h: str) -> float:
     """log of the double product of kacward_products in the fugacities
     x, y; -inf when a factor vanishes (below 1e-300)."""
+    if m < 1 or n < 1:
+        raise DomainError("lattice sides must be positive")
     if m * n > MAX_KACWARD_FACTORS:
         raise CapacityError(
             f"{m} x {n} = {m * n} Kac-Ward factors exceed the {MAX_KACWARD_FACTORS} ceiling")
@@ -193,17 +174,12 @@ def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
                 GridParity("half", "integer"), GridParity("half", "half")]
     s1 = float(_log_2sinh_abs(2.0 * k_h) + _log_2sinh_abs(2.0 * k_v)) - 2.0 * math.log(2.0)
     signs = [0 if s1 == 0.0 else (1 if s1 > 0 else -1), 1, 1, 1]
-    terms = []
-    for gp, sgn in zip(parities, signs):
-        log_p, _, is_zero = kacward_products(m, n, k_h, k_v, gp)
-        if is_zero:
-            continue
-        terms.append((0.5 * log_p, sgn))
-    log_sum, sign = signed_logsumexp(terms)
+    log_sum, sign = signed_logsumexp(
+        (0.5 * kacward_products(m, n, k_h, k_v, gp), sgn) for gp, sgn in zip(parities, signs))
     if sign <= 0:
         raise DomainError("parity-product combination lost positivity")
     pref = m * n * (math.log(2.0) + log_cosh(k_h) + log_cosh(k_v))
-    return -math.log(2.0) + pref + log_sum
+    return finite(-math.log(2.0) + pref + log_sum, "ln Z")
 
 
 def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
@@ -213,7 +189,8 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
                                                + z2^2 cos^2(pi j/(n+1)))
 
     evaluated in log space.  An odd m is handled by reorienting the grid;
-    odd m and odd n means no perfect matching (returns 0).
+    odd m and odd n means no perfect matching (returns 0).  A count past the
+    float range is a DomainError.
     """
     z1, z2 = w.z1, w.z2
     if m % 2 == 1:
@@ -228,7 +205,7 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
     if float(terms.min()) <= 0.0:
         return 0.0
     log_count = float((math.log(2.0) + 0.5 * np.log(terms)).sum())
-    return math.exp(log_count)
+    return exp_finite(log_count, "the dimer count")
 
 
 def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:

@@ -26,19 +26,17 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, finite
 
 
 @dataclass(frozen=True)
 class EllipticPair:
-    k: float
     K_val: float
     E_val: float
 
 
 @dataclass(frozen=True)
 class StarTriangleMap:
-    L: Tuple[float, float, float]
     K: Tuple[float, float, float]
     R: float
     k_modulus: float
@@ -60,7 +58,7 @@ def complete_elliptic(k: float) -> EllipticPair:
             break
     big_k = math.pi / (2.0 * a)
     big_e = big_k * (1.0 - c_sum)
-    return EllipticPair(k=k, K_val=big_k, E_val=big_e)
+    return EllipticPair(K_val=big_k, E_val=big_e)
 
 
 def elliptic_k_series(k: float, terms: int = 60) -> float:
@@ -105,7 +103,7 @@ def star_to_triangle(l1: float, l2: float, l3: float) -> StarTriangleMap:
     r2 = 2.0 * mod * math.sinh(2 * l1) * math.sinh(2 * l2) * math.sinh(2 * l3)
     if abs(r * r / r2 - 1.0) > 1e-10:
         raise AssertionError("R^2 identity violated")
-    return StarTriangleMap(L=(l1, l2, l3), K=(k1, k2, k3), R=r, k_modulus=mod)
+    return StarTriangleMap(K=(k1, k2, k3), R=r, k_modulus=mod)
 
 
 def modulus_k(k1: float, k2: float, k3: float) -> float:
@@ -223,11 +221,14 @@ def square_lattice_energy(k_h: float, k_v: float) -> float:
 
     Each term is the nearest-neighbor correlation weighted by its bond.  The
     modulus is taken as 4 e^{-2K-2L} / ((1 - e^{-4K})(1 - e^{-4L})), which
-    does not overflow; it underflows to k = 0, the zero-temperature limit,
-    where f(K, 0) = tanh 2K."""
+    does not overflow at large couplings; it underflows to k = 0, the
+    zero-temperature limit, where f(K, 0) = tanh 2K.  At tiny couplings the
+    integrals need k^2, refused once it is past the float range."""
     if not (k_h > 0 and k_v > 0):
         raise DomainError("couplings must be positive")
-    mod = 4.0 * math.exp(-2.0 * (k_h + k_v)) / (math.expm1(-4.0 * k_h) * math.expm1(-4.0 * k_v))
+    den = math.expm1(-4.0 * k_h) * math.expm1(-4.0 * k_v)
+    mod = 4.0 * math.exp(-2.0 * (k_h + k_v)) / den if den else math.inf
+    finite(mod * mod, "the squared modulus k^2")
     return (correlation_f(k_h, mod) / math.tanh(2 * k_h)
             + correlation_f(k_v, mod) / math.tanh(2 * k_v))
 

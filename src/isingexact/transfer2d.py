@@ -19,8 +19,11 @@ V >= 0, so every lambda_i >= 0), or the row count is even.  A torus with
 both couplings negative and both sides odd has no such cut; it takes
 products of the dense T = V D at width min(m, n) instead, whose entries are
 all positive, and so does a torus whose only such cut is wider than
-MAX_COLS.  Where a product or the trace falls below the normal float range
-relative to the shift (|K| in the hundreds), that route is a DomainError.
+MAX_COLS.  The dense product holds 4^n entries per array, so it stops at
+12 columns (2^24 entries, 128 MiB of float64) with a CapacityError.  Where
+a product or the trace falls below the normal float range relative to the
+shift (|K| in the hundreds), that route is a DomainError, and so is a shift
+or ln Z past the float range.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, DomainError
+from .core import CapacityError, DomainError, finite
 
 MAX_COLS = 14
+_MAX_DENSE_COLS = 12
 
 # a signed spectral sum is refused once it amplifies eigenvalue rounding
 # (~1e-14 of the largest eigenvalue) by more than this many digits
@@ -44,7 +48,6 @@ _MAX_DIGITS_LOST = 4.0
 class TransferOperator:
     n_cols: int
     k_a: float  # inter-row coupling
-    k_b: float  # intra-row coupling (cyclic within the row)
     log_shift: float          # ln of the largest entry of T_s
     eigenvalues: np.ndarray   # the 2^n eigenvalues of T_s / exp(log_shift)
 
@@ -65,12 +68,13 @@ def _rotate(states: np.ndarray, n: int) -> np.ndarray:
     return ((states << 1) | (states >> (n - 1))) & ((1 << n) - 1)
 
 
-def _row_bonds(states: np.ndarray, n: int, k_b: float) -> tuple:
+def _row_bonds(states: np.ndarray, n: int, k_a: float, k_b: float) -> tuple:
     """k_b times the cyclic in-row bond sum of each row state, less its
-    largest value over all rows, and that largest value."""
+    largest value over all rows, and the log shift n |k_a| plus that largest
+    value, refused past the float range."""
     b = k_b * (n - 2.0 * np.bitwise_count(states ^ _rotate(states, n)))
     top = float(b.max())
-    return b - top, top
+    return b - top, finite(n * abs(k_a) + top, "the transfer shift")
 
 
 def _inter_row_exponents(n: int, k_a: float) -> np.ndarray:
@@ -109,9 +113,8 @@ def build_transfer(n: int, k_a: float, k_b: float) -> TransferOperator:
     images = np.concatenate([rotations, rotations ^ (dim - 1)])   # (2n, 2^n): h s
     reps = np.flatnonzero(images.min(axis=0) == states)
     fixes = images[:, reps] == reps                     # (2n, R): h fixes rep a
-    row, row_top = _row_bonds(reps, n, k_b)
+    row, log_shift = _row_bonds(reps, n, k_a, k_b)
     d = np.exp(0.5 * row) / np.sqrt(fixes.sum(axis=0))  # |S_a| = count of fixes
-    log_shift = n * abs(k_a) + row_top
 
     # e^{x} +- e^{-x} over e^{n |k_a|}, each without cancellation
     x = _inter_row_exponents(n, k_a)
@@ -144,7 +147,7 @@ def build_transfer(n: int, k_a: float, k_b: float) -> TransferOperator:
             dk = d[keep]
             lam = np.linalg.eigvalsh(dk[:, None] * block * dk[None, :])
             eigenvalues.extend([lam, lam] if paired else [lam])
-    return TransferOperator(n_cols=n, k_a=k_a, k_b=k_b, log_shift=log_shift,
+    return TransferOperator(n_cols=n, k_a=k_a, log_shift=log_shift,
                             eigenvalues=np.concatenate(eigenvalues))
 
 
@@ -178,12 +181,15 @@ def _dense_log_trace(m: int, n: int, k_a: float, k_b: float) -> float:
     after every product.  All entries are positive, so nothing cancels.
     The final product is never formed: Tr(X T) is contracted elementwise."""
     _check(n, k_a, k_b)
+    if n > _MAX_DENSE_COLS:
+        raise CapacityError(f"the dense transfer product supports 1..{_MAX_DENSE_COLS} "
+                            f"columns, got {n}")
     states = np.arange(1 << n, dtype=np.uint16)
+    row, log_shift = _row_bonds(states, n, k_a, k_b)
     a = np.exp(_inter_row_exponents(n, k_a) - n * abs(k_a))[
         np.bitwise_count(states[:, None] ^ states[None, :])]
-    row, row_top = _row_bonds(states, n, k_b)
     a *= np.exp(row)
-    log_scale = m * (n * abs(k_a) + row_top)
+    log_scale = m * log_shift
 
     def log(value: float) -> float:
         # a product or trace below the normal range has lost its digits
@@ -213,7 +219,9 @@ def log_z_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     # (rows, width, coupling between rows, coupling within a row), narrowest first
     cuts = sorted([(m, n, k_v, k_h), (n, m, k_h, k_v)], key=lambda c: c[1])
     safe = [c for c in cuts if c[1] <= MAX_COLS and (c[2] >= 0.0 or c[0] % 2 == 0)]
-    if not safe:
-        return _dense_log_trace(*cuts[0])
-    rows, width, k_a, k_b = safe[0]
-    return partition_torus_transfer(rows, build_transfer(width, k_a, k_b))
+    if safe:
+        rows, width, k_a, k_b = safe[0]
+        log_z = partition_torus_transfer(rows, build_transfer(width, k_a, k_b))
+    else:
+        log_z = _dense_log_trace(*cuts[0])
+    return finite(log_z, "ln Z")

@@ -142,9 +142,9 @@ def test_criterion_5_star_triangle_end_to_end():
         for _ in range(100):
             ls = rng.uniform(0.2, 1.4, size=3)
             m = star_to_triangle(*ls)
-            for ka, lb in zip(m.K, m.L):
+            for ka, lb in zip(m.K, ls):
                 assert abs(math.sinh(2 * ka) * math.sinh(2 * lb) * m.k_modulus - 1.0) < 1e-10
-            r2 = 2 * m.k_modulus * math.prod(math.sinh(2 * l) for l in m.L)
+            r2 = 2 * m.k_modulus * math.prod(math.sinh(2 * l) for l in ls)
             assert abs(m.R ** 2 / r2 - 1.0) < 1e-10
 
 
@@ -207,7 +207,7 @@ def test_criterion_9_property_suites():
             assert abs(2 * log_mag - np.linalg.slogdet(a)[1]) < 1e-8 * max(1, abs(log_mag))
             assert sign in (-1, 1)
         for n, kt, ks in [(4, 0.3, 0.5), (7, 0.9, 0.2), (10, 0.44, 0.44)]:
-            g = gamma_spectrum(n, kt, ks).gamma
+            g = gamma_spectrum(n, kt, ks)
             for k in range(1, n):
                 assert abs(g[k] - g[2 * n - k]) < 1e-12 * max(1.0, g[k])
         for (m, n, a_, b_) in [(3, 4, 0.3, 0.7), (2, 6, 0.9, 0.2), (5, 5, 0.5, 0.6)]:

@@ -1,11 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isingexact.cli import run
+from isingexact.core import K_CRIT
 from isingexact.thermo import (QuadratureSpec, internal_energy, onsager_free_energy,
                                specific_heat)
 from isingexact.transfer2d import log_z_torus
@@ -161,7 +165,8 @@ def test_free_energy_past_the_float_range_is_a_domain_error(capsys):
 
 def test_every_route_at_large_coupling(capsys):
     # ln Z -> 2 m n K + ln 2 on the 4 x 4 torus
-    for k, want in (("80", 2560.6931471805597), ("400", 12800.69314718056)):
+    for k, want in (("80", 2560.6931471805597), ("400", 12800.69314718056),
+                    ("1e300", 3.2e301)):
         for method in ("oracle", "transfer", "kaufman", "pfaffian", "kacward"):
             code, out, err = _run(capsys, "z", "--method", method, "--rows", "4",
                                   "--cols", "4", "--kh", k, "--kv", k)
@@ -221,3 +226,117 @@ def test_exit_code_domain_error(capsys):
 def test_seventeen_digit_floats(capsys):
     _, out, _ = _run(capsys, "free-energy", "--method", "onsager", "--k", "0.3")
     assert format(onsager_free_energy(0.3, 0.3), ".17g") in out
+
+
+def _refused(code, out, err, want_code=1):
+    assert code == want_code, err
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_every_route_past_the_float_range(capsys):
+    # a numpy floating-point warning on the way would be a second stderr line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("oracle", "transfer", "kaufman", "pfaffian", "kacward"):
+            _refused(*_run(capsys, "z", "--method", method, "--rows", "4", "--cols", "4",
+                           "--kh", "1e308", "--kv", "1e308"))
+
+
+def test_kacward_needs_positive_sides(capsys):
+    code, out, err = _run(capsys, "z", "--method", "kacward", "--rows", "0", "--cols", "4",
+                          "--kh", "0.3", "--kv", "0.3")
+    _refused(code, out, err)
+    assert "lattice sides must be positive" in err
+
+
+def test_dense_transfer_past_twelve_columns_exit_code(capsys):
+    _refused(*_run(capsys, "z", "--method", "transfer", "--rows", "13", "--cols", "13",
+                   "--kh", "-0.3", "--kv", "-0.3"), want_code=3)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--rows", "100", "--cols", "100"),
+    ("--rows", "60", "--cols", "60", "--method", "pfaffian"),
+    ("--rows", "4", "--cols", "4", "--bc", "torus", "--method", "pfaffian", "--z1", "1e200"),
+    ("--rows", "4", "--cols", "4", "--z1", "1e200"),
+    ("--rows", "4", "--cols", "4", "--z1", "1e200", "--method", "enumerate"),
+    ("--rows", "4", "--cols", "4", "--z1", "nan"),
+    ("--rows", "4", "--cols", "4", "--z1", "nan", "--method", "enumerate"),
+    ("--rows", "-2", "--cols", "4", "--method", "enumerate"),
+])
+def test_dimers_refusals(capsys, argv):
+    _refused(*_run(capsys, "dimers", *argv))
+
+
+def test_dimers_enumerate_along_the_shorter_side(capsys):
+    for rows, cols in (("2", "40"), ("40", "2")):
+        code, out, err = _run(capsys, "dimers", "--rows", rows, "--cols", cols,
+                              "--method", "enumerate")
+        assert code == 0, err
+        assert json.loads(out)["count"] == 165580141
+
+
+_VALUES = [0.0, 1e-300, 1e-8, 0.3, K_CRIT, 2.0, 80.0, 400.0, 1e308]
+_EXTREMES = [1e308, -1e308, math.nan, math.inf, -math.inf]
+# half the draws come from the extremes, where the defects live
+_REALS = st.one_of(st.sampled_from(_EXTREMES),
+                   st.sampled_from([s * v for v in _VALUES for s in (1.0, -1.0)]))
+_SIDES = st.integers(-1, 6)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite {name} in JSON output")
+
+
+@st.composite
+def _argv(draw):
+    """One `ising` invocation; values go in --flag=value form so that a
+    negative or non-finite value reaches the command instead of argparse."""
+    def flag(name, strategy):
+        return f"--{name}={draw(strategy)}"
+
+    sub = draw(st.sampled_from(("z", "free-energy", "dimers", "critical", "compare",
+                                "sweep")))
+    argv = [sub]
+    if sub in ("z", "compare"):
+        argv += [flag("rows", _SIDES), flag("cols", _SIDES), flag("kh", _REALS),
+                 flag("kv", _REALS), flag("bc", st.sampled_from(("free", "torus")))]
+        if sub == "z":
+            argv.append(flag("method", st.sampled_from(
+                ("oracle", "transfer", "kaufman", "pfaffian", "kacward"))))
+            if draw(st.booleans()):
+                argv.append(flag("kd", _REALS))
+    elif sub == "free-energy":
+        argv += [flag("method", st.sampled_from(("onsager", "fermionic", "dirac",
+                                                 "triangular"))),
+                 flag("k", _REALS), flag("k2", _REALS), flag("k3", _REALS),
+                 flag("points", st.sampled_from((-1, 15, 16, 4096, 4097)))]
+    elif sub == "dimers":
+        argv += [flag("rows", _SIDES), flag("cols", _SIDES), flag("z1", _REALS),
+                 flag("z2", _REALS),
+                 flag("method", st.sampled_from(("product", "pfaffian", "enumerate"))),
+                 flag("bc", st.sampled_from(("free", "torus")))]
+    elif sub == "sweep":
+        argv += [flag("k-from", _REALS), flag("k-to", _REALS),
+                 flag("steps", st.sampled_from((-1, 0, 1, 3))),
+                 flag("points", st.sampled_from((15, 16, 4096, 4097)))]
+    if sub != "sweep":
+        argv.append(flag("format", st.sampled_from(("json", "csv"))))
+    return argv
+
+
+@given(_argv())
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzz_run_exits_typed_and_prints_finite(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code:
+        assert out == "", argv
+    elif "--format=json" in argv:
+        json.loads(out, parse_constant=_no_constant)
+    else:
+        fields = [f.lower() for line in out.splitlines() for f in line.split(",")]
+        assert not {"nan", "inf", "-inf"} & set(fields), (argv, out)

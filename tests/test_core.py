@@ -77,12 +77,10 @@ def test_lattice_spec_validation():
         LatticeSpec(2, 2, boundary="moebius")
     with pytest.raises(DomainError):
         LatticeSpec(2, 5, geometry="chain")
-    assert LatticeSpec(3, 4, geometry="honeycomb").num_sites == 24
-    assert LatticeSpec(3, 4).num_sites == 12
 
 
 def test_couplings_must_be_finite():
     with pytest.raises(DomainError):
         ReducedCouplings(k_h=math.nan, k_v=0.1)
     with pytest.raises(DomainError):
-        ReducedCouplings(k_h=0.1, k_v=0.1, h=math.inf)
+        ReducedCouplings(k_h=0.1, k_v=0.1, k_d=math.inf)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isingexact import oracle
-from isingexact.core import LatticeSpec, ReducedCouplings
+from isingexact.core import DomainError, LatticeSpec, ReducedCouplings
 from isingexact.oracle import (
     MatchingWeights,
     WeightedGraph,
@@ -140,7 +140,7 @@ def test_lattice_graphs_agree_with_naive_sum(geometry, boundary, rows, cols):
     spec = LatticeSpec(rows, cols, geometry=geometry, boundary=boundary)
     c = ReducedCouplings(k_h=0.31, k_v=0.57, k_d=0.23)
     g = build_lattice_graph(spec, c)
-    assert g.num_sites == spec.num_sites
+    assert g.num_sites == (2 if geometry == "honeycomb" else 1) * rows * cols
     assert enumerate_partition_graph(g) == pytest.approx(naive_log_z(g), rel=1e-12)
 
 
@@ -196,3 +196,29 @@ def test_generic_matching_enumeration_and_hafnian():
     expected = 2.0 * 5.0 + 1.0 * 7.0 + 1.0 * 3.0
     assert count_matchings_graph(4, edges) == pytest.approx(expected, rel=1e-13)
     assert hafnian(a) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("z1,z2", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_matching_weights_must_be_finite(z1, z2):
+    with pytest.raises(DomainError, match="finite"):
+        MatchingWeights(z1, z2)
+
+
+def test_matching_dp_profile_runs_along_the_shorter_side():
+    # a 40-column profile would exceed the 24-column ceiling
+    assert count_matchings_dp(2, 40) == count_matchings_dp(40, 2) == 165580141
+    assert count_matchings_dp(3, 4, 0.7, 1.3) == pytest.approx(
+        count_matchings(3, 4, MatchingWeights(0.7, 1.3)), rel=1e-15)
+    assert count_matchings_dp(3, 4, 0.7, 1.3) == count_matchings_dp(4, 3, 1.3, 0.7)
+
+
+def test_matching_dp_past_the_float_range_is_a_domain_error():
+    # z1^4 alone overflows; the count is refused rather than inf
+    with pytest.raises(DomainError, match="float range"):
+        count_matchings_dp(4, 4, 1e200, 1.0)
+
+
+def test_enumeration_past_the_float_range_is_a_domain_error():
+    g = build_lattice_graph(LatticeSpec(4, 4), ReducedCouplings(k_h=1e308, k_v=1e308))
+    with pytest.raises(DomainError, match="float range"):
+        enumerate_partition_graph(g)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingexact.core import K_CRIT, LatticeSpec, ReducedCouplings
+from isingexact.core import DomainError, K_CRIT, LatticeSpec, ReducedCouplings
 from isingexact.oracle import (
     MatchingWeights,
     build_lattice_graph,
@@ -215,7 +215,7 @@ def test_dimer_matrix_matches_reference(m, n, variant):
     f_m = np.diag((-1.0) ** (np.arange(m) + 1))
     want = (w.z1 * np.kron(np.eye(n), reference_skew_shift(m, s1))
             + w.z2 * np.kron(reference_skew_shift(n, s2), f_m))
-    got = build_dimer_matrix(LatticeSpec(m, n), w, variant).matrix
+    got = build_dimer_matrix(LatticeSpec(m, n), w, variant)
     assert np.array_equal(got, want)
 
 
@@ -223,7 +223,7 @@ def test_dimer_matrix_is_skew():
     spec = LatticeSpec(4, 4)
     for variant in ("free", "cylinder_a", "torus1", "torus4"):
         km = build_dimer_matrix(spec, MatchingWeights(1.0, 2.0), variant)
-        assert np.allclose(km.matrix, -km.matrix.T)
+        assert np.allclose(km, -km.T)
 
 
 # ------------------------------------------------------------ ising via pfaffians
@@ -257,7 +257,7 @@ _PARITY = {1.0: "integer", -1.0: "half"}
 def test_closed_form_determinant_is_the_kacward_product(m, n, kh, kv):
     z1, z2 = math.tanh(kv), math.tanh(kh)
     for s1, s2 in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]:
-        log_p, _, _ = kacward_products(m, n, kh, kv, GridParity(_PARITY[s1], _PARITY[s2]))
+        log_p = kacward_products(m, n, kh, kv, GridParity(_PARITY[s1], _PARITY[s2]))
         assert ising_torus_logdet(m, n, z1, z2, s1, s2) == log_p
 
 
@@ -265,7 +265,7 @@ def test_closed_form_determinant_vanishes_at_criticality():
     z = math.tanh(K_CRIT)
     for m, n in [(2, 2), (3, 4), (5, 7)]:
         assert ising_torus_logdet(m, n, z, z, 1.0, 1.0) == -math.inf
-        assert kacward_products(m, n, K_CRIT, K_CRIT, GridParity()) == (-math.inf, 0, True)
+        assert kacward_products(m, n, K_CRIT, K_CRIT, GridParity()) == -math.inf
 
 
 @pytest.mark.parametrize("kh,kv", [(K_CRIT, K_CRIT), (0.3, 0.6)])
@@ -274,3 +274,13 @@ def test_large_torus_against_spectral_routes(kh, kv):
     got = ising_pfaffian_torus(20, 20, kh, kv)
     assert got == pytest.approx(kaufman_partition(20, 20, kv, kh), rel=1e-9)
     assert got == pytest.approx(kacward_log_z(20, 20, kh, kv), rel=1e-9)
+
+
+def test_counts_past_the_float_range_are_domain_errors():
+    for count in (dimer_count_free, dimer_count_torus):
+        with pytest.raises(DomainError, match="float range"):
+            count(4, 4, MatchingWeights(1e200, 1.0))
+    with pytest.raises(DomainError, match="float range"):
+        pfaffian_value(1e200 * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(DomainError, match="float range"):
+        ising_pfaffian_torus(4, 4, 1e308, 1e308)

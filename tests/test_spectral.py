@@ -32,21 +32,21 @@ def _oracle_torus(m, n, kh, kv):
        st.floats(min_value=0.05, max_value=1.5))
 @settings(max_examples=60, deadline=None)
 def test_spectrum_reflection_symmetry(n, kt, ks):
-    g = gamma_spectrum(n, kt, ks).gamma
+    g = gamma_spectrum(n, kt, ks)
     for k in range(1, n):
         assert g[k] == pytest.approx(g[2 * n - k], rel=1e-12)
 
 
 def test_spectrum_signed_zero_mode():
     # gamma_0 = 2(k_t* - k_s): positive below the dual-matching point, negative above
-    assert gamma_spectrum(4, 0.3, 0.2).gamma[0] > 0
-    assert gamma_spectrum(4, 0.3, 1.0).gamma[0] < 0
-    iso = gamma_spectrum(4, K_CRIT, K_CRIT).gamma[0]
+    assert gamma_spectrum(4, 0.3, 0.2)[0] > 0
+    assert gamma_spectrum(4, 0.3, 1.0)[0] < 0
+    iso = gamma_spectrum(4, K_CRIT, K_CRIT)[0]
     assert abs(iso) < 1e-14
 
 
 def test_spectrum_monotone_in_angle():
-    g = gamma_spectrum(8, 0.4, 0.4).gamma
+    g = gamma_spectrum(8, 0.4, 0.4)
     assert np.all(np.diff(g[1:9]) > 0)  # increasing up to the antipode
 
 
@@ -85,11 +85,10 @@ def test_kaufman_large_lattice_finite():
 # ---------------------------------------------------------------- kac-ward
 
 def test_parity_products_nonnegative_and_zero_flag():
-    log_p, sign, is_zero = kacward_products(4, 4, 0.3, 0.3, GridParity("half", "half"))
-    assert sign == 1 and not is_zero and math.isfinite(log_p)
+    assert math.isfinite(kacward_products(4, 4, 0.3, 0.3, GridParity("half", "half")))
     # the integer/integer product vanishes exactly on the critical manifold
-    _, _, zero = kacward_products(4, 4, K_CRIT, K_CRIT, GridParity("integer", "integer"))
-    assert zero
+    assert kacward_products(4, 4, K_CRIT, K_CRIT,
+                            GridParity("integer", "integer")) == -math.inf
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (3, 4), (4, 4), (2, 7)])
@@ -143,3 +142,24 @@ def test_triangular_double_sum_converges_to_integral():
     coarse = triangular_log_z_per_site(128, 128, c)
     want = triangular_free_energy(0.25, 0.3, 0.2)
     assert coarse == pytest.approx(want, abs=1e-10)
+
+
+def test_kacward_needs_positive_sides():
+    for m, n in ((0, 4), (4, -1)):
+        with pytest.raises(DomainError, match="lattice sides must be positive"):
+            kacward_log_z(m, n, 0.3, 0.3)
+
+
+def test_routes_past_the_float_range_are_domain_errors():
+    # ln Z = 2 m n K + ln 2 is 3.2e309 on the 4 x 4 torus at K = 1e308
+    for route in (lambda: kaufman_partition(4, 4, 1e308, 1e308),
+                  lambda: kacward_log_z(4, 4, 1e308, 1e308)):
+        with pytest.raises(DomainError):
+            route()
+
+
+@pytest.mark.parametrize("m,n,w", [(100, 100, MatchingWeights()),
+                                   (4, 4, MatchingWeights(1e200, 1.0))])
+def test_dimer_product_past_the_float_range_is_a_domain_error(m, n, w):
+    with pytest.raises(DomainError, match="dimer count"):
+        dimer_count_free(m, n, w)

@@ -72,10 +72,10 @@ def test_star_triangle_invariants(ls):
     # star_to_triangle verifies sinh 2K_i sinh 2L_i = 1/k and the R^2
     # identity to 1e-10 internally; re-assert them here explicitly
     m = star_to_triangle(*ls)
-    for ka, lb in zip(m.K, m.L):
+    for ka, lb in zip(m.K, ls):
         assert math.sinh(2 * ka) * math.sinh(2 * lb) == pytest.approx(
             1.0 / m.k_modulus, rel=1e-10)
-    r2 = 2 * m.k_modulus * math.prod(math.sinh(2 * l) for l in m.L)
+    r2 = 2 * m.k_modulus * math.prod(math.sinh(2 * l) for l in ls)
     assert m.R ** 2 == pytest.approx(r2, rel=1e-10)
 
 
@@ -172,3 +172,11 @@ def test_energy_at_large_coupling():
     # the modulus underflows to 0 and u -> 2 (both bonds of a site ordered)
     for k_h, k_v in ((400.0, 400.0), (400.0, 250.0), (1e5, 0.9)):
         assert square_lattice_energy(k_h, k_v) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_energy_at_tiny_couplings():
+    # k = 1 / (sinh 2K sinh 2L): k^2 is past the float range at both points
+    for k_h, k_v in ((1e-300, 1e-300), (1e-200, 0.3)):
+        with pytest.raises(DomainError, match="float range"):
+            square_lattice_energy(k_h, k_v)
+    assert square_lattice_energy(1e-8, 1e-8) == 1.999999999999992e-08

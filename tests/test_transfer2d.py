@@ -132,7 +132,7 @@ def test_largest_eigenvalue_against_kaufman(k_a, k_b):
     for n in range(3, 13):
         t = build_transfer(n, k_a, k_b)
         got = t.log_shift + math.log(float(t.eigenvalues.max()))
-        gamma = gamma_spectrum(n, k_t=k_a, k_s=k_b).gamma
+        gamma = gamma_spectrum(n, k_t=k_a, k_s=k_b)
         want = 0.5 * n * math.log(2.0 * math.sinh(2.0 * k_a)) + 0.5 * float(gamma[1::2].sum())
         assert got == pytest.approx(want, rel=1e-13), n
 
@@ -177,3 +177,30 @@ def test_dense_product_underflow_is_a_domain_error():
     for m, n, kh, kv in ((3, 3, -150.0, -150.0), (15, 1, 400.0, -400.0)):
         with pytest.raises(DomainError, match="underflows"):
             log_z_torus(m, n, kh, kv)
+
+
+def test_shift_past_the_float_range_is_refused_before_any_eigensolve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    with pytest.raises(DomainError, match="float range"):
+        log_z_torus(4, 4, 1e308, 1e308)
+    with pytest.raises(DomainError, match="float range"):
+        log_z_torus(3, 3, -1e308, -1e308)   # the dense product
+
+
+def test_log_z_past_the_float_range_is_a_domain_error():
+    # the shift 8e307 is finite; ln Z = 3.2e308 is not
+    with pytest.raises(DomainError, match="ln Z"):
+        log_z_torus(4, 4, 1e307, 1e307)
+
+
+def test_dense_product_stops_at_twelve_columns():
+    # 4^13 entries per array would be 512 MiB: refused before any allocation
+    with pytest.raises(CapacityError):
+        log_z_torus(13, 13, -0.3, -0.3)
+    # one row at width 12 is the trace of T: e^{n k_a} times the ring sum
+    k_a, k_b = 0.3, -0.2
+    want = 12 * k_a + math.log((2 * math.cosh(k_b)) ** 12 + (2 * math.sinh(k_b)) ** 12)
+    assert transfer2d._dense_log_trace(1, 12, k_a, k_b) == pytest.approx(want, rel=1e-14)
