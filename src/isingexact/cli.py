@@ -159,7 +159,7 @@ def _cmd_dimers(args) -> int:
     elif args.method == "pfaffian":
         count = dimer_count_free_pf(m, n, w)
     else:  # enumerate
-        count = count_matchings_dp(m, n, w.z1, w.z2)
+        count = count_matchings_dp(m, n, w)
     _emit({"method": args.method, "count": float(count),
            "params": {"rows": m, "cols": n, "z1": args.z1, "z2": args.z2,
                       "bc": args.bc}}, args.format)

@@ -12,6 +12,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 # Self-dual coupling of the isotropic square lattice: sinh(2 K_c) = 1.
 K_CRIT = 0.5 * math.log(1.0 + math.sqrt(2.0))
 
@@ -47,6 +49,26 @@ def signed_logsumexp(terms) -> tuple:
     if acc == 0.0:
         return (-math.inf, 0)
     return (top + math.log(abs(acc)), 1 if acc > 0 else -1)
+
+
+def logsumexp(log_terms, weights=1.0) -> float:
+    """ln sum_i w_i e^{l_i}, shifted by the largest l_i.  A non-finite
+    largest term (inf, nan, or -inf when every term is -inf) is returned as
+    is, for the caller's finite() to judge."""
+    log_terms = np.asarray(log_terms, dtype=np.float64)
+    top = log_terms.max()
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.sum(weights * np.exp(log_terms - top))))
+
+
+def angle_grid(parity: str, length: int) -> np.ndarray:
+    """The length angles 2 pi r / length ('integer') or pi (2r + 1) / length
+    ('half'), r = 0 .. length - 1."""
+    r = np.arange(length)
+    if parity == "integer":
+        return 2.0 * np.pi * r / length
+    return np.pi * (2.0 * r + 1.0) / length
 
 
 def finite(value: float, what: str) -> float:

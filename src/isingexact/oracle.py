@@ -8,9 +8,11 @@ module in the package is validated against these.
 The configuration sum does not loop over 2^N states in Python.  Spins map to
 bits, a bond is (anti)parallel according to the XOR of its two bits, and
 bonds sharing a coupling value are grouped so that only the *number* of
-antiparallel bonds per group matters.  Every configuration still gets its
-own key in a density of states over those group counts (plus magnetization
-when a field is present), but most of the per-bond work is done once:
+antiparallel bonds per group matters.  A field h is one more group: bonds of
+strength h from every site to a ghost spin (site N).  Summing the ghost over
+both signs gives 2 Z(h), so ln Z is the ghost graph's ln Z - ln 2.  Every
+configuration still gets its own key in a density of states over the group
+counts, but most of the per-bond work is done once:
 
 * the sites split into a low half (the first min(N, 14) sites) and a high
   half.  One table over the low states holds the weighted counts of the
@@ -19,13 +21,13 @@ when a field is present), but most of the per-bond work is done once:
 * bonds crossing the split are grouped into layers whose low endpoints are
   distinct, so a whole layer is a single popcount of the low state XOR-ed
   with the high partners' spins;
-* flipping every spin keeps every bond count and maps the popcount p to
-  N - p, so only states with the top spin down are enumerated and the other
-  half is mirrored in.
+* flipping every spin keeps every bond count, so only states with the top
+  spin down are enumerated and the density is doubled.
 
 The partition function is then a max-shifted log-sum-exp over the occupied
-bins.  The density of states is structural (independent of the coupling
-values), so it is cached per graph shape.
+bins, each bin's energy read off its group counts.  The density of states
+is structural (independent of the coupling values), so it is cached per
+graph shape.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import CapacityError, DomainError, LatticeSpec, ReducedCouplings, finite
+from .core import (CapacityError, DomainError, LatticeSpec, ReducedCouplings, finite,
+                   logsumexp)
 
 MAX_ENUM_SITES = 26
 # sites in the low half of the DOS split (low states are held as uint16)
@@ -100,10 +103,10 @@ def _group_edges(edges) -> List[Tuple[float, int, Tuple[Tuple[int, int], ...]]]:
 
 def _bond_counts(states: np.ndarray, offset: int, width: int,
                  edge_groups: Sequence[Tuple[Tuple[int, int], ...]],
-                 strides: Sequence[int], with_field: bool) -> np.ndarray:
+                 strides: Sequence[int]) -> np.ndarray:
     """Partial keys of `states`, the bit patterns of sites offset..offset+width-1:
     stride-weighted antiparallel counts of the bonds with both ends inside
-    that window, plus the stride-weighted popcount when a field is present."""
+    that window."""
     key = np.zeros(states.shape, dtype=np.int64)
     for stride, edges in zip(strides, edge_groups):
         acc = np.zeros(states.shape, dtype=np.int64)
@@ -111,8 +114,6 @@ def _bond_counts(states: np.ndarray, offset: int, width: int,
             if offset <= min(a, b) and max(a, b) < offset + width:
                 acc += ((states >> (a - offset)) ^ (states >> (b - offset))) & 1
         key += stride * acc
-    if with_field:
-        key += strides[-1] * np.bitwise_count(states).astype(np.int64)
     return key
 
 
@@ -134,30 +135,25 @@ def _cross_layers(n_low: int, edges) -> List[List[Tuple[int, int]]]:
 
 
 def _density_of_states(num_sites: int,
-                       edge_groups: Sequence[Tuple[Tuple[int, int], ...]],
-                       with_field: bool) -> np.ndarray:
-    """Joint histogram over (antiparallel-bond count per group[, popcount]),
-    flat with group 0 varying fastest and the popcount slowest.  Built by
-    the low/high split and spin-flip mirror described in the module
-    docstring."""
-    dims = [len(g) + 1 for g in edge_groups]
+                       edge_groups: Sequence[Tuple[Tuple[int, int], ...]]) -> np.ndarray:
+    """Joint histogram over the antiparallel-bond count per group, flat
+    with group 0 varying fastest.  Built by the low/high split and spin-flip
+    symmetry described in the module docstring."""
     strides = [1]
-    for d in dims:
-        strides.append(strides[-1] * d)
-    if with_field:
-        dims.append(num_sites + 1)
-    total_bins = int(np.prod(dims, dtype=np.int64))
+    for g in edge_groups:
+        strides.append(strides[-1] * (len(g) + 1))
+    total_bins = strides[-1]
     n_low = min(num_sites, _LOW_BITS)
     n_high = num_sites - n_low
 
     lo = np.arange(1 << n_low, dtype=np.int64)
-    key_low = _bond_counts(lo, 0, n_low, edge_groups, strides, with_field)
+    key_low = _bond_counts(lo, 0, n_low, edge_groups, strides)
     if n_high == 0:
         return np.bincount(key_low, minlength=total_bins)
 
     # top spin fixed down: 2^(n_high - 1) high states
     hi = np.arange(1 << (n_high - 1), dtype=np.int64)
-    key_high = _bond_counts(hi, n_low, n_high, edge_groups, strides, with_field)
+    key_high = _bond_counts(hi, n_low, n_high, edge_groups, strides)
     lo16 = lo.astype(np.uint16)
     cross = []
     for stride, edges in zip(strides, edge_groups):
@@ -175,11 +171,7 @@ def _density_of_states(num_sites: int,
             count = np.bitwise_count(low_bits ^ flip[block, None])
             key += count if stride == 1 else count * np.int64(stride)
         dos += np.bincount(key.ravel(), minlength=total_bins)
-
-    if not with_field:
-        return 2 * dos
-    by_popcount = dos.reshape(num_sites + 1, -1)
-    return (by_popcount + by_popcount[::-1]).ravel()
+    return 2 * dos
 
 
 def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
@@ -196,55 +188,41 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
         raise DomainError("field must be finite")
     n = g.num_sites
     groups = _group_edges(g.edges)
-    with_field = h != 0.0
+    if h != 0.0:
+        # the field as bonds to a ghost spin, site n
+        groups.append((h, 1, tuple((i, n) for i in range(n))))
+        n += 1
 
     # dimensionality guard: fall back to direct energies for pathological
     # graphs where nearly every edge has its own coupling value
-    dims = [len(pairs) + 1 for _, _, pairs in groups]
-    if with_field:
-        dims = dims + [n + 1]
-    n_bins = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    if n_bins > (1 << 22):
+    if math.prod(len(pairs) + 1 for _, _, pairs in groups) > (1 << 22):
         return finite(_enumerate_direct(g, h), "ln Z")
 
     structure = tuple(pairs for _, _, pairs in groups)
-    cache_key = (n, structure, with_field)
-    dos = _DOS_CACHE.get(cache_key)
+    dos = _DOS_CACHE.get((n, structure))
     if dos is None:
-        dos = _density_of_states(n, structure, with_field)
-        _DOS_CACHE[cache_key] = dos
+        dos = _DOS_CACHE[(n, structure)] = _density_of_states(n, structure)
 
-    # energy of each bin: a group with n_g bonds of strength k (multiplicity
-    # c) and c_g antiparallel bonds contributes k*c*(n_g - 2 c_g)
-    energy = np.zeros(n_bins, dtype=np.float64).reshape(dims or (1,))
-    for axis, (k, c, pairs) in enumerate(groups):
-        n_g = len(pairs)
-        contrib = k * c * (n_g - 2.0 * np.arange(n_g + 1))
-        shape = [1] * energy.ndim
-        shape[axis] = n_g + 1
-        energy += contrib.reshape(shape)
-    if with_field:
-        axis = energy.ndim - 1
-        contrib = h * (n - 2.0 * np.arange(n + 1))
-        shape = [1] * energy.ndim
-        shape[axis] = n + 1
-        energy += contrib.reshape(shape)
-
-    # Fortran order: group 0 varies fastest, matching the key construction
-    flat_energy = energy.flatten(order="F")
-    occupied = dos > 0
-    e = flat_energy[occupied]
-    top = e.max()
-    return finite(float(top + np.log(np.sum(dos[occupied] * np.exp(e - top)))), "ln Z")
+    # energy of each occupied bin: a group with n_g bonds of strength k
+    # (multiplicity c) and c_g antiparallel bonds contributes k*c*(n_g - 2 c_g),
+    # and c_g is peeled off the flat index, group 0 fastest
+    occupied = np.flatnonzero(dos)
+    energy = np.zeros(occupied.shape)
+    rest = occupied
+    for k, c, pairs in groups:
+        rest, count = np.divmod(rest, len(pairs) + 1)
+        energy += k * c * (len(pairs) - 2.0 * count)
+    log_z = logsumexp(energy, dos[occupied])
+    return finite(log_z - math.log(2.0) if h != 0.0 else log_z, "ln Z")
 
 
 def _enumerate_direct(g: WeightedGraph, h: float) -> float:
-    """Chunked direct energy evaluation (no histogram); rarely taken."""
+    """Chunked direct energy evaluation (no histogram); rarely taken.  Its
+    per-configuration field term is the reference for the ghost-spin group."""
     n = g.num_sites
     n_conf = 1 << n
     chunk = min(n_conf, 1 << _CHUNK_BITS)
-    run_max = -np.inf
-    run_sum = 0.0
+    chunk_log_sums = []
     for start in range(0, n_conf, chunk):
         idx = np.arange(start, start + chunk, dtype=np.uint64)
         e = np.zeros(idx.shape, dtype=np.float64)
@@ -253,14 +231,8 @@ def _enumerate_direct(g: WeightedGraph, h: float) -> float:
             e += k * (1.0 - 2.0 * par)
         if h != 0.0:
             e += h * (n - 2.0 * np.bitwise_count(idx).astype(np.float64))
-        m = float(e.max())
-        s = float(np.exp(e - m).sum())
-        if m > run_max:
-            run_sum = run_sum * math.exp(run_max - m) + s
-            run_max = m
-        else:
-            run_sum += s * math.exp(m - run_max)
-    return run_max + math.log(run_sum)
+        chunk_log_sums.append(logsumexp(e))
+    return logsumexp(chunk_log_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +344,13 @@ def count_matchings_graph(num_sites: int,
     return rec(0)
 
 
-def count_matchings_dp(m: int, n: int, z1: float = 1.0, z2: float = 1.0) -> float:
+# profile-DP work ceiling, rows * (3^width + 16 * 2^width): each row steps
+# through 3^width (incoming, protrusion) pairs and pays ~16 steps of overhead
+# per incoming state.  14 x 14 takes ~10 s (2-vCPU x86-64).
+_PROFILE_WORK = 14 * (3 ** 14 + 16 * 2 ** 14)
+
+
+def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
     """Broken-profile dynamic program for the free m x n grid.
 
     State after each row: bitmask of columns where a z1-bond (row-direction
@@ -380,14 +358,18 @@ def count_matchings_dp(m: int, n: int, z1: float = 1.0, z2: float = 1.0) -> floa
     protrusions must tile exactly with z2-bonds (adjacent column pairs).
     The profile runs along the shorter side, by count(m, n, z1, z2) =
     count(n, m, z2, z1).  Independent of the backtracking counter; handles
-    8 x 8 instantly.  A count past the float range is a DomainError.
+    8 x 8 instantly.  The work grows like rows * (3^width + 16 * 2^width),
+    width the shorter side; past its value at 14 x 14 it is a CapacityError.
+    A count past the float range is a DomainError.
     """
     if (m * n) % 2:
         return 0.0
+    z1, z2 = w.z1, w.z2
     if n > m:
         m, n, z1, z2 = n, m, z2, z1
-    if n > 24:
-        raise CapacityError("profile width limited to 24 columns")
+    if n > 14 or m * (3 ** n + 16 * 2 ** n) > _PROFILE_WORK:   # m >= n: n > 14 is past it
+        raise CapacityError(f"a {m} x {n} profile DP exceeds the work ceiling "
+                            f"rows * (3^width + 16 * 2^width) = {_PROFILE_WORK}")
     z1 = np.float64(z1)   # so a power past the float range is inf, not OverflowError
 
     def row_weight(free_mask: int) -> Optional[float]:

@@ -124,9 +124,7 @@ def pfaffian_value(a: np.ndarray) -> float:
 
 def _shift(length: int, corner: float) -> np.ndarray:
     """+1 on the superdiagonal and `corner` in the (last, first) slot."""
-    h = np.zeros((length, length))
-    for i in range(length - 1):
-        h[i, i + 1] = 1.0
+    h = np.eye(length, k=1)
     h[length - 1, 0] = corner
     return h
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CapacityError, DomainError, ReducedCouplings, dual_coupling, exp_finite,
-                   finite, log_cosh, signed_logsumexp)
+from .core import (CapacityError, DomainError, ReducedCouplings, angle_grid, dual_coupling,
+                   exp_finite, finite, log_cosh, signed_logsumexp)
 from .oracle import MatchingWeights
 
 
@@ -35,13 +35,6 @@ class GridParity:
         for p in (self.parity_v, self.parity_h):
             if p not in ("integer", "half"):
                 raise DomainError(f"unknown parity {p!r}")
-
-
-def _grid(parity: str, length: int) -> np.ndarray:
-    r = np.arange(length)
-    if parity == "integer":
-        return 2.0 * np.pi * r / length
-    return np.pi * (2.0 * r + 1.0) / length
 
 
 def gamma_spectrum(n: int, k_t: float, k_s: float) -> np.ndarray:
@@ -63,7 +56,7 @@ def gamma_spectrum(n: int, k_t: float, k_s: float) -> np.ndarray:
     if not (k_s >= 0.0 and math.isfinite(k_s)):
         raise DomainError("k_s must be non-negative")
     kd = dual_coupling(k_t)
-    theta = np.pi * np.arange(2 * n) / n
+    theta = angle_grid("integer", 2 * n)
     w = 0.5 * np.sqrt(math.exp(-4.0 * min(kd, k_s)) * math.expm1(-2.0 * abs(kd - k_s)) ** 2
                       + np.sin(0.5 * theta) ** 2 * (math.expm1(-4.0 * kd)
                                                    * math.expm1(-4.0 * k_s)))
@@ -74,11 +67,6 @@ def gamma_spectrum(n: int, k_t: float, k_s: float) -> np.ndarray:
             gamma = 2.0 * (kd + k_s + np.log(2.0 * w))
     gamma[0] = 2.0 * (kd - k_s)
     return gamma
-
-
-def _log_2cosh(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax))
 
 
 def _log_2sinh_abs(x: np.ndarray) -> np.ndarray:
@@ -106,8 +94,12 @@ def kaufman_partition(m: int, n: int, k_t: float, k_s: float) -> float:
     half_m = 0.5 * m * gamma_spectrum(n, k_t, k_s)
     odd = half_m[1::2]
     even = half_m[0::2]
-    terms = [(float(_log_2cosh(odd).sum()), 1), (float(_log_2sinh_abs(odd).sum()), 1),
-             (float(_log_2cosh(even).sum()), 1),
+    # ln 2cosh x = |x| + ln(1 + e^{-2|x|}); np.logaddexp(x, -x) calls libm's
+    # exp and rounds differently from numpy's vector exp on some hosts
+    ax = np.abs(half_m)
+    log_2cosh = ax + np.log1p(np.exp(-2.0 * ax))
+    terms = [(float(log_2cosh[1::2].sum()), 1), (float(_log_2sinh_abs(odd).sum()), 1),
+             (float(log_2cosh[0::2].sum()), 1),
              (float(_log_2sinh_abs(even).sum()), -int(np.sign(half_m[0])))]
     log_sum, sign = signed_logsumexp(terms)
     if sign <= 0:
@@ -147,8 +139,8 @@ def _kacward_log_product(m: int, n: int, x: float, y: float,
     if m * n > MAX_KACWARD_FACTORS:
         raise CapacityError(
             f"{m} x {n} = {m * n} Kac-Ward factors exceed the {MAX_KACWARD_FACTORS} ceiling")
-    theta = _grid(parity_v, m)[:, None]
-    phi = _grid(parity_h, n)[None, :]
+    theta = angle_grid(parity_v, m)[:, None]
+    phi = angle_grid(parity_h, n)[None, :]
     factors = ((1.0 + x * x) * (1.0 + y * y)
                - 2.0 * y * (1.0 - x * x) * np.cos(theta)
                - 2.0 * x * (1.0 - y * y) * np.cos(phi))
@@ -189,8 +181,9 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
                                                + z2^2 cos^2(pi j/(n+1)))
 
     evaluated in log space.  An odd m is handled by reorienting the grid;
-    odd m and odd n means no perfect matching (returns 0).  A count past the
-    float range is a DomainError.
+    odd m and odd n means no perfect matching (returns 0).  z = max(z1, z2)
+    is factored out before squaring, so no weight overflows a term.  A count
+    past the float range is a DomainError.
     """
     z1, z2 = w.z1, w.z2
     if m % 2 == 1:
@@ -199,12 +192,16 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
         m, n, z1, z2 = n, m, z2, z1
     if m == 0 or n == 0:
         return 1.0
+    z = max(z1, z2)
+    if z == 0.0:
+        return 0.0
     k = np.arange(1, m // 2 + 1)[:, None]
     j = np.arange(1, n + 1)[None, :]
-    terms = (z1 * np.cos(np.pi * k / (m + 1))) ** 2 + (z2 * np.cos(np.pi * j / (n + 1))) ** 2
+    terms = ((z1 / z * np.cos(np.pi * k / (m + 1))) ** 2
+             + (z2 / z * np.cos(np.pi * j / (n + 1))) ** 2)
     if float(terms.min()) <= 0.0:
         return 0.0
-    log_count = float((math.log(2.0) + 0.5 * np.log(terms)).sum())
+    log_count = float((math.log(2.0) + math.log(z) + 0.5 * np.log(terms)).sum())
     return exp_finite(log_count, "the dimer count")
 
 
@@ -218,7 +215,9 @@ def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:
     on the integer grid w1 = 2 pi k/m, w2 = 2 pi l/n, with (H, H', H3) =
     (k_h, k_v, k_d).  k_d = 0 reduces term by term to the square-lattice
     double sum; the value converges to the thermodynamic integral as the
-    grid refines.
+    grid refines.  The bracket is taken in units of e^{2(H+H'+H3)}, with
+    cosh 2k and sinh 2k as e^{2k} (1 +- t) / 2, t = e^{-4k}, so large
+    couplings do not overflow.
     """
     kd = c.k_d if c.k_d is not None else 0.0
     for v in (c.k_h, c.k_v, kd):
@@ -226,14 +225,18 @@ def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:
             raise DomainError("triangular couplings must be non-negative")
     if c.k_h == 0.0 and c.k_v == 0.0 and kd == 0.0:
         return math.log(2.0)
-    w1 = 2.0 * np.pi * np.arange(m)[:, None] / m
-    w2 = 2.0 * np.pi * np.arange(n)[None, :] / n
-    c1, s1 = math.cosh(2 * c.k_h), math.sinh(2 * c.k_h)
-    c2, s2 = math.cosh(2 * c.k_v), math.sinh(2 * c.k_v)
-    c3, s3 = math.cosh(2 * kd), math.sinh(2 * kd)
-    bracket = (c1 * c2 * c3 + s1 * s2 * s3
+    w1 = angle_grid("integer", m)[:, None]
+    w2 = angle_grid("integer", n)[None, :]
+    kh, kv = c.k_h, c.k_v
+    t = [math.exp(-4.0 * k) for k in (kh, kv, kd)]
+    u = [-math.expm1(-4.0 * k) for k in (kh, kv, kd)]   # 1 - t, no cancelling at tiny k
+    s1 = 0.5 * u[0] * math.exp(-2.0 * (kv + kd))
+    s2 = 0.5 * u[1] * math.exp(-2.0 * (kh + kd))
+    s3 = 0.5 * u[2] * math.exp(-2.0 * (kh + kv))
+    bracket = (0.125 * ((1.0 + t[0]) * (1.0 + t[1]) * (1.0 + t[2]) + u[0] * u[1] * u[2])
                - s1 * np.cos(w1) - s2 * np.cos(w2) - s3 * np.cos(w1 + w2))
     if float(bracket.min()) <= 0.0:
         raise DomainError("a grid point hits a vanishing factor (critical manifold)")
-    return math.log(2.0) + float(np.log(bracket).sum()) / (2.0 * m * n)
+    return finite(math.log(2.0) + kh + kv + kd + float(np.log(bracket).sum()) / (2.0 * m * n),
+                  "ln Z per site")
 

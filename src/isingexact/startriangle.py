@@ -44,21 +44,31 @@ class StarTriangleMap:
 
 def complete_elliptic(k: float) -> EllipticPair:
     """K(k) and E(k) by the arithmetic-geometric mean (modulus convention:
-    K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t))."""
+    K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t)):
+    E = K (1 - sum_{n>=0} 2^{n-1} c_n^2), c_0 = k."""
     if not (0.0 <= k < 1.0):
         raise DomainError("complete_elliptic needs 0 <= k < 1")
-    a, b, c = 1.0, math.sqrt(1.0 - k * k), k
-    c_sum = 0.5 * c * c          # 2^{n-1} c_n^2 at n = 0
+    big_k, tail = _agm(k)
+    return EllipticPair(K_val=big_k, E_val=big_k * (1.0 - (0.5 * k * k + tail)))
+
+
+def _agm(k: float) -> Tuple[float, float]:
+    """K(k) and the tail sum_{n>=1} 2^{n-1} c_n^2 of the arithmetic-geometric
+    mean of 1 and k' = sqrt(1 - k^2), c_{n+1} = (a_n - b_n)/2.  c_1 is taken
+    as k^2 / (2 (1 + k')), which does not cancel at small k.  Once c_n <
+    1e-8 a_n the next term is below roundoff and a_n has converged; iterating
+    further would add 2^n times the one-ulp noise of a_n - b_n."""
+    kp = math.sqrt(1.0 - k * k)
+    a, b, c = 0.5 * (1.0 + kp), math.sqrt(kp), k * k / (2.0 * (1.0 + kp))
+    tail = c * c
     pow2 = 1.0
     for _ in range(60):
+        if c < 1e-8 * a:
+            break
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
-        c_sum += 0.5 * pow2 * c * c
-        if c < 1e-17 * a:
-            break
-    big_k = math.pi / (2.0 * a)
-    big_e = big_k * (1.0 - c_sum)
-    return EllipticPair(K_val=big_k, E_val=big_e)
+        tail += pow2 * c * c
+    return math.pi / (2.0 * a), tail
 
 
 def elliptic_k_series(k: float, terms: int = 60) -> float:
@@ -177,6 +187,9 @@ def ab_coefficients(k: float) -> Tuple[float, float]:
                                (a = b = 1 at k = 0)
     k > 1 (high temperature), with l = 1/k:
         a = (2/pi) (E(l) - (1-l^2) K(l)) / l,   b = -(2/pi) (1-l^2) K(l) / l
+
+    E(l) - (1-l^2) K(l) vanishes like l^2; it is taken from the AGM sums as
+    K(l) (l^2/2 - sum_{n>=1} 2^{n-1} c_n^2), which does not cancel.
     """
     lam = 2.0 / math.pi
     if not k >= 0:
@@ -187,10 +200,9 @@ def ab_coefficients(k: float) -> Tuple[float, float]:
         ell = complete_elliptic(k)
         return lam * ell.E_val, lam * (1.0 - k * k) * ell.K_val
     l = 1.0 / k
-    ell = complete_elliptic(l)
-    lp2 = 1.0 - l * l
-    return (lam * (ell.E_val - lp2 * ell.K_val) / l,
-            -lam * lp2 * ell.K_val / l)
+    big_k, tail = _agm(l)
+    return (lam * big_k * (0.5 * l * l - tail) / l,
+            -lam * (1.0 - l * l) * big_k / l)
 
 
 def correlation_f(k_arg: float, k: float) -> float:

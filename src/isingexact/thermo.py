@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, DomainError, log_cosh
+from .core import CapacityError, DomainError, angle_grid, finite, log_cosh
 
 MAX_POINTS = 4096   # quadrature nodes on the one remaining axis
 
@@ -43,9 +43,8 @@ _DEFAULT_Q = QuadratureSpec()
 
 
 def _half_angles(q: QuadratureSpec) -> np.ndarray:
-    """w/2 at the midpoint nodes w = 2pi (j + 1/2) / N."""
-    n = q.points_per_axis
-    return np.pi * (np.arange(n) + 0.5) / n
+    """w/2 at the midpoint nodes w = 2pi (j + 1/2) / N, the half grid."""
+    return 0.5 * angle_grid("half", q.points_per_axis)
 
 
 def _mean_log_root(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -53,13 +52,6 @@ def _mean_log_root(lo: np.ndarray, hi: np.ndarray) -> float:
     and hi = A + |B|.  A + sqrt(A^2 - B^2) = (sqrt lo + sqrt hi)^2 / 2, so the
     root never cancels against A."""
     return 2.0 * float(np.mean(np.log(0.5 * (np.sqrt(lo) + np.sqrt(hi)))))
-
-
-def _finite(f: float) -> float:
-    """-beta f, refused once the couplings push it past the float range."""
-    if not math.isfinite(f):
-        raise DomainError(f"-beta f = {f!r} is outside the float range")
-    return f
 
 
 def onsager_free_energy(k1: float, k2: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
@@ -83,7 +75,7 @@ def onsager_free_energy(k1: float, k2: float, q: QuadratureSpec = _DEFAULT_Q) ->
     s2 = -2.0 * t1 * math.expm1(-4.0 * k2)
     gap = (1.0 - t1 - t2 - t1 * t2) ** 2
     lo = gap + 2.0 * s1 * np.sin(_half_angles(q)) ** 2
-    return _finite(k1 + k2 + 0.5 * _mean_log_root(lo, lo + 2.0 * s2))
+    return finite(k1 + k2 + 0.5 * _mean_log_root(lo, lo + 2.0 * s2), "-beta f")
 
 
 def _isotropic_mean(y: float, half_angle_sq: np.ndarray) -> float:
@@ -108,8 +100,8 @@ def fermionic_free_energy(k: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
     """
     if not k > 0:
         raise DomainError("coupling must be positive")
-    return _finite(math.log(2.0) + 2.0 * log_cosh(k) + 0.5 * _isotropic_mean(
-        math.tanh(k), np.cos(_half_angles(q)) ** 2))
+    return finite(math.log(2.0) + 2.0 * log_cosh(k) + 0.5 * _isotropic_mean(
+        math.tanh(k), np.cos(_half_angles(q)) ** 2), "-beta f")
 
 
 def dirac_free_energy(theta: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
@@ -123,8 +115,9 @@ def dirac_free_energy(theta: float, q: QuadratureSpec = _DEFAULT_Q) -> float:
     """
     if not theta > 0:
         raise DomainError("coupling must be positive")
-    return _finite(math.log(2.0) + 2.0 * log_cosh(theta)
-                   + 0.5 * _isotropic_mean(math.tanh(theta), np.sin(_half_angles(q)) ** 2))
+    return finite(math.log(2.0) + 2.0 * log_cosh(theta)
+                  + 0.5 * _isotropic_mean(math.tanh(theta), np.sin(_half_angles(q)) ** 2),
+                  "-beta f")
 
 
 def triangular_free_energy(k1: float, k2: float, k3: float,
@@ -158,7 +151,7 @@ def triangular_free_energy(k1: float, k2: float, k3: float,
     lo = gap + 2.0 * s1 * sin2
     if s2 * s3 > 0.0:
         lo = lo + 4.0 * s2 * s3 * sin2 / (s2 + s3 + r)
-    return _finite(k1 + k2 + k3 + 0.5 * _mean_log_root(lo, lo + 2.0 * r))
+    return finite(k1 + k2 + k3 + 0.5 * _mean_log_root(lo, lo + 2.0 * r), "-beta f")
 
 
 def critical_point_square() -> float:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -267,6 +268,16 @@ def test_dense_transfer_past_twelve_columns_exit_code(capsys):
 ])
 def test_dimers_refusals(capsys, argv):
     _refused(*_run(capsys, "dimers", *argv))
+
+
+@pytest.mark.parametrize("rows,cols", [("24", "24"), ("7000000", "2")])
+def test_dimers_enumerate_past_the_work_ceiling_exit_code(capsys, rows, cols):
+    # 24 x 24 would run the profile DP for days, and a 7e6-row strip pays a
+    # fixed cost per row for minutes; both are refused up front
+    start = time.perf_counter()
+    _refused(*_run(capsys, "dimers", "--method", "enumerate", "--rows", rows, "--cols", cols),
+             want_code=3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dimers_enumerate_along_the_shorter_side(capsys):

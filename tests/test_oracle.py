@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isingexact import oracle
-from isingexact.core import DomainError, LatticeSpec, ReducedCouplings
+from isingexact.core import CapacityError, DomainError, LatticeSpec, ReducedCouplings
 from isingexact.oracle import (
     MatchingWeights,
     WeightedGraph,
@@ -37,12 +37,10 @@ def naive_log_z(g: WeightedGraph, h: float = 0.0) -> float:
     return math.log(total)
 
 
-def reference_density_of_states(num_sites, edge_groups, with_field):
+def reference_density_of_states(num_sites, edge_groups):
     """Per-bond reference for the oracle's density of states: one numpy pass
     per bond over every configuration, no split and no spin-flip mirror."""
     dims = [len(g) + 1 for g in edge_groups]
-    if with_field:
-        dims.append(num_sites + 1)
     total_bins = int(np.prod(dims, dtype=np.int64))
     dos = np.zeros(total_bins, dtype=np.int64)
     n_conf = 1 << num_sites
@@ -57,8 +55,6 @@ def reference_density_of_states(num_sites, edge_groups, with_field):
                 acc += ((idx >> np.uint64(a)) ^ (idx >> np.uint64(b))) & np.uint64(1)
             key += acc * np.uint64(stride)
             stride *= dims[g]
-        if with_field:
-            key += np.bitwise_count(idx) * np.uint64(stride)
         dos += np.bincount(key.astype(np.int64), minlength=total_bins)
     return dos
 
@@ -84,15 +80,20 @@ def spin_graphs(draw):
 def test_density_of_states_matches_per_bond_reference(graph, with_field, low_bits):
     n, edges = graph
     structure = _edge_structure(edges)
+    if with_field:
+        # the field's ghost graph: one more group, bonds from every site to site n
+        structure += (tuple((i, n) for i in range(n)),)
+    sites = n + 1 if with_field else n
     with mock.patch.object(oracle, "_LOW_BITS", low_bits):
-        dos = _density_of_states(n, structure, with_field)
-    ref = reference_density_of_states(n, structure, with_field)
+        dos = _density_of_states(sites, structure)
+    ref = reference_density_of_states(sites, structure)
     assert dos.dtype == np.int64
     np.testing.assert_array_equal(dos, ref)
-    assert dos.sum() == 2 ** n
+    assert dos.sum() == 2 ** sites
     if with_field:
-        by_popcount = dos.reshape(n + 1, -1)
-        np.testing.assert_array_equal(by_popcount, by_popcount[::-1])
+        # flipping every real spin maps c antiparallel ghost bonds to n - c
+        by_ghost_count = dos.reshape(n + 1, -1)
+        np.testing.assert_array_equal(by_ghost_count, by_ghost_count[::-1])
 
 
 @pytest.mark.parametrize("k_v", [0.31, 0.57])
@@ -100,8 +101,8 @@ def test_density_of_states_twenty_site_torus(k_v):
     # 20 sites leave six high bits past the default split
     g = build_lattice_graph(LatticeSpec(4, 5), ReducedCouplings(k_h=0.31, k_v=k_v))
     structure = _edge_structure(g.edges)
-    np.testing.assert_array_equal(_density_of_states(20, structure, False),
-                                  reference_density_of_states(20, structure, False))
+    np.testing.assert_array_equal(_density_of_states(20, structure),
+                                  reference_density_of_states(20, structure))
 
 
 def test_single_bond():
@@ -151,6 +152,35 @@ def test_field_path_agrees_with_naive_sum():
         assert enumerate_partition_graph(g, h=h) == pytest.approx(naive_log_z(g, h), rel=1e-12)
 
 
+@st.composite
+def field_graphs(draw):
+    """Graphs on 1-16 sites (the ghost crosses the low/high split from 14 on)
+    with a field drawn from the bond couplings, their negatives and other
+    values, so h can equal a coupling or be negative."""
+    n, edges = draw(spin_graphs().filter(lambda g: g[0] <= 16))
+    h = draw(st.sampled_from((0.3, -0.5, 0.7, -0.3, 0.5, 1e-3, -1.9, 2.4)))
+    return WeightedGraph(n, edges), h
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_and_field=field_graphs())
+def test_ghost_spin_field_matches_direct_sum(graph_and_field):
+    g, h = graph_and_field
+    assert enumerate_partition_graph(g, h) == pytest.approx(_enumerate_direct(g, h), rel=1e-12)
+
+
+def test_ghost_past_the_split_matches_direct_sum():
+    # 16 sites and two bond groups: the ghost is past the low/high split and
+    # its group's stride is 17^2.  Both fields read one cached density of
+    # states
+    g = build_lattice_graph(LatticeSpec(4, 4), ReducedCouplings(k_h=0.31, k_v=0.57))
+    with mock.patch.dict(oracle._DOS_CACHE, clear=True):
+        for h in (0.3, -0.7):
+            assert enumerate_partition_graph(g, h) == pytest.approx(
+                _enumerate_direct(g, h), rel=1e-12)
+        assert len(oracle._DOS_CACHE) == 1
+
+
 def test_direct_fallback_matches_binned_path():
     rng = np.random.default_rng(3)
     edges = tuple((int(i), int(j), float(rng.uniform(0.1, 0.8)))
@@ -182,7 +212,7 @@ def test_weighted_matchings():
     # 2x2 grid: one all-horizontal and one all-vertical covering
     w = MatchingWeights(z1=2.0, z2=3.0)
     total = count_matchings(2, 2, w)
-    assert total == pytest.approx(count_matchings_dp(2, 2, 2.0, 3.0), rel=1e-13)
+    assert total == pytest.approx(count_matchings_dp(2, 2, w), rel=1e-13)
     # the two coverings contribute z^2 each, one per orientation
     assert total == pytest.approx(2.0 ** 2 + 3.0 ** 2, rel=1e-13)
 
@@ -205,17 +235,25 @@ def test_matching_weights_must_be_finite(z1, z2):
 
 
 def test_matching_dp_profile_runs_along_the_shorter_side():
-    # a 40-column profile would exceed the 24-column ceiling
+    # a 40-column profile would exceed the work ceiling
     assert count_matchings_dp(2, 40) == count_matchings_dp(40, 2) == 165580141
-    assert count_matchings_dp(3, 4, 0.7, 1.3) == pytest.approx(
+    assert count_matchings_dp(3, 4, MatchingWeights(0.7, 1.3)) == pytest.approx(
         count_matchings(3, 4, MatchingWeights(0.7, 1.3)), rel=1e-15)
-    assert count_matchings_dp(3, 4, 0.7, 1.3) == count_matchings_dp(4, 3, 1.3, 0.7)
+    assert count_matchings_dp(3, 4, MatchingWeights(0.7, 1.3)) == count_matchings_dp(
+        4, 3, MatchingWeights(1.3, 0.7))
+
+
+@pytest.mark.parametrize("m,n", [(16, 15), (24, 24), (14, 15), (10 ** 6, 10 ** 6),
+                                 (7_000_000, 2), (2, 7_000_000), (3_000_000, 1)])
+def test_matching_dp_refuses_work_past_its_ceiling(m, n):
+    with pytest.raises(CapacityError, match="ceiling"):
+        count_matchings_dp(m, n)
 
 
 def test_matching_dp_past_the_float_range_is_a_domain_error():
     # z1^4 alone overflows; the count is refused rather than inf
     with pytest.raises(DomainError, match="float range"):
-        count_matchings_dp(4, 4, 1e200, 1.0)
+        count_matchings_dp(4, 4, MatchingWeights(1e200, 1.0))
 
 
 def test_enumeration_past_the_float_range_is_a_domain_error():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from isingexact.spectral import (
     kaufman_partition,
     triangular_log_z_per_site,
 )
-from isingexact.pfaffian import ising_pfaffian_torus
+from isingexact.pfaffian import dimer_count_free as dimer_count_free_pf, ising_pfaffian_torus
 from isingexact.thermo import onsager_free_energy, triangular_free_energy
 from isingexact.transfer2d import log_z_torus
 
@@ -128,7 +129,40 @@ def test_dimer_product_matches_enumeration_weighted():
             count_matchings(m, n, w), rel=1e-11)
 
 
+def test_dimer_product_with_a_weight_past_the_root_of_the_float_range():
+    # z1^2 alone overflows, the count 1e200 does not
+    w = MatchingWeights(1e200, 1.0)
+    assert dimer_count_free(2, 1, w) == pytest.approx(dimer_count_free_pf(2, 1, w), rel=1e-12)
+    assert dimer_count_free(2, 2, MatchingWeights(0.0, 0.0)) == 0.0
+
+
 # ------------------------------------------------------- triangular lattice
+
+def reference_triangular_log_z_per_site(m, n, kh, kv, kd):
+    """The double sum with cosh and sinh taken as written."""
+    w1 = 2.0 * np.pi * np.arange(m)[:, None] / m
+    w2 = 2.0 * np.pi * np.arange(n)[None, :] / n
+    c1, s1 = math.cosh(2 * kh), math.sinh(2 * kh)
+    c2, s2 = math.cosh(2 * kv), math.sinh(2 * kv)
+    c3, s3 = math.cosh(2 * kd), math.sinh(2 * kd)
+    bracket = (c1 * c2 * c3 + s1 * s2 * s3
+               - s1 * np.cos(w1) - s2 * np.cos(w2) - s3 * np.cos(w1 + w2))
+    return math.log(2.0) + float(np.log(bracket).sum()) / (2.0 * m * n)
+
+
+@pytest.mark.parametrize("m,n", [(4, 4), (5, 7), (16, 16)])
+@pytest.mark.parametrize("kh,kv,kd", [(0.3, 0.5, 0.2), (0.05, 0.9, 0.4), (1.2, 0.7, 0.0),
+                                      (2.0, 3.0, 1.0), (1e-3, 2e-3, 0.0)])
+def test_triangular_double_sum_matches_the_direct_bracket(m, n, kh, kv, kd):
+    assert triangular_log_z_per_site(m, n, ReducedCouplings(kh, kv, kd)) == pytest.approx(
+        reference_triangular_log_z_per_site(m, n, kh, kv, kd), rel=1e-13, abs=0.0)
+
+
+def test_triangular_double_sum_at_large_coupling():
+    # -> ln 2 + (1/2)(2 (k_h + k_v + k_d) - 2 ln 2): 1200 at 400 each
+    assert triangular_log_z_per_site(4, 4, ReducedCouplings(400.0, 400.0, 400.0)) == \
+        pytest.approx(1200.0, rel=1e-15, abs=0.0)
+
 
 def test_triangular_double_sum_reduces_to_square():
     c3 = ReducedCouplings(k_h=0.3, k_v=0.5, k_d=0.0)
@@ -153,7 +187,8 @@ def test_kacward_needs_positive_sides():
 def test_routes_past_the_float_range_are_domain_errors():
     # ln Z = 2 m n K + ln 2 is 3.2e309 on the 4 x 4 torus at K = 1e308
     for route in (lambda: kaufman_partition(4, 4, 1e308, 1e308),
-                  lambda: kacward_log_z(4, 4, 1e308, 1e308)):
+                  lambda: kacward_log_z(4, 4, 1e308, 1e308),
+                  lambda: triangular_log_z_per_site(4, 4, ReducedCouplings(1e308, 1e308, 1e308))):
         with pytest.raises(DomainError):
             route()
 
@@ -161,5 +196,8 @@ def test_routes_past_the_float_range_are_domain_errors():
 @pytest.mark.parametrize("m,n,w", [(100, 100, MatchingWeights()),
                                    (4, 4, MatchingWeights(1e200, 1.0))])
 def test_dimer_product_past_the_float_range_is_a_domain_error(m, n, w):
-    with pytest.raises(DomainError, match="dimer count"):
-        dimer_count_free(m, n, w)
+    # refused from the log count: no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="dimer count"):
+            dimer_count_free(m, n, w)

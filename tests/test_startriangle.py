@@ -25,7 +25,8 @@ from isingexact.thermo import internal_energy
 
 # ------------------------------------------------------------- elliptic
 
-@pytest.mark.parametrize("k", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999])
+# at 0.6 and 0.979 a_n and b_n settle one ulp apart
+@pytest.mark.parametrize("k", [0.01, 0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 0.979, 0.99, 0.9999])
 def test_agm_matches_scipy(k):
     # scipy parametrizes by m = k^2
     ep = complete_elliptic(k)
@@ -162,6 +163,18 @@ def test_b_coefficient_asymptotics():
         assert b == pytest.approx(b_near_critical(k), rel=5e-3)
 
 
+@pytest.mark.parametrize("l", [1e-5, 1e-3, 0.17, 0.6])
+def test_high_temperature_coefficient_does_not_cancel(l):
+    # a = (2/pi) D / l with D = E(l) - (1 - l^2) K(l)
+    #   = l^2 int_0^{pi/2} cos^2 t / sqrt(1 - l^2 sin^2 t) dt, which does not cancel
+    k = 1.0 / l
+    a, _ = ab_coefficients(k)
+    want, _ = quad(lambda t: math.cos(t) ** 2 / math.sqrt(1.0 - (l * math.sin(t)) ** 2),
+                   0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1.5e-14)
+    l = 1.0 / k
+    assert 0.5 * math.pi * a * l == pytest.approx(l * l * want, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("k_c", [0.3, 0.55])
 def test_energy_against_quadrature_derivative(k_c):
     assert square_lattice_energy(k_c, k_c) == pytest.approx(
@@ -179,4 +192,7 @@ def test_energy_at_tiny_couplings():
     for k_h, k_v in ((1e-300, 1e-300), (1e-200, 0.3)):
         with pytest.raises(DomainError, match="float range"):
             square_lattice_energy(k_h, k_v)
-    assert square_lattice_energy(1e-8, 1e-8) == 1.999999999999992e-08
+    # high-temperature series u = 2v + 4v^3 (1 - v^2) + O(v^5), v = tanh K
+    v = math.tanh(1e-8)
+    assert square_lattice_energy(1e-8, 1e-8) == pytest.approx(
+        2.0 * v + 4.0 * v ** 3 * (1.0 - v * v), rel=1e-15, abs=0.0)
