@@ -206,12 +206,14 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
     # energy of each occupied bin: a group with n_g bonds of strength k
     # (multiplicity c) and c_g antiparallel bonds contributes k*c*(n_g - 2 c_g),
     # and c_g is peeled off the flat index, group 0 fastest
+    # (an energy past the float range is inf or nan, which finite() refuses)
     occupied = np.flatnonzero(dos)
     energy = np.zeros(occupied.shape)
     rest = occupied
-    for k, c, pairs in groups:
-        rest, count = np.divmod(rest, len(pairs) + 1)
-        energy += k * c * (len(pairs) - 2.0 * count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, c, pairs in groups:
+            rest, count = np.divmod(rest, len(pairs) + 1)
+            energy += k * c * (len(pairs) - 2.0 * count)
     log_z = logsumexp(energy, dos[occupied])
     return finite(log_z - math.log(2.0) if h != 0.0 else log_z, "ln Z")
 
@@ -389,29 +391,32 @@ def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -
     size = 1 << n
     state = np.zeros(size, dtype=np.float64)
     state[0] = 1.0
-    for row in range(m):
-        nxt = np.zeros(size, dtype=np.float64)
-        last = row == m - 1
-        for incoming in range(size):
-            amp = state[incoming]
-            if amp == 0.0:
-                continue
-            avail = (~incoming) & (size - 1)
-            if last:
-                w = row_weight(avail)
-                if w is not None:
-                    nxt[0] += amp * w
-                continue
-            # enumerate subsets of avail as new protrusions
-            out = avail
-            while True:
-                w = row_weight(avail & ~out)
-                if w is not None:
-                    nxt[out] += amp * w * z1 ** out.bit_count()
-                if out == 0:
-                    break
-                out = (out - 1) & avail
-        state = nxt
+    # a weight past the float range makes a product inf (or 0 * inf nan),
+    # which finite() refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in range(m):
+            nxt = np.zeros(size, dtype=np.float64)
+            last = row == m - 1
+            for incoming in range(size):
+                amp = state[incoming]
+                if amp == 0.0:
+                    continue
+                avail = (~incoming) & (size - 1)
+                if last:
+                    w = row_weight(avail)
+                    if w is not None:
+                        nxt[0] += amp * w
+                    continue
+                # enumerate subsets of avail as new protrusions
+                out = avail
+                while True:
+                    w = row_weight(avail & ~out)
+                    if w is not None:
+                        nxt[out] += amp * w * z1 ** out.bit_count()
+                    if out == 0:
+                        break
+                    out = (out - 1) & avail
+            state = nxt
     return finite(float(state[0]), "the dimer count")
 
 

@@ -5,6 +5,7 @@ pfaffian()             -- dense skew-symmetric Pfaffian (blocked Parlett-Reid
                           deferred rank-2 updates, sign + log magnitude)
 build_dimer_matrix()   -- oriented adjacency matrices of the m x n grid for
                           free, cylinder and the four toroidal sign choices
+dimer_count_free()     -- the free-grid matching count as one Pfaffian
 dimer_count_torus()    -- the four-Pfaffian combination for torus matchings
 ising_pfaffian_torus() -- ln Z of the Ising torus through the 4-site-block
                           dimer construction
@@ -12,12 +13,17 @@ ising_pfaffian_torus() -- ln Z of the Ising torus through the 4-site-block
 Pfaffians are evaluated directly with their sign (never as +-sqrt(det)), so
 the temperature-dependent sign pattern of the four-term combination emerges
 instead of being guessed.
+
+The counting routes never form their matrices: `_column_sweep` eliminates
+a column block matrix one front of about three columns at a time (Wimmer's
+banded case), and it shares the one elimination loop, `_eliminate`, with
+pfaffian().
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +34,8 @@ from .spectral import _kacward_log_product
 
 MAX_DIM = 4096
 _BLOCK = 32   # elimination steps whose trailing updates are applied at once
+_THRESHOLD = 0.1   # smallest accepted pivot, relative to its column's largest entry
+_MAX_SWEEP_WORK = 64 * 256 * 768 ** 2   # columns * b * front^2 of the 64 x 64 Ising torus
 
 # The four torus matrices: wrap signs (s1, s2) and weight in the
 # combination 1/2 (-Pf A1 + Pf A2 + Pf A3 + Pf A4)
@@ -43,12 +51,8 @@ def pfaffian(a: np.ndarray) -> Tuple[int, float]:
     Parlett-Reid skew-symmetric tridiagonalization with partial pivoting,
     blocked after M. Wimmer, "Efficient numerical computation of the
     Pfaffian for dense and banded skew-symmetric matrices", ACM TOMS 38:30
-    (2012).  The rank-2 trailing update of each elimination step is
-    deferred: the pivot column and the next column are rebuilt from the
-    stored matrix plus the pending updates, and every _BLOCK steps the
-    pending updates are applied to the trailing block as one matrix
-    product.  Every row/column interchange flips the sign.  A structurally
-    singular matrix returns (0, -inf).
+    (2012): `_eliminate` with every node eligible.  A structurally singular
+    matrix returns (0, -inf).
     """
     a = np.array(a, dtype=np.float64, copy=True)
     n = a.shape[0]
@@ -65,7 +69,26 @@ def pfaffian(a: np.ndarray) -> Tuple[int, float]:
         raise DomainError("matrix is not antisymmetric")
     if scale == 0.0:
         return (0, -math.inf)
+    sign, log_mag, _ = _eliminate(a, n, scale)
+    return (sign, log_mag)
 
+
+def _eliminate(a: np.ndarray, eligible: int, scale: float) -> Tuple[int, float, int]:
+    """Eliminate the first `eligible` nodes of the antisymmetric `a` in pairs,
+    in place: Pf(a) = sign * e^log_mag * Pf(a[rest:, rest:]) for the returned
+    (sign, log_mag, rest), the Schur complement on the delayed nodes and then
+    the others in their order.  sign 0: an eligible column is below
+    1e-12 * scale, so a is singular.
+
+    Step k pairs the node at k with the eligible node of largest entry in
+    its column, moved to k+1 (each interchange flips the sign), if that
+    entry reaches _THRESHOLD of the column's largest; else the node is
+    delayed behind the eligible ones (threshold pivoting with delayed
+    pivots, Duff & Reid, ACM TOMS 9:302 (1983)).  With every node eligible
+    this is plain partial pivoting.  Rank-2 updates are deferred: the two
+    columns of a step are rebuilt from the stored matrix plus the pending
+    updates, which are applied every _BLOCK steps as one matrix product."""
+    n = a.shape[0]
     sign = 1
     log_mag = 0.0
     # pending trailing update L R^T: step j of the block appends the column
@@ -73,36 +96,113 @@ def pfaffian(a: np.ndarray) -> Tuple[int, float]:
     left = np.zeros((n, 2 * _BLOCK))
     right = np.zeros((n, 2 * _BLOCK))
     c = 0
-    for k in range(0, n - 1, 2):
+    k = 0
+    end = eligible   # nodes k..end-1 are eligible and not yet eliminated
+    while k < end:
         # live column k: stored entries plus the updates still pending
         col = a[k + 1:, k] + left[k + 1:, :c] @ right[k, :c]
-        i = int(np.abs(col).argmax())
-        if abs(col[i]) <= 1e-12 * scale:
-            return (0, -math.inf)
+        mags = np.abs(col)
+        top = mags.max()
+        if top <= 1e-12 * scale:
+            return (0, -math.inf, k)
+        partners = end - k - 1   # eligible nodes after k
+        i = int(mags[:partners].argmax()) if partners else 0
+        if not partners or mags[i] < _THRESHOLD * top:
+            end -= 1
+            if end != k:
+                _interchange(a, left, right, k, end)
+                sign = -sign
+            continue
         if i:
-            kp = k + 1 + i
-            _swap(a, k + 1, kp)
-            _swap(a.T, k + 1, kp)
-            _swap(left, k + 1, kp)
-            _swap(right, k + 1, kp)
+            _interchange(a, left, right, k + 1, k + 1 + i)
             col[0], col[i] = col[i], col[0]
             sign = -sign
         piv = -col[0]   # a[k, k+1] by antisymmetry
         sign *= 1 if piv > 0 else -1
         log_mag += math.log(abs(piv))
         if k + 2 < n:
-            tau = col[1:] / col[0]   # a[k, k+2:] / piv by antisymmetry
-            w = a[k + 2:, k + 1] + left[k + 2:, :c] @ right[k + 1, :c]
-            left[k + 2:, c] = tau
-            left[k + 2:, c + 1] = w
+            tau = np.divide(col[1:], col[0], out=left[k + 2:, c])   # a[k, k+2:] / piv
+            w = np.add(a[k + 2:, k + 1], left[k + 2:, :c] @ right[k + 1, :c],
+                       out=left[k + 2:, c + 1])
             right[k + 2:, c] = w
-            right[k + 2:, c + 1] = -tau
+            np.negative(tau, out=right[k + 2:, c + 1])
             c += 2
             if c == 2 * _BLOCK:
                 t = k + 2
                 a[t:, t:] += left[t:] @ right[t:].T
                 c = 0
-    return (sign, log_mag)
+        k += 2
+    if c and k < n:
+        a[k:, k:] += left[k:, :c] @ right[k:, :c].T
+    return (sign, log_mag, k)
+
+
+def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
+                  wrap: Optional[float]) -> Tuple[int, float]:
+    """Pf(A) as (sign, log magnitude) of A = I_n (x) D + H (x) C - H^T (x) C^T,
+    H the n x n shift with `wrap` in its (n-1, 0) corner (None: free),
+    without forming A.  Column 0 is the separator the wrap couples to; the
+    front [delayed nodes, column j, column j+1, separator] eliminates the
+    first two groups, whose couplings are all in it, and the last front
+    every node left.  Pivots are judged against the largest entry of A, so
+    a last front of roundoff is singular, as in pfaffian()."""
+    if n == 1 and wrap is not None:
+        d, wrap = d + wrap * (c - c.T), None   # H = [[wrap]]
+    b = len(d)
+    sep = 0 if wrap is None else b
+    front = 2 * b + sep
+    # work ~ columns * eliminated nodes * front^2; the bound also keeps the
+    # front below ~2700 nodes (58 MB)
+    if n * b * front * front > _MAX_SWEEP_WORK:
+        raise CapacityError(f"{n} columns of {b} nodes exceed the Pfaffian sweep ceiling")
+    scale = float(max(np.abs(d).max(), np.abs(c).max()))
+    if scale == 0.0:
+        return (0, -math.inf)
+    # the front is kept in the order [delayed, column j, separator]; moving
+    # a column past the separator is b * sep interchanges
+    flip = -1 if (b * sep) % 2 else 1
+    sign = flip
+    log_mag = 0.0
+    f = np.zeros((b + sep, b + sep))
+    f[:b, :b] = d
+    if sep:
+        f[b:, b:] = d
+        f[b:, :b] = c
+        f[:b, b:] = -c.T
+    for j in range(1 if sep else 0, n):
+        h = len(f) - sep   # the delayed nodes and column j
+        cur = slice(h - b, h)
+        if j == n - 1:
+            if sep:
+                f[cur, h:] += wrap * c
+                f[h:, cur] -= wrap * c.T
+            break
+        g = np.zeros((h + b + sep, h + b + sep))
+        nxt = slice(h, h + b)
+        g[:h, :h] = f[:h, :h]
+        g[:h, h + b:] = f[:h, h:]
+        g[h + b:, :h] = f[h:, :h]
+        g[h + b:, h + b:] = f[h:, h:]
+        g[nxt, nxt] = d
+        g[cur, nxt] = c
+        g[nxt, cur] = -c.T
+        sign *= flip
+        step_sign, step_log, rest = _eliminate(g, h, scale)
+        if step_sign == 0:
+            return (0, -math.inf)
+        sign *= step_sign
+        log_mag += step_log
+        f = g[rest:, rest:]
+    last_sign, last_log, _ = _eliminate(f, len(f), scale)
+    return (sign * last_sign, log_mag + last_log)
+
+
+def _interchange(a: np.ndarray, left: np.ndarray, right: np.ndarray, i: int, j: int) -> None:
+    """Interchange nodes i and j of a and of the pending update factors."""
+    _swap(a, i, j)
+    _swap(a.T, i, j)
+    _swap(left, i, j)
+    _swap(right, i, j)
 
 
 def _swap(x: np.ndarray, i: int, j: int) -> None:
@@ -160,37 +260,50 @@ def build_dimer_matrix(spec: LatticeSpec, w: MatchingWeights,
         s2 = -1.0
     elif variant in TORUS_VARIANTS:
         s1, s2, _ = _TORUS_TERMS[variant]
-    h_m = _shift(m, s1)
+    d, c = _dimer_blocks(m, w, s1)
     h_n = _shift(n, s2)
-    q_m = h_m - h_m.T
-    q_n = h_n - h_n.T
-    f_m = np.diag((-1.0) ** (np.arange(m) + 1))
-    return w.z1 * np.kron(np.eye(n), q_m) + w.z2 * np.kron(q_n, f_m)
+    return np.kron(np.eye(n), d) + np.kron(h_n - h_n.T, c)
+
+
+def _dimer_blocks(m: int, w: MatchingWeights, s1: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Column blocks (D, C) of build_dimer_matrix: z1 along the column with
+    wrap sign s1 (0: free), and z2 times (-1)^(i+1) to the next column."""
+    h = _shift(m, s1)
+    return w.z1 * (h - h.T), w.z2 * np.diag((-1.0) ** (np.arange(m) + 1))
 
 
 def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
-    """Matching generating function of the free grid as a single Pfaffian."""
-    spec = LatticeSpec(m, n, "square", "free")
-    return pfaffian_value(build_dimer_matrix(spec, w, "free"))
+    """Matching generating function of the free grid as |Pf| of the free
+    build_dimer_matrix, swept along the longer side.  A count past the float
+    range is a DomainError."""
+    LatticeSpec(m, n, "square", "free")   # rejects sides < 1
+    if (m * n) % 2:
+        raise DomainError("odd site count has no perfect matching")
+    if m > n:
+        m, n, w = n, m, MatchingWeights(w.z2, w.z1)
+    # Kasteleyn: the Pfaffian is the count up to a sign that depends only
+    # on the site order (negative for odd m and n = 2 mod 4)
+    sign, log_mag = _column_sweep(*_dimer_blocks(m, w, 0.0), n, None)
+    return 0.0 if sign == 0 else exp_finite(log_mag, "the dimer count")
 
 
 def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
     """Matching generating function of the toroidal grid:
     (1/2) (-Pf A1 + Pf A2 + Pf A3 + Pf A4).
 
-    The alternating-sign direction must have even length; odd-row grids are
-    transposed first (the torus count is orientation-invariant).  A count
-    past the float range is a DomainError."""
+    The alternating-sign direction must have even length: odd-row grids are
+    transposed first, and so are even ones with more rows than columns,
+    to sweep along the longer side (the torus count is
+    orientation-invariant).  A count past the float range is a DomainError."""
     if (m * n) % 2:
         return 0.0
-    z1, z2 = w.z1, w.z2
-    if m % 2:
-        m, n, z1, z2 = n, m, z2, z1
-    spec = LatticeSpec(m, n, "square", "torus")
-    w = MatchingWeights(z1, z2)
+    if m % 2 or (m > n and n % 2 == 0):
+        m, n, w = n, m, MatchingWeights(w.z2, w.z1)
+    LatticeSpec(m, n, "square", "torus")   # rejects sides < 1
+    blocks = {s1: _dimer_blocks(m, w, s1) for s1 in (1.0, -1.0)}
     terms = []
-    for variant, (_, _, weight) in _TORUS_TERMS.items():
-        sign, log_mag = pfaffian(build_dimer_matrix(spec, w, variant))
+    for s1, s2, weight in _TORUS_TERMS.values():
+        sign, log_mag = _column_sweep(*blocks[s1], n, s2)
         terms.append(_weighted_term(weight, sign, log_mag))
     total_log, total_sign = signed_logsumexp(terms)
     return 0.0 if total_sign == 0 else total_sign * exp_finite(total_log, "the dimer count")
@@ -213,24 +326,6 @@ _A0 = np.array([
 ])
 
 
-def _ising_block_matrix(m: int, n: int, z1: float, z2: float,
-                        s1: float, s2: float) -> np.ndarray:
-    """4mn-dimensional antisymmetric matrix of the cluster construction:
-    each site carries a 4-site internal cluster (R, L, U, D); z1 connects
-    (R, L) of row-neighboring clusters, z2 connects (U, D) of
-    column-neighboring clusters, with wrap signs (s1, s2)."""
-    e1 = np.zeros((4, 4)); e1[0, 1] = 1.0          # (R, L)
-    e2 = np.zeros((4, 4)); e2[2, 3] = 1.0          # (U, D)
-    h_m = _shift(m, s1)
-    h_n = _shift(n, s2)
-    i_m = np.eye(m)
-    i_n = np.eye(n)
-    a = np.kron(i_n, np.kron(i_m, _A0))
-    a += np.kron(i_n, np.kron(h_m, z1 * e1) + np.kron(h_m.T, -z1 * e1.T))
-    a += np.kron(h_n, np.kron(i_m, z2 * e2)) + np.kron(h_n.T, np.kron(i_m, -z2 * e2.T))
-    return a
-
-
 def ising_torus_logdet(m: int, n: int, z1: float, z2: float,
                        s1: float, s2: float) -> float:
     """Closed-form log determinant of a cluster matrix:
@@ -243,6 +338,25 @@ def ising_torus_logdet(m: int, n: int, z1: float, z2: float,
     double product with x = z2, y = z1; -inf when a factor vanishes."""
     return _kacward_log_product(m, n, z2, z1, "integer" if s1 > 0 else "half",
                                 "integer" if s2 > 0 else "half")
+
+
+def _ising_blocks(m: int, z1: float, z2: float, s1: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Column blocks (D, C) of the cluster matrix with m sites per column:
+    D holds the 4-node clusters (R, L, U, D) of one column and the z1 bonds
+    from R of site i to L of site i+1 (wrap sign s1 on the last); C couples
+    U of each site to D of the same site in the next column with z2."""
+    b = 4 * m
+    sites = np.arange(m)
+    d = np.zeros((b, b))
+    d.reshape(m, 4, m, 4)[sites, :, sites, :] = _A0
+    r, l = 4 * sites, 4 * ((sites + 1) % m) + 1
+    bond = np.full(m, z1)
+    bond[-1] *= s1
+    d[r, l] += bond
+    d[l, r] -= bond
+    c = np.zeros((b, b))
+    c[4 * sites + 2, 4 * sites + 3] = z2
+    return d, c
 
 
 def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
@@ -259,24 +373,27 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
         raise DomainError("torus needs both sides >= 2")
     if not (k_h > 0 and k_v > 0):
         raise DomainError("couplings must be positive")
-    if 4 * m * n > MAX_DIM:
-        raise CapacityError(f"cluster matrix dimension {4*m*n} exceeds {MAX_DIM}")
+    if m > n:
+        # the torus transposed: columns of min(m, n) sites make the fronts small
+        m, n, k_h, k_v = n, m, k_v, k_h
     z1 = math.tanh(k_v)   # row-direction bonds couple neighboring rows
     z2 = math.tanh(k_h)
+    blocks = {s1: _ising_blocks(m, z1, z2, s1) for s1 in (1.0, -1.0)}
     variants = []
-    for s1, s2, weight in _TORUS_TERMS.values():
-        sign, log_mag = pfaffian(_ising_block_matrix(m, n, z1, z2, s1, s2))
+    for variant, (s1, s2, weight) in _TORUS_TERMS.items():
+        sign, log_mag = _column_sweep(*blocks[s1], n, s2)
         log_det = ising_torus_logdet(m, n, z1, z2, s1, s2)
-        variants.append((weight, sign, log_mag, log_det))
-    top = max(lm for _, s, lm, _ in variants if s != 0)
+        variants.append((variant, weight, sign, log_mag, log_det))
+    top = max(lm for _, _, s, lm, _ in variants if s != 0)
     terms = []
-    for weight, sign, log_mag, log_det in variants:
+    for variant, weight, sign, log_mag, log_det in variants:
         # near criticality one wrap-sign matrix is almost singular; its
         # Pfaffian is pure roundoff and its term is negligible, so the
         # determinant cross-check only applies to contributing variants
         if sign != 0 and log_mag > top - 15.0 and not math.isclose(
                 2.0 * log_mag, log_det, rel_tol=1e-8, abs_tol=1e-8):
-            raise AssertionError("Pfaffian^2 disagrees with the closed-form determinant")
+            raise DomainError(f"{variant}: Pfaffian^2 gives log det {2.0 * log_mag!r}, "
+                              f"the closed form {log_det!r}")
         terms.append(_weighted_term(weight, sign, log_mag))
     log_sum, total_sign = signed_logsumexp(terms)
     if (m * n) % 2:

@@ -56,6 +56,9 @@ def gamma_spectrum(n: int, k_t: float, k_s: float) -> np.ndarray:
     if not (k_s >= 0.0 and math.isfinite(k_s)):
         raise DomainError("k_s must be non-negative")
     kd = dual_coupling(k_t)
+    if not math.isfinite(2.0 * (kd + k_s)):
+        raise DomainError(f"the gamma spectrum at k_t = {k_t!r}, k_s = {k_s!r} "
+                          "is past the float range")
     theta = angle_grid("integer", 2 * n)
     w = 0.5 * np.sqrt(math.exp(-4.0 * min(kd, k_s)) * math.expm1(-2.0 * abs(kd - k_s)) ** 2
                       + np.sin(0.5 * theta) ** 2 * (math.expm1(-4.0 * kd)

@@ -14,7 +14,8 @@ value is 1/k).
 The correlation integrals A(K, k) and B(K, k) are evaluated in the angle
 tan(alpha) = sinh(x), where both integrands are analytic on [0, pi/2] for
 every k > 0; a fixed 128-node Gauss-Legendre rule integrates them to
-roundoff.
+roundoff, on one panel for k <= 1 and on panels two decades wide past the
+knee at alpha = 1/k for k > 1.
 """
 
 from __future__ import annotations
@@ -151,20 +152,31 @@ def _angle_rule(k_arg: float, k: float):
 
     phi is evaluated as 2 arctan(tanh K), which is finite for every K and
     equals pi/2 at K = inf; the square root as cos^2 + k^2 sin^2, which does
-    not cancel near alpha = pi/2 for small k."""
+    not cancel near alpha = pi/2 for small k.  For k > 1 the kernel falls
+    from 1 to ~1/(k alpha) around the knee alpha = 1/k, so [0, phi] is split
+    there and then every two decades: the rule is applied on [0, 1/k],
+    [1/k, 100/k], [100/k, 10^4/k], ... (one panel while phi <= 1/k)."""
     nodes, weights = _gauss_legendre()
-    half = math.atan(math.tanh(k_arg))   # phi / 2
-    alpha = half * (nodes + 1.0)
+    phi = 2.0 * math.atan(math.tanh(k_arg))
+    edges = [0.0]
+    knee = 1.0 / k if k > 0.0 else math.inf
+    while knee < phi:
+        edges.append(knee)
+        knee *= 100.0
+    edges.append(phi)
+    lo = np.array(edges[:-1])[:, None]
+    half = 0.5 * (np.array(edges[1:])[:, None] - lo)
+    alpha = (lo + half * (nodes + 1.0)).ravel()
     sin2 = np.sin(alpha) ** 2
-    return sin2, half * weights / np.sqrt(np.cos(alpha) ** 2 + k * k * sin2)
+    return sin2, (half * weights).ravel() / np.sqrt(np.cos(alpha) ** 2 + k * k * sin2)
 
 
 def integral_a(k_arg: float, k: float) -> float:
     """A(K, k) = int_0^{2K} dx / sqrt(1 + k^2 sinh^2 x)
                = int_0^phi dalpha / sqrt(1 - (1-k^2) sin^2 alpha)
 
-    under tan(alpha) = sinh(x), with phi = arctan(sinh 2K); a 128-node
-    Gauss-Legendre rule on [0, phi].  The infinite integral is the complete
+    under tan(alpha) = sinh(x), with phi = arctan(sinh 2K); 128-node
+    Gauss-Legendre panels on [0, phi], split past the knee at 1/k.  The infinite integral is the complete
     elliptic integral of the complementary modulus, A(inf, k) = K(k')."""
     _, kernel = _angle_rule(k_arg, k)
     return float(kernel.sum())

@@ -72,9 +72,11 @@ def _row_bonds(states: np.ndarray, n: int, k_a: float, k_b: float) -> tuple:
     """k_b times the cyclic in-row bond sum of each row state, less its
     largest value over all rows, and the log shift n |k_a| plus that largest
     value, refused past the float range."""
-    b = k_b * (n - 2.0 * np.bitwise_count(states ^ _rotate(states, n)))
+    with np.errstate(over="ignore"):   # an infinite largest value is refused below
+        b = k_b * (n - 2.0 * np.bitwise_count(states ^ _rotate(states, n)))
     top = float(b.max())
-    return b - top, finite(n * abs(k_a) + top, "the transfer shift")
+    shift = finite(n * abs(k_a) + top, "the transfer shift")
+    return b - top, shift
 
 
 def _inter_row_exponents(n: int, k_a: float) -> np.ndarray:

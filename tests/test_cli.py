@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -254,6 +255,17 @@ def test_kacward_needs_positive_sides(capsys):
 def test_dense_transfer_past_twelve_columns_exit_code(capsys):
     _refused(*_run(capsys, "z", "--method", "transfer", "--rows", "13", "--cols", "13",
                    "--kh", "-0.3", "--kv", "-0.3"), want_code=3)
+
+
+def test_pfaffian_cross_check_failure_exit_code(capsys, monkeypatch):
+    # a Pfaffian^2 that misses its closed-form determinant is a DomainError
+    module = importlib.import_module("isingexact.pfaffian")
+    exact = module.ising_torus_logdet
+    monkeypatch.setattr(module, "ising_torus_logdet", lambda *args: exact(*args) + 1e-6)
+    code, out, err = _run(capsys, "z", "--method", "pfaffian", "--rows", "4", "--cols", "4",
+                          "--kh", "0.3", "--kv", "0.3")
+    _refused(code, out, err)
+    assert "torus1" in err and "closed form" in err
 
 
 @pytest.mark.parametrize("argv", [

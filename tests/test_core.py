@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,10 @@ from isingexact.core import (
     dual_coupling,
     signed_logsumexp,
 )
+from isingexact.oracle import (MatchingWeights, build_lattice_graph, count_matchings_dp,
+                               enumerate_partition_graph)
+from isingexact.spectral import gamma_spectrum, kaufman_partition
+from isingexact.transfer2d import log_z_torus
 
 
 def test_critical_coupling_identities():
@@ -84,3 +89,20 @@ def test_couplings_must_be_finite():
         ReducedCouplings(k_h=math.nan, k_v=0.1)
     with pytest.raises(DomainError):
         ReducedCouplings(k_h=0.1, k_v=0.1, k_d=math.inf)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_matchings_dp(4, 4, MatchingWeights(1e200, 1.0)),
+    lambda: enumerate_partition_graph(build_lattice_graph(
+        LatticeSpec(3, 3), ReducedCouplings(k_h=1e308, k_v=1e308))),
+    lambda: gamma_spectrum(4, 1e308, 1e308),
+    lambda: log_z_torus(4, 4, 1e308, 1e308),
+    lambda: kaufman_partition(4, 4, 1e308, 1e308),
+], ids=["count_matchings_dp", "enumerate_partition_graph", "gamma_spectrum", "log_z_torus",
+        "kaufman_partition"])
+def test_past_the_float_range_is_refused_without_a_warning(call):
+    # a library caller sees the DomainError alone, with no RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()

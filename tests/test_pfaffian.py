@@ -1,10 +1,11 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingexact.core import DomainError, K_CRIT, LatticeSpec, ReducedCouplings
+from isingexact.core import CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings
 from isingexact.oracle import (
     MatchingWeights,
     build_lattice_graph,
@@ -13,7 +14,11 @@ from isingexact.oracle import (
     enumerate_partition_graph,
 )
 from isingexact.pfaffian import (
-    _ising_block_matrix,
+    _A0,
+    _column_sweep,
+    _dimer_blocks,
+    _ising_blocks,
+    _TORUS_TERMS,
     build_dimer_matrix,
     dimer_count_free,
     dimer_count_torus,
@@ -56,6 +61,23 @@ def reference_pfaffian(a):
             w = a[k + 2:, k + 1]
             a[k + 2:, k + 2:] += np.outer(tau, w) - np.outer(w, tau)
     return (sign, log_mag)
+
+
+def _ising_block_matrix(m, n, z1, z2, s1, s2):
+    """4mn-dimensional antisymmetric matrix of the cluster construction,
+    built densely: each site carries a 4-node cluster (R, L, U, D); z1
+    connects (R, L) of row-neighboring clusters, z2 connects (U, D) of
+    column-neighboring clusters, with wrap signs (s1, s2)."""
+    e1 = np.zeros((4, 4)); e1[0, 1] = 1.0          # (R, L)
+    e2 = np.zeros((4, 4)); e2[2, 3] = 1.0          # (U, D)
+    h_m = np.eye(m, k=1); h_m[m - 1, 0] = s1
+    h_n = np.eye(n, k=1); h_n[n - 1, 0] = s2
+    i_m = np.eye(m)
+    i_n = np.eye(n)
+    a = np.kron(i_n, np.kron(i_m, _A0))
+    a += np.kron(i_n, np.kron(h_m, z1 * e1) + np.kron(h_m.T, -z1 * e1.T))
+    a += np.kron(h_n, np.kron(i_m, z2 * e2)) + np.kron(h_n.T, np.kron(i_m, -z2 * e2.T))
+    return a
 
 
 def _assert_matches_reference(a):
@@ -284,3 +306,107 @@ def test_counts_past_the_float_range_are_domain_errors():
         pfaffian_value(1e200 * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(DomainError, match="float range"):
         ising_pfaffian_torus(4, 4, 1e308, 1e308)
+
+
+# ------------------------------------------------------------ column-front sweep
+
+def _block_matrix(d, c, n, wrap):
+    """The dense n-column matrix I (x) D + H (x) C - H^T (x) C^T of a sweep."""
+    h = np.eye(n, k=1)
+    h[n - 1, 0] += 0.0 if wrap is None else wrap
+    return np.kron(np.eye(n), d) + np.kron(h, c) - np.kron(h.T, c.T)
+
+
+def _assert_same_pfaffian(got, want):
+    assert got[0] == want[0], (got, want)
+    if want[0]:
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-11)
+
+
+_SWEEP_COUPLINGS = [1e-300, 1e-8, 0.3, K_CRIT, 1.2, 2.0, 5.0, 10.0, 18.0, 80.0, 400.0]
+
+
+@pytest.mark.parametrize("m,n", [(3, 5), (5, 3), (5, 7), (2, 12), (12, 2), (6, 6)])
+@pytest.mark.parametrize("k", _SWEEP_COUPLINGS)
+def test_sweep_matches_dense_cluster_pfaffian(m, n, k):
+    # 6 x 6 at K = 2 and 3 x 5 at K = 5 break a sweep whose pivots need only
+    # clear an absolute 1e-12; large K breaks pivoting within one column
+    for z1, z2 in ((math.tanh(k), math.tanh(k)), (math.tanh(0.6 * k), math.tanh(k))):
+        for s1, s2, _ in _TORUS_TERMS.values():
+            d, c = _ising_blocks(m, z1, z2, s1)
+            assert np.array_equal(_block_matrix(d, c, n, s2),
+                                  _ising_block_matrix(m, n, z1, z2, s1, s2))
+            _assert_same_pfaffian(_column_sweep(d, c, n, s2),
+                                  pfaffian(_ising_block_matrix(m, n, z1, z2, s1, s2)))
+
+
+@pytest.mark.parametrize("m,n", [(2, 12), (12, 2), (4, 7), (6, 5), (3, 4), (4, 1), (1, 6), (2, 2)])
+@pytest.mark.parametrize("z1,z2", [(1.0, 1.0), (1.7, 0.4), (0.2, 3.0), (1e-8, 1.0)])
+def test_sweep_matches_dense_dimer_pfaffian(m, n, z1, z2):
+    w = MatchingWeights(z1, z2)
+    spec = LatticeSpec(m, n)
+    cases = [("free", 0.0, None)] + [(v, s1, s2) for v, (s1, s2, _) in _TORUS_TERMS.items()]
+    for variant, s1, wrap in cases:
+        d, c = _dimer_blocks(m, w, s1)
+        want = build_dimer_matrix(spec, w, variant)
+        assert np.array_equal(_block_matrix(d, c, n, wrap), want)
+        _assert_same_pfaffian(_column_sweep(d, c, n, wrap), pfaffian(want))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sweep_of_one_column_wraps_onto_itself(m):
+    # H = [[wrap]]: U and D of each cluster are joined by wrap * z2
+    for s1, s2, _ in _TORUS_TERMS.values():
+        d, c = _ising_blocks(m, 0.4, 0.7, s1)
+        want = _ising_block_matrix(m, 1, 0.4, 0.7, s1, s2)
+        assert np.array_equal(_block_matrix(d, c, 1, s2), want)
+        _assert_same_pfaffian(_column_sweep(d, c, 1, s2), pfaffian(want))
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (5, 7), (8, 8), (4, 12)])
+def test_sweep_singular_at_criticality(m, n):
+    # the (+, +) cluster matrix is exactly singular at K_c
+    z = math.tanh(K_CRIT)
+    assert _column_sweep(*_ising_blocks(m, z, z, 1.0), n, 1.0) == (0, -math.inf)
+
+
+@pytest.mark.parametrize("m,n,kh,kv", [(3, 5, 0.3, 0.6), (2, 7, 0.9, 0.2), (4, 6, K_CRIT, 0.5),
+                                        (5, 8, 2.0, 0.1), (12, 2, 0.4, 0.4)])
+def test_ising_pfaffian_transpose(m, n, kh, kv):
+    got = ising_pfaffian_torus(m, n, kh, kv)
+    assert ising_pfaffian_torus(n, m, kv, kh) == pytest.approx(got, rel=1e-13)
+    assert got == pytest.approx(kacward_log_z(m, n, kh, kv), rel=1e-11)
+
+
+@pytest.mark.parametrize("kh,kv", [(K_CRIT, K_CRIT), (0.3, 0.6)])
+def test_torus_past_the_dense_ceiling(kh, kv):
+    # four sweeps of 64 fronts of dimension 768: the cluster matrix would
+    # have dimension 16384, four times the dense ceiling
+    got = ising_pfaffian_torus(64, 64, kh, kv)
+    assert got == pytest.approx(kaufman_partition(64, 64, kv, kh), rel=1e-9)
+    assert got == pytest.approx(kacward_log_z(64, 64, kh, kv), rel=1e-9)
+
+
+def test_sweep_capacity_is_refused_up_front():
+    with pytest.raises(CapacityError, match="sweep ceiling"):
+        ising_pfaffian_torus(65, 65, 0.3, 0.3)
+    with pytest.raises(CapacityError, match="sweep ceiling"):
+        ising_pfaffian_torus(2, 10 ** 9, 0.3, 0.3)
+    with pytest.raises(CapacityError, match="sweep ceiling"):
+        dimer_count_free(1000, 1000)
+
+
+def test_determinant_cross_check_failure_is_a_domain_error(monkeypatch):
+    # isingexact.pfaffian is the re-exported function; patch the module
+    module = importlib.import_module("isingexact.pfaffian")
+    monkeypatch.setattr(module, "ising_torus_logdet",
+                        lambda *args: ising_torus_logdet(*args) + 1e-6)
+    with pytest.raises(DomainError, match=r"torus1: Pfaffian\^2 gives log det .*, the closed form"):
+        ising_pfaffian_torus(4, 4, 0.3, 0.3)
+
+
+def test_free_dimer_count_is_positive_for_every_site_order():
+    # the free Pfaffian is -count for odd m and n = 2 mod 4 in this site order
+    for m, n, want in [(3, 2, 3.0), (1, 2, 1.0), (3, 6, 41.0), (2, 3, 3.0), (5, 2, 8.0)]:
+        assert dimer_count_free(m, n) == pytest.approx(want, rel=1e-12)
+        assert dimer_count_free(m, n) == pytest.approx(count_matchings(m, n), rel=1e-12)

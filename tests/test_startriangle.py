@@ -127,6 +127,22 @@ def test_integrals_match_adaptive_quadrature(k_arg, k):
     assert integral_b(k_arg, k) == pytest.approx(reference_integral_b(k_arg, k), rel=1e-11)
 
 
+@pytest.mark.parametrize("k_arg,k", [(1e-5, 2.5e9), (1e-3, 2.5e5)])
+def test_integrals_past_the_knee_at_large_modulus(k_arg, k):
+    # the kernel falls from 1 to ~1/(k alpha) within alpha ~ 1/k of the origin
+    phi = 2.0 * math.atan(math.tanh(k_arg))
+
+    def reference(weight):
+        val, _ = quad(lambda t: weight(t) / math.sqrt(math.cos(t) ** 2 + (k * math.sin(t)) ** 2),
+                      0.0, phi, points=[1.0 / k, 10.0 / k, 100.0 / k], epsabs=0.0,
+                      epsrel=1e-13, limit=400)
+        return val
+
+    assert integral_a(k_arg, k) == pytest.approx(reference(lambda t: 1.0), rel=1e-12, abs=0.0)
+    assert integral_b(k_arg, k) == pytest.approx(reference(lambda t: math.sin(t) ** 2),
+                                                 rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("k", [0.2, 0.5, 0.8, 1.5, 2.2])
 def test_infinite_argument_normalization(k):
     a, b = ab_coefficients(k)
@@ -196,3 +212,7 @@ def test_energy_at_tiny_couplings():
     v = math.tanh(1e-8)
     assert square_lattice_energy(1e-8, 1e-8) == pytest.approx(
         2.0 * v + 4.0 * v ** 3 * (1.0 - v * v), rel=1e-15, abs=0.0)
+    # at K = 1e-5 the modulus is 2.5e9, and A needs the knee at 1/k resolved
+    v = math.tanh(1e-5)
+    assert square_lattice_energy(1e-5, 1e-5) == pytest.approx(
+        2.0 * v + 4.0 * v ** 3 * (1.0 - v * v), rel=1e-13, abs=0.0)
