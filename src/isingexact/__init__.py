@@ -14,7 +14,6 @@ from .core import (
     MethodResult,
     ReducedCouplings,
     dual_coupling,
-    signed_logsumexp,
 )
 from .oracle import (
     MatchingWeights,
@@ -65,7 +64,7 @@ from .startriangle import (
 
 __all__ = [
     "K_CRIT", "CapacityError", "DomainError", "LatticeSpec", "MethodResult",
-    "ReducedCouplings", "dual_coupling", "signed_logsumexp",
+    "ReducedCouplings", "dual_coupling",
     "MatchingWeights", "WeightedGraph", "build_lattice_graph",
     "count_matchings", "count_matchings_dp", "enumerate_partition_graph",
     "ChainParams", "induction_closed", "recursive_open", "transfer_closed",

@@ -34,19 +34,38 @@ def transfer_closed(p: ChainParams) -> float:
     """ln(lambda_1^N + lambda_2^N) with
     lambda_{1,2} = e^k [cosh h +- sqrt(sinh^2 h + e^{-4k})].
 
-    Computed in log space by factoring out the dominant eigenvalue, so N can
-    be arbitrarily large.  The N = 2 closed chain carries a doubled bond
-    (both directions around the ring), consistent with the enumeration
-    oracle's multi-edge convention.
+    Computed in log space: both eigenvalues are taken in units of e^{k+c},
+    c = max(|h|, -2k) the larger of the scales of cosh h and of the root,
+    so no exp overflows and N can be arbitrarily large.  For k < 0 and odd N,
+    lambda_2^N < 0 cancels lambda_1^N down to the frustrated ground states;
+    there Z = (lambda_1 + lambda_2) sum_{j<N} lambda_1^j |lambda_2|^{N-1-j},
+    with lambda_1 + lambda_2 = 2 e^k cosh h and 1 - |lambda_2|/lambda_1 =
+    2 cosh h e^{k}/lambda_1 taken directly.  The N = 2 closed chain carries
+    a doubled bond (both directions around the ring), consistent with the
+    enumeration oracle's multi-edge convention.
     """
     if not p.closed:
         raise DomainError("transfer_closed expects a closed chain")
     k, h, n = p.k, p.h, p.n_spins
-    root = math.sqrt(math.sinh(h) ** 2 + math.exp(-4.0 * k))
-    lam1 = math.cosh(h) + root          # both in units of e^k
-    lam2 = math.cosh(h) - root
-    ratio = lam2 / lam1
-    return n * (k + math.log(lam1)) + math.log1p(ratio ** n)
+    ah = abs(h)
+    c = max(ah, -2.0 * k)
+    cosh_h = 0.5 * math.exp(ah - c) * (1.0 + math.exp(-2.0 * ah))
+    sinh_h = -0.5 * math.exp(ah - c) * math.expm1(-2.0 * ah)
+    root = math.sqrt(sinh_h ** 2 + math.exp(-4.0 * k - 2.0 * c))
+    lam1 = cosh_h + root          # both in units of e^{k+c}
+    lam2 = cosh_h - root
+    if k < 0.0 and n % 2:
+        d = 2.0 * cosh_h / lam1   # 1 - |lambda_2| / lambda_1
+        # the geometric sum (1 - (1 - d)^N) / d is N once N d is below roundoff
+        if n * d < 1e-16:
+            geometric = float(n)
+        elif d < 1.0:
+            geometric = -math.expm1(n * math.log1p(-d)) / d
+        else:                     # lambda_2 rounds to 0
+            geometric = 1.0
+        return (math.log(2.0) + k + log_cosh(h) + (n - 1) * (k + c + math.log(lam1))
+                + math.log(geometric))
+    return n * (k + c + math.log(lam1)) + math.log1p((lam2 / lam1) ** n)
 
 
 def recursive_open(p: ChainParams) -> float:
@@ -85,24 +104,28 @@ def induction_closed(p: ChainParams) -> float:
     """Closed chain by induction on the boundary-resolved vector
     (Z^{++}, Z^{+-}, Z^{-+}, Z^{--}): inserting a spin between the ends acts
     as a fixed block-diagonal 4x4 recurrence matrix M, so
-    z_N = M^{N-1} z_1 and Z = sum(z_N)."""
+    z_N = M^{N-1} z_1 and Z = sum(z_N).
+
+    Each row of M has two nonzero entries e^{x}, so the recurrence runs on
+    ln z by np.logaddexp, which shifts each pair by its larger term: the
+    components may differ by more than the float range (e^{1600} between
+    Z^{++} and Z^{+-} of a ring at k = -400), and none is lost.  ln z is
+    shifted by its largest component each step, as z was renormalized."""
     if not p.closed:
         raise DomainError("induction_closed expects a closed chain")
     if p.n_spins < 2:
         raise DomainError("induction needs at least two spins")
     k, h = p.k, p.h
-    m = np.array([
-        [math.exp(k + h), math.exp(k + h), 0.0, 0.0],
-        [math.exp(-(3.0 * k + h)), math.exp(k - h), 0.0, 0.0],
-        [0.0, 0.0, math.exp(k + h), math.exp(-(3.0 * k - h))],
-        [0.0, 0.0, math.exp(k - h), math.exp(k - h)],
-    ])
-    z = np.array([math.exp(k + h), 0.0, 0.0, math.exp(k - h)])
+    # row i of M: e^{x1[i]} at column cols1[i], e^{x2[i]} at column cols2[i]
+    x1 = np.array([k + h, -(3.0 * k + h), k + h, k - h])
+    x2 = np.array([k + h, k - h, -(3.0 * k - h), k - h])
+    cols1, cols2 = [0, 0, 2, 2], [1, 1, 3, 3]
+    log_z = np.array([k + h, -np.inf, -np.inf, k - h])
     log_scale = 0.0
     for _ in range(p.n_spins - 1):
-        z = m @ z
-        norm = z.sum()
-        z /= norm
-        log_scale += math.log(norm)
-    return log_scale + math.log(z.sum())
-
+        log_z = np.logaddexp(x1 + log_z[cols1], x2 + log_z[cols2])
+        top = log_z.max()
+        log_z -= top
+        log_scale += top
+    return float(log_scale + np.logaddexp(np.logaddexp(log_z[0], log_z[1]),
+                                          np.logaddexp(log_z[2], log_z[3])))

@@ -31,35 +31,28 @@ class CapacityError(RuntimeError):
     """Problem size exceeds the hard limits of an exact method."""
 
 
-def signed_logsumexp(terms) -> tuple:
-    """log |sum_i s_i e^{l_i}| and its sign, from (log-magnitude, sign) pairs.
+def log_sum(log_terms, weights=1.0, what: str = "the sum") -> float:
+    """ln sum_i w_i e^{l_i}, shifted by the largest l_i of nonzero weight.
 
-    Terms with sign 0 are ignored.  Returns (-inf, 0) for an exact
-    cancellation or an empty sum.
-    """
-    terms = [(l, s) for l, s in terms if s != 0]
-    if not terms:
-        return (-math.inf, 0)
-    top = max(l for l, _ in terms)
-    if top == -math.inf:
-        return (-math.inf, 0)
-    acc = 0.0
-    for l, s in terms:
-        acc += s * math.exp(l - top)
-    if acc == 0.0:
-        return (-math.inf, 0)
-    return (top + math.log(abs(acc)), 1 if acc > 0 else -1)
-
-
-def logsumexp(log_terms, weights=1.0) -> float:
-    """ln sum_i w_i e^{l_i}, shifted by the largest l_i.  A non-finite
-    largest term (inf, nan, or -inf when every term is -inf) is returned as
-    is, for the caller's finite() to judge."""
+    The weights are real and may be negative (the signed four-term sums of
+    the torus routes).  An exact cancellation or an empty sum is -inf; a
+    non-finite largest term (inf, nan, or -inf when every term is -inf) is
+    returned as is, for the caller's finite() to judge; a negative sum is a
+    DomainError naming `what`."""
     log_terms = np.asarray(log_terms, dtype=np.float64)
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), log_terms.shape)
+    live = weights != 0.0
+    if not live.all():
+        log_terms, weights = log_terms[live], weights[live]
+    if log_terms.size == 0:
+        return -math.inf
     top = log_terms.max()
     if not np.isfinite(top):
         return float(top)
-    return float(top + np.log(np.sum(weights * np.exp(log_terms - top))))
+    total = np.sum(weights * np.exp(log_terms - top))
+    if total < 0.0:
+        raise DomainError(f"{what} lost positivity: the signed sum is negative")
+    return -math.inf if total == 0.0 else float(top + np.log(total))
 
 
 def angle_grid(parity: str, length: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, ReducedCouplings, finite,
-                   logsumexp)
+                   log_sum)
 
 MAX_ENUM_SITES = 26
 # sites in the low half of the DOS split (low states are held as uint16)
@@ -214,7 +214,7 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
         for k, c, pairs in groups:
             rest, count = np.divmod(rest, len(pairs) + 1)
             energy += k * c * (len(pairs) - 2.0 * count)
-    log_z = logsumexp(energy, dos[occupied])
+    log_z = log_sum(energy, dos[occupied])
     return finite(log_z - math.log(2.0) if h != 0.0 else log_z, "ln Z")
 
 
@@ -233,8 +233,8 @@ def _enumerate_direct(g: WeightedGraph, h: float) -> float:
             e += k * (1.0 - 2.0 * par)
         if h != 0.0:
             e += h * (n - 2.0 * np.bitwise_count(idx).astype(np.float64))
-        chunk_log_sums.append(logsumexp(e))
-    return logsumexp(chunk_log_sums)
+        chunk_log_sums.append(log_sum(e))
+    return log_sum(chunk_log_sums)
 
 
 # ---------------------------------------------------------------------------

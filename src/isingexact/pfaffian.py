@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, exp_finite, finite, log_cosh,
-                   signed_logsumexp)
+                   log_sum)
 from .oracle import MatchingWeights
 from .spectral import _kacward_log_product
 
@@ -301,17 +301,12 @@ def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) ->
         m, n, w = n, m, MatchingWeights(w.z2, w.z1)
     LatticeSpec(m, n, "square", "torus")   # rejects sides < 1
     blocks = {s1: _dimer_blocks(m, w, s1) for s1 in (1.0, -1.0)}
-    terms = []
+    log_mags, weights = [], []
     for s1, s2, weight in _TORUS_TERMS.values():
         sign, log_mag = _column_sweep(*blocks[s1], n, s2)
-        terms.append(_weighted_term(weight, sign, log_mag))
-    total_log, total_sign = signed_logsumexp(terms)
-    return 0.0 if total_sign == 0 else total_sign * exp_finite(total_log, "the dimer count")
-
-
-def _weighted_term(weight: float, sign: int, log_mag: float) -> Tuple[float, int]:
-    """weight * sign * e^log_mag as a (log-magnitude, sign) pair."""
-    return (log_mag + math.log(abs(weight)), sign * (1 if weight > 0 else -1))
+        log_mags.append(log_mag)
+        weights.append(weight * sign)
+    return exp_finite(log_sum(log_mags, weights, "the dimer count"), "the dimer count")
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +362,9 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     where the A_i are the four cluster matrices with wrap-sign choices
     (+,+), (+,-), (-,+), (-,-) and bond fugacities z = tanh k.  Each
     Pfaffian is cross-checked against the closed-form determinant of the
-    same matrix.
+    same matrix.  core.log_sum adds the four log magnitudes, each weighted
+    by its coefficient above, the Pfaffian's sign and -1 for an odd site
+    count.
     """
     if m < 2 or n < 2:
         raise DomainError("torus needs both sides >= 2")
@@ -379,29 +376,25 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     z1 = math.tanh(k_v)   # row-direction bonds couple neighboring rows
     z2 = math.tanh(k_h)
     blocks = {s1: _ising_blocks(m, z1, z2, s1) for s1 in (1.0, -1.0)}
+    # an odd site count flips the global Pfaffian sign (site-ordering
+    # permutation parity); the relative sign pattern is unchanged
+    parity = -1.0 if (m * n) % 2 else 1.0
     variants = []
     for variant, (s1, s2, weight) in _TORUS_TERMS.items():
         sign, log_mag = _column_sweep(*blocks[s1], n, s2)
         log_det = ising_torus_logdet(m, n, z1, z2, s1, s2)
-        variants.append((variant, weight, sign, log_mag, log_det))
-    top = max(lm for _, _, s, lm, _ in variants if s != 0)
-    terms = []
-    for variant, weight, sign, log_mag, log_det in variants:
+        variants.append((variant, parity * weight * sign, log_mag, log_det))
+    top = max(lm for _, w, lm, _ in variants if w != 0)
+    for variant, w, log_mag, log_det in variants:
         # near criticality one wrap-sign matrix is almost singular; its
         # Pfaffian is pure roundoff and its term is negligible, so the
         # determinant cross-check only applies to contributing variants
-        if sign != 0 and log_mag > top - 15.0 and not math.isclose(
+        if w != 0 and log_mag > top - 15.0 and not math.isclose(
                 2.0 * log_mag, log_det, rel_tol=1e-8, abs_tol=1e-8):
             raise DomainError(f"{variant}: Pfaffian^2 gives log det {2.0 * log_mag!r}, "
                               f"the closed form {log_det!r}")
-        terms.append(_weighted_term(weight, sign, log_mag))
-    log_sum, total_sign = signed_logsumexp(terms)
-    if (m * n) % 2:
-        # odd site count flips the global Pfaffian sign (site-ordering
-        # permutation parity); the relative sign pattern is unchanged
-        total_sign = -total_sign
-    if total_sign <= 0:
-        raise DomainError("four-Pfaffian combination lost positivity")
     pref = m * n * (math.log(2.0) + log_cosh(k_h) + log_cosh(k_v))
-    return finite(pref + log_sum, "ln Z")
+    return finite(pref + log_sum([lm for _, _, lm, _ in variants],
+                                 [w for _, w, _, _ in variants], "the four-Pfaffian sum"),
+                  "ln Z")
 

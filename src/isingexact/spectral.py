@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CapacityError, DomainError, ReducedCouplings, angle_grid, dual_coupling,
-                   exp_finite, finite, log_cosh, signed_logsumexp)
+                   exp_finite, finite, log_cosh, log_sum)
 from .oracle import MatchingWeights
 
 
@@ -88,7 +88,8 @@ def kaufman_partition(m: int, n: int, k_t: float, k_s: float) -> float:
 
     with the even-index sinh product carrying the signed gamma_0, so the
     final term changes sign with 2(k_t* - k_s) and one code path is valid on
-    both sides of the critical point.
+    both sides of the critical point: core.log_sum adds the four log
+    products with weights (1, 1, 1, -sign gamma_0).
     """
     if m < 1 or n < 1:
         raise DomainError("lattice sides must be positive")
@@ -101,15 +102,12 @@ def kaufman_partition(m: int, n: int, k_t: float, k_s: float) -> float:
     # exp and rounds differently from numpy's vector exp on some hosts
     ax = np.abs(half_m)
     log_2cosh = ax + np.log1p(np.exp(-2.0 * ax))
-    terms = [(float(log_2cosh[1::2].sum()), 1), (float(_log_2sinh_abs(odd).sum()), 1),
-             (float(log_2cosh[0::2].sum()), 1),
-             (float(_log_2sinh_abs(even).sum()), -int(np.sign(half_m[0])))]
-    log_sum, sign = signed_logsumexp(terms)
-    if sign <= 0:
-        raise DomainError("spectral combination lost positivity (invalid couplings?)")
+    terms = [log_2cosh[1::2].sum(), _log_2sinh_abs(odd).sum(),
+             log_2cosh[0::2].sum(), _log_2sinh_abs(even).sum()]
     return finite(-math.log(2.0)
                   + 0.5 * m * n * float(_log_2sinh_abs(2.0 * k_t))
-                  + log_sum, "ln Z")
+                  + log_sum(terms, (1.0, 1.0, 1.0, -np.sign(half_m[0])), "the spectral sum"),
+                  "ln Z")
 
 
 def kacward_products(m: int, n: int, k_h: float, k_v: float,
@@ -163,18 +161,17 @@ def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
     overflow.  The integer/integer product is the square of the signed sinh
     term of the spectral four-product, so its square root must re-enter with
     that temperature-dependent sign; at the critical manifold the product
-    vanishes and the term drops out.
+    vanishes and the term drops out.  core.log_sum adds the four half-logs
+    with weights (s, 1, 1, 1).
     """
     parities = [GridParity("integer", "integer"), GridParity("integer", "half"),
                 GridParity("half", "integer"), GridParity("half", "half")]
     s1 = float(_log_2sinh_abs(2.0 * k_h) + _log_2sinh_abs(2.0 * k_v)) - 2.0 * math.log(2.0)
-    signs = [0 if s1 == 0.0 else (1 if s1 > 0 else -1), 1, 1, 1]
-    log_sum, sign = signed_logsumexp(
-        (0.5 * kacward_products(m, n, k_h, k_v, gp), sgn) for gp, sgn in zip(parities, signs))
-    if sign <= 0:
-        raise DomainError("parity-product combination lost positivity")
+    half_logs = [0.5 * kacward_products(m, n, k_h, k_v, gp) for gp in parities]
     pref = m * n * (math.log(2.0) + log_cosh(k_h) + log_cosh(k_v))
-    return finite(-math.log(2.0) + pref + log_sum, "ln Z")
+    return finite(-math.log(2.0) + pref
+                  + log_sum(half_logs, (np.sign(s1), 1.0, 1.0, 1.0), "the parity-product sum"),
+                  "ln Z")
 
 
 def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:

@@ -15,7 +15,8 @@ The correlation integrals A(K, k) and B(K, k) are evaluated in the angle
 tan(alpha) = sinh(x), where both integrands are analytic on [0, pi/2] for
 every k > 0; a fixed 128-node Gauss-Legendre rule integrates them to
 roundoff, on one panel for k <= 1 and on panels two decades wide past the
-knee at alpha = 1/k for k > 1.
+knee at alpha = 1/k for k > 1.  Past K = 2 the end near pi/2 is integrated
+in beta = pi/2 - alpha, on panels graded from pi/2 - phi.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import DomainError, finite
+from .core import DomainError, exp_finite, finite, log_cosh
+from .spectral import _log_2sinh_abs
 
 
 @dataclass(frozen=True)
@@ -89,38 +91,48 @@ def elliptic_k_series(k: float, terms: int = 60) -> float:
 
 def star_to_triangle(l1: float, l2: float, l3: float) -> StarTriangleMap:
     """Triangle couplings, scale factor R and modulus k for a star
-    (L1, L2, L3).  All stored invariants are verified to 1e-10 before the
-    map is returned."""
+    (L1, L2, L3).
+
+    Every quantity is taken in log form, so no coupling overflows: the
+    pairwise sums 2(K_a + K_b) as differences of ln cosh, ln R =
+    ln 2 + ln cosh(L1 + L2 + L3) - (K1 + K2 + K3), and the stored
+    invariants sinh 2K_i sinh 2L_i = 1/k and R^2 = 2k prod sinh 2L_i, which
+    are verified to 1e-10 before the map is returned.  A failed invariant,
+    or an R or k outside the float range, is a DomainError."""
     for l in (l1, l2, l3):
         if not (l > 0 and math.isfinite(l)):
             raise DomainError("star couplings must be positive")
-    c_all = math.cosh(l1 + l2 + l3)
+    c_all = log_cosh(l1 + l2 + l3)
     # pairwise sums 2(K_a + K_b) from the three log-ratio relations
-    s12 = math.log(c_all / math.cosh(l1 + l2 - l3))
-    s23 = math.log(c_all / math.cosh(l2 + l3 - l1))
-    s31 = math.log(c_all / math.cosh(l3 + l1 - l2))
+    s12 = c_all - log_cosh(l1 + l2 - l3)
+    s23 = c_all - log_cosh(l2 + l3 - l1)
+    s31 = c_all - log_cosh(l3 + l1 - l2)
     k1 = (s12 + s31 - s23) / 4.0
     k2 = (s12 + s23 - s31) / 4.0
     k3 = (s23 + s31 - s12) / 4.0
-    r = 2.0 * c_all / math.exp(k1 + k2 + k3)
+    log_r = math.log(2.0) + c_all - (k1 + k2 + k3)
     mod = modulus_k(k1, k2, k3)
+    if mod == 0.0:
+        raise DomainError(f"the modulus k of the star {(l1, l2, l3)!r} is below the float range")
 
-    # invariant checks
-    prods = [math.sinh(2 * ka) * math.sinh(2 * lb)
-             for ka, lb in zip((k1, k2, k3), (l1, l2, l3))]
-    for p in prods:
-        if abs(p * mod - 1.0) > 1e-10:
-            raise AssertionError("sinh 2K sinh 2L = 1/k violated")
-    r2 = 2.0 * mod * math.sinh(2 * l1) * math.sinh(2 * l2) * math.sinh(2 * l3)
-    if abs(r * r / r2 - 1.0) > 1e-10:
-        raise AssertionError("R^2 identity violated")
-    return StarTriangleMap(K=(k1, k2, k3), R=r, k_modulus=mod)
+    # invariant checks, in log form
+    log_mod = math.log(mod)
+    log_sinh = [float(_log_2sinh_abs(2.0 * x)) - math.log(2.0) for x in (k1, k2, k3, l1, l2, l3)]
+    for ka, lb in zip(log_sinh[:3], log_sinh[3:]):
+        if not abs(ka + lb + log_mod) <= 1e-10:
+            raise DomainError("sinh 2K sinh 2L = 1/k violated")
+    if not abs(2.0 * log_r - (math.log(2.0) + log_mod + sum(log_sinh[3:]))) <= 1e-10:
+        raise DomainError("R^2 identity violated")
+    return StarTriangleMap(K=(k1, k2, k3), R=exp_finite(log_r, "the scale factor R"),
+                           k_modulus=mod)
 
 
 def modulus_k(k1: float, k2: float, k3: float) -> float:
     """k = (1-v1^2)(1-v2^2)(1-v3^2) /
            (4 sqrt((1+v1v2v3)(v1+v2v3)(v2+v1v3)(v3+v1v2))),  v_r = tanh K_r.
 
+    1 - v^2 = sech^2 K is taken as 4t / (1 + t)^2, t = e^{-2K}, which does
+    not cancel at large K (it underflows to k = 0 past K1 + K2 + K3 ~ 370).
     Degenerate triples (two couplings at zero) make the square root vanish;
     that limit is flagged rather than evaluated."""
     for k in (k1, k2, k3):
@@ -130,8 +142,9 @@ def modulus_k(k1: float, k2: float, k3: float) -> float:
     inner = (1 + v1 * v2 * v3) * (v1 + v2 * v3) * (v2 + v1 * v3) * (v3 + v1 * v2)
     if inner <= 0.0:
         raise DomainError("degenerate coupling triple (modulus undefined)")
-    return ((1 - v1 * v1) * (1 - v2 * v2) * (1 - v3 * v3)
-            / (4.0 * math.sqrt(inner)))
+    t1, t2, t3 = math.exp(-2.0 * k1), math.exp(-2.0 * k2), math.exp(-2.0 * k3)
+    return (4.0 * t1 / (1.0 + t1) ** 2 * (4.0 * t2 / (1.0 + t2) ** 2)
+            * (4.0 * t3 / (1.0 + t3) ** 2) / (4.0 * math.sqrt(inner)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,29 +159,63 @@ def _gauss_legendre() -> tuple:
     return np.polynomial.legendre.leggauss(128)
 
 
-def _angle_rule(k_arg: float, k: float):
-    """sin^2(alpha) at the Gauss-Legendre nodes on [0, phi], phi =
-    arctan(sinh 2K), and the node weights times 1/sqrt(1 - (1-k^2) sin^2 alpha).
+# largest K integrated in alpha alone: phi stays 0.036 below pi/2
+_ALPHA_ONLY = 2.0
 
-    phi is evaluated as 2 arctan(tanh K), which is finite for every K and
-    equals pi/2 at K = inf; the square root as cos^2 + k^2 sin^2, which does
-    not cancel near alpha = pi/2 for small k.  For k > 1 the kernel falls
-    from 1 to ~1/(k alpha) around the knee alpha = 1/k, so [0, phi] is split
-    there and then every two decades: the rule is applied on [0, 1/k],
-    [1/k, 100/k], [100/k, 10^4/k], ... (one panel while phi <= 1/k)."""
-    nodes, weights = _gauss_legendre()
-    phi = 2.0 * math.atan(math.tanh(k_arg))
-    edges = [0.0]
-    knee = 1.0 / k if k > 0.0 else math.inf
-    while knee < phi:
-        edges.append(knee)
+
+def _panels(lo: float, hi: float, knee: float) -> list:
+    """Panel edges on [lo, hi]: split at the knee and then every two decades
+    past it, at the splits that fall inside (lo, hi)."""
+    edges = [lo]
+    while knee < hi:
+        if knee > lo:
+            edges.append(knee)
         knee *= 100.0
-    edges.append(phi)
+    edges.append(hi)
+    return edges
+
+
+def _gauss_panels(edges: list):
+    """The 128-node Gauss-Legendre nodes and weights on each panel."""
+    nodes, weights = _gauss_legendre()
     lo = np.array(edges[:-1])[:, None]
     half = 0.5 * (np.array(edges[1:])[:, None] - lo)
-    alpha = (lo + half * (nodes + 1.0)).ravel()
-    sin2 = np.sin(alpha) ** 2
-    return sin2, (half * weights).ravel() / np.sqrt(np.cos(alpha) ** 2 + k * k * sin2)
+    return (lo + half * (nodes + 1.0)).ravel(), (half * weights).ravel()
+
+
+def _angle_rule(k_arg: float, k: float):
+    """sin^2 alpha and cos^2 alpha at the Gauss-Legendre nodes on [0, phi],
+    phi = arctan(sinh 2K), and the node weights times
+    1/sqrt(1 - (1-k^2) sin^2 alpha) = 1/sqrt(cos^2 + k^2 sin^2).
+
+    For k > 1 the kernel falls from 1 to ~1/(k alpha) around the knee
+    alpha = 1/k, so [0, phi] is split there and then every two decades:
+    the rule is applied on [0, 1/k], [1/k, 100/k], ...  Up to K = 2, phi =
+    2 arctan(tanh K) is at least 0.036 below pi/2 and one range suffices.
+    Past it, near pi/2 the kernel is ~1/sqrt(beta^2 + k^2) in beta =
+    pi/2 - alpha, and beta carries no digits as pi/2 - alpha: [0, pi/4] is
+    integrated in alpha as above, and [beta_0, pi/4] in beta from
+    beta_0 = pi/2 - phi = 2 arctan(e^{-2K}), on panels split at
+    max(k, beta_0) and then every two decades."""
+    if not math.isfinite(k):
+        raise DomainError(f"the modulus must be finite, got {k!r}")
+    knee = 1.0 / k if k > 0.0 else math.inf
+    if k_arg <= _ALPHA_ONLY:
+        alpha, weights = _gauss_panels(_panels(0.0, 2.0 * math.atan(math.tanh(k_arg)), knee))
+        sin2, cos2 = np.sin(alpha) ** 2, np.cos(alpha) ** 2
+        return sin2, cos2, weights / np.sqrt(cos2 + k * k * sin2)
+    beta_0 = 2.0 * math.atan(math.exp(-2.0 * k_arg))
+    if max(k, beta_0) == 0.0:
+        raise DomainError(f"A and B at k = 0 need pi/2 - phi > 0; at K = {k_arg!r} "
+                          "it is below the float range")
+    alpha, w_alpha = _gauss_panels(_panels(0.0, 0.25 * math.pi, knee))
+    beta, w_beta = _gauss_panels(_panels(beta_0, 0.25 * math.pi, max(k, beta_0)))
+    sin_b, cos_b = np.sin(beta), np.cos(beta)
+    # hypot: sin^2 beta underflows where beta_0 < 1e-154
+    kernel = np.concatenate((w_alpha / np.hypot(np.cos(alpha), k * np.sin(alpha)),
+                             w_beta / np.hypot(sin_b, k * cos_b)))
+    return (np.concatenate((np.sin(alpha) ** 2, cos_b ** 2)),
+            np.concatenate((np.cos(alpha) ** 2, sin_b ** 2)), kernel)
 
 
 def integral_a(k_arg: float, k: float) -> float:
@@ -176,9 +223,10 @@ def integral_a(k_arg: float, k: float) -> float:
                = int_0^phi dalpha / sqrt(1 - (1-k^2) sin^2 alpha)
 
     under tan(alpha) = sinh(x), with phi = arctan(sinh 2K); 128-node
-    Gauss-Legendre panels on [0, phi], split past the knee at 1/k.  The infinite integral is the complete
-    elliptic integral of the complementary modulus, A(inf, k) = K(k')."""
-    _, kernel = _angle_rule(k_arg, k)
+    Gauss-Legendre panels on [0, phi] (see _angle_rule).  The infinite
+    integral is the complete elliptic integral of the complementary
+    modulus, A(inf, k) = K(k')."""
+    _, _, kernel = _angle_rule(k_arg, k)
     return float(kernel.sum())
 
 
@@ -188,7 +236,7 @@ def integral_b(k_arg: float, k: float) -> float:
 
     (tanh x = sin alpha) by the same rule as integral_a;
     B(inf, k) = (K(k') - E(k')) / k'^2."""
-    sin2, kernel = _angle_rule(k_arg, k)
+    sin2, _, kernel = _angle_rule(k_arg, k)
     return float(sin2 @ kernel)
 
 
@@ -219,13 +267,23 @@ def ab_coefficients(k: float) -> Tuple[float, float]:
 
 def correlation_f(k_arg: float, k: float) -> float:
     """f(K, k) = a(k) A(K, k) - b(k) B(K, k): 0 at K = 0, monotone in K,
-    and 1 at K = inf on both sides of the critical modulus."""
+    and 1 at K = inf on both sides of the critical modulus; tanh 2K at
+    k = 0.
+
+    Past K = 2 with k < 1, A and B both grow like 2K while f stays below
+    1, so f is taken as (a - b) A + b (A - B), with A - B integrated
+    directly from its own integrand cos^2 alpha / sqrt(...)."""
     if not (k_arg >= 0):
         raise DomainError("argument must be non-negative")
     a, b = ab_coefficients(k)
     if k_arg == 0.0:
         return 0.0
-    return a * integral_a(k_arg, k) - b * integral_b(k_arg, k)
+    if k == 0.0:
+        return math.tanh(2.0 * k_arg)
+    sin2, cos2, kernel = _angle_rule(k_arg, k)
+    if k_arg <= _ALPHA_ONLY or k > 1.0:
+        return float(a * kernel.sum() - b * (sin2 @ kernel))
+    return float((a - b) * kernel.sum() + b * (cos2 @ kernel))
 
 
 def b_near_critical(k: float) -> float:

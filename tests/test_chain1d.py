@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import pytest
 
@@ -65,3 +66,28 @@ def test_large_chain_does_not_overflow():
     assert math.isfinite(lz)
     q = ChainParams(n_spins=100000, k=1.2, h=0.5, closed=False)
     assert recursive_open(q) == pytest.approx(lz, rel=1e-4)  # same bulk density
+
+
+@pytest.mark.parametrize("k,h", [(400.0, 0.1), (0.3, 400.0), (-400.0, 0.0)])
+def test_every_route_at_large_coupling_or_field(k, h):
+    # e^{4|k|} or cosh h is past the float range: each route shifts by its
+    # largest scale before any exp, and no RuntimeWarning is raised on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ring = ChainParams(n_spins=5, k=k, h=h, closed=True)
+        want = _oracle_chain(5, k, h, closed=True)
+        assert transfer_closed(ring) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert induction_closed(ring) == pytest.approx(want, rel=1e-14, abs=0.0)
+        chain = ChainParams(n_spins=5, k=k, h=h, closed=False)
+        assert recursive_open(chain) == pytest.approx(_oracle_chain(5, k, h, closed=False),
+                                                      rel=1e-14, abs=0.0)
+
+
+def test_frustrated_ring_against_its_ground_states():
+    # an odd antiferromagnetic ring: lambda_2^N nearly cancels lambda_1^N;
+    # at k = -400 only the 2N one-defect ground states count, Z = 2N e^{(N-2)|k|}
+    for n in (3, 5, 11, 101):
+        p = ChainParams(n_spins=n, k=-400.0, h=0.0, closed=True)
+        want = (n - 2) * 400.0 + math.log(2 * n)
+        assert transfer_closed(p) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert induction_closed(p) == pytest.approx(want, rel=1e-15, abs=0.0)

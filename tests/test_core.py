@@ -10,7 +10,7 @@ from isingexact.core import (
     LatticeSpec,
     ReducedCouplings,
     dual_coupling,
-    signed_logsumexp,
+    log_sum,
 )
 from isingexact.oracle import (MatchingWeights, build_lattice_graph, count_matchings_dp,
                                enumerate_partition_graph)
@@ -58,19 +58,60 @@ def test_dual_rejects_out_of_domain(bad):
         dual_coupling(bad)
 
 
-def test_signed_logsumexp_basic():
-    log_abs, sign = signed_logsumexp([(math.log(3.0), 1), (math.log(1.0), 1)])
-    assert sign == 1
-    assert log_abs == pytest.approx(math.log(4.0))
-    log_abs, sign = signed_logsumexp([(math.log(1.0), 1), (math.log(3.0), -1)])
-    assert sign == -1
-    assert log_abs == pytest.approx(math.log(2.0))
+def test_log_sum_basic():
+    assert log_sum([math.log(3.0), math.log(1.0)]) == pytest.approx(math.log(4.0))
+    # a signed sum: 3 - 1 = 2
+    assert log_sum([math.log(1.0), math.log(3.0)], [-1.0, 1.0]) == pytest.approx(math.log(2.0))
+    # weights other than +-1 scale their terms
+    assert log_sum([0.0, 0.0], [0.5, 2.0]) == pytest.approx(math.log(2.5))
 
 
-def test_signed_logsumexp_degenerate_cases():
-    assert signed_logsumexp([]) == (-math.inf, 0)
-    assert signed_logsumexp([(0.0, 1), (0.0, -1)]) == (-math.inf, 0)
-    assert signed_logsumexp([(0.5, 0), (0.0, 1)]) == (0.0, 1)
+def test_log_sum_degenerate_cases():
+    assert log_sum([]) == -math.inf
+    assert log_sum([0.0, 0.0], [1.0, -1.0]) == -math.inf
+    # a zero weight drops its term, whatever its log
+    assert log_sum([0.5, 0.0], [0.0, 1.0]) == 0.0
+    assert log_sum([math.inf, 0.0], [0.0, 1.0]) == 0.0
+    assert log_sum([-math.inf, -math.inf]) == -math.inf
+    # a -inf term contributes nothing
+    assert log_sum([-math.inf, 1.5], [-1.0, 1.0]) == 1.5
+
+
+def test_log_sum_refuses_a_negative_sum():
+    with pytest.raises(DomainError, match="the test sum lost positivity"):
+        log_sum([math.log(1.0), math.log(3.0)], [1.0, -1.0], "the test sum")
+
+
+@pytest.mark.parametrize("top", [math.inf, math.nan])
+def test_log_sum_passes_a_non_finite_top_through(top):
+    # returned as is, for finite() to judge
+    got = log_sum([0.0, top], [1.0, -1.0])
+    assert got == top or (math.isnan(top) and math.isnan(got))
+
+
+@given(st.lists(st.tuples(st.floats(min_value=-40.0, max_value=40.0),
+                          st.floats(min_value=-4.0, max_value=4.0)),
+                min_size=1, max_size=12))
+def test_log_sum_matches_an_exact_sum(pairs):
+    # against math.fsum of the same shifted terms: the answer is within the
+    # rounding of an n-term float sum, or refused when the sum is negative
+    logs = [l for l, _ in pairs]
+    weights = [w for _, w in pairs]
+    live = [l for l, w in pairs if w != 0.0]
+    if not live:
+        assert log_sum(logs, weights) == -math.inf
+        return
+    top = max(live)
+    terms = [w * math.exp(l - top) for l, w in pairs if w != 0.0]
+    exact = math.fsum(terms)
+    slack = 4.0 * len(terms) * 2.0 ** -52 * math.fsum(abs(t) for t in terms)
+    if exact > slack:
+        # a relative error slack / exact in the sum, plus the rounding of top + ln(sum)
+        assert log_sum(logs, weights) == pytest.approx(
+            top + math.log(exact), rel=0.0, abs=slack / exact + 4.0 * 2.0 ** -52 * (abs(top) + 1.0))
+    elif exact < -slack:
+        with pytest.raises(DomainError):
+            log_sum(logs, weights)
 
 
 def test_lattice_spec_validation():

@@ -201,3 +201,27 @@ def test_dimer_product_past_the_float_range_is_a_domain_error(m, n, w):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="dimer count"):
             dimer_count_free(m, n, w)
+
+
+def _critical_torus_amplitude():
+    """ln[(theta_2 + theta_3 + theta_4) / (2 eta)] at tau = i, as q-series
+    in the nome q = e^{-pi} (Ferdinand & Fisher, Phys. Rev. 185, 832 (1969))."""
+    q = math.exp(-math.pi)
+    theta2 = 2.0 * sum(q ** ((j + 0.5) ** 2) for j in range(10))
+    theta3 = 1.0 + 2.0 * sum(q ** (j * j) for j in range(1, 10))
+    theta4 = 1.0 + 2.0 * sum((-1) ** j * q ** (j * j) for j in range(1, 10))
+    eta = q ** (1.0 / 12.0) * math.prod(1.0 - q ** (2 * j) for j in range(1, 20))
+    return math.log((theta2 + theta3 + theta4) / (2.0 * eta))
+
+
+@pytest.mark.parametrize("route", [kaufman_partition, kacward_log_z])
+def test_critical_torus_amplitude(route):
+    # at K_c, ln Z_{LxL} - L^2 (ln 2 / 2 + 2G/pi) -> the tau = i amplitude, with
+    # a clean 1/L^2 correction: one Richardson step from L = 128 and 256
+    catalan = 0.915965594177219015054603514932384110774
+    free_energy = 0.5 * math.log(2.0) + 2.0 * catalan / math.pi
+    rest = {size: route(size, size, K_CRIT, K_CRIT) - size * size * free_energy
+            for size in (128, 256)}
+    amplitude = _critical_torus_amplitude()
+    assert amplitude == pytest.approx(0.6399119471916227, abs=1e-15)
+    assert (4.0 * rest[256] - rest[128]) / 3.0 == pytest.approx(amplitude, abs=1e-9)

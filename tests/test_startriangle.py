@@ -84,6 +84,35 @@ def test_modulus_symmetric_in_arguments():
     assert modulus_k(0.3, 0.7, 1.1) == pytest.approx(modulus_k(1.1, 0.3, 0.7), rel=1e-14)
 
 
+@pytest.mark.parametrize("ls", [(20.0, 20.0, 20.0), (150.0, 150.0, 150.0), (100.0, 100.0, 0.01)])
+def test_star_triangle_at_large_couplings(ls):
+    # sinh 2K sinh 2L and R^2 are past the float range or lose the modulus
+    # to cancellation; the map checks both in log form
+    m = star_to_triangle(*ls)
+    for ka, lb in zip(m.K, ls):
+        log_sinh = [2.0 * x + math.log(-math.expm1(-4.0 * x)) - math.log(2.0) for x in (ka, lb)]
+        assert sum(log_sinh) == pytest.approx(-math.log(m.k_modulus), rel=1e-10)
+    assert m.k_modulus == pytest.approx(modulus_k(*m.K), rel=0, abs=0)
+
+
+def test_star_triangle_past_the_float_range_is_refused():
+    # k = 4 e^{-1200} underflows
+    with pytest.raises(DomainError):
+        star_to_triangle(400.0, 400.0, 400.0)
+
+
+@pytest.mark.parametrize("ks", [(10.0, 10.0, 10.0), (15.0, 0.3, 0.3), (0.3, 0.7, 1.1),
+                                (30.0, 30.0, 1e-3), (1e-5, 0.3, 0.2)])
+def test_modulus_against_high_precision(ks):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        v = [mpmath.tanh(mpmath.mpf(x)) for x in ks]
+        want = (mpmath.fprod(1 - t * t for t in v)
+                / (4 * mpmath.sqrt((1 + v[0] * v[1] * v[2]) * (v[0] + v[1] * v[2])
+                                   * (v[1] + v[0] * v[2]) * (v[2] + v[0] * v[1]))))
+        assert modulus_k(*ks) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
 def test_partition_functions_related_by_scale_factor():
     # decimating the 9 star centers of the 18-site wrapped honeycomb cell
     # leaves a 3x3 triangular torus, up to R per star
@@ -143,6 +172,34 @@ def test_integrals_past_the_knee_at_large_modulus(k_arg, k):
                                                  rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("k_arg", [4.0, 6.0, 12.0])
+def test_integrals_at_low_temperature(k_arg):
+    # with the energy's own modulus, phi = pi/2 - 2 arctan(e^{-2K}) nears the
+    # kernel's near-singularity at pi/2: integrate in beta = pi/2 - alpha from
+    # beta_0 = 2 arctan(e^{-2K}), with break points graded from it
+    k = 1.0 / math.sinh(2.0 * k_arg) ** 2
+    beta_0 = 2.0 * math.atan(math.exp(-2.0 * k_arg))
+    edges = [beta_0 * 10.0 ** j for j in range(40) if beta_0 * 10.0 ** j < 0.5 * math.pi]
+
+    def reference(weight):
+        return math.fsum(quad(lambda t: weight(t) / math.hypot(math.sin(t), k * math.cos(t)),
+                              lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for lo, hi in zip(edges, edges[1:] + [0.5 * math.pi]))
+
+    assert integral_a(k_arg, k) == pytest.approx(reference(lambda t: 1.0), rel=1e-12, abs=0.0)
+    assert integral_b(k_arg, k) == pytest.approx(reference(lambda t: math.cos(t) ** 2),
+                                                 rel=1e-12, abs=0.0)
+
+
+def test_integrals_at_zero_modulus_past_the_float_range():
+    # A(K, 0) = 2K, but pi/2 - phi = 2 arctan(e^{-2K}) underflows past K ~ 372
+    assert integral_a(300.0, 0.0) == pytest.approx(600.0, rel=1e-13)
+    assert integral_b(300.0, 0.0) == pytest.approx(599.0, rel=1e-13)
+    with pytest.raises(DomainError):
+        integral_a(400.0, 0.0)
+    assert correlation_f(400.0, 0.0) == 1.0
+
+
 @pytest.mark.parametrize("k", [0.2, 0.5, 0.8, 1.5, 2.2])
 def test_infinite_argument_normalization(k):
     a, b = ab_coefficients(k)
@@ -197,10 +254,26 @@ def test_energy_against_quadrature_derivative(k_c):
         internal_energy(k_c), abs=1e-4)
 
 
+ONSAGER_KS = [0.05, 0.1, 0.2, 0.3, 0.4, K_CRIT - 1e-3, K_CRIT + 1e-3, 0.5, 0.6, 0.8, 1.0, 1.5,
+              2.0, 3.0, 6.0, 12.0, 30.0, 100.0]
+
+
+@pytest.mark.parametrize("k", ONSAGER_KS)
+def test_energy_against_onsager_closed_form(k):
+    # u = coth 2K [1 + (2/pi)(2 tanh^2 2K - 1) K(kappa)], kappa = 2 sinh 2K / cosh^2 2K
+    # (Onsager 1944); scipy's ellipk takes the parameter kappa^2
+    kappa = 2.0 * math.sinh(2.0 * k) / math.cosh(2.0 * k) ** 2
+    want = (1.0 + 2.0 / math.pi * (2.0 * math.tanh(2.0 * k) ** 2 - 1.0) * ellipk(kappa * kappa)) \
+        / math.tanh(2.0 * k)
+    assert square_lattice_energy(k, k) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_energy_at_large_coupling():
-    # the modulus underflows to 0 and u -> 2 (both bonds of a site ordered)
-    for k_h, k_v in ((400.0, 400.0), (400.0, 250.0), (1e5, 0.9)):
-        assert square_lattice_energy(k_h, k_v) == pytest.approx(2.0, rel=1e-14)
+    # the modulus underflows to 0, or A and B both grow like 2K, and u -> 2
+    # (both bonds of a site ordered)
+    for k_h, k_v in ((400.0, 400.0), (400.0, 250.0), (1e5, 0.9), (30.0, 30.0), (100.0, 100.0),
+                     (180.0, 180.0)):
+        assert square_lattice_energy(k_h, k_v) == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
 
 def test_energy_at_tiny_couplings():
