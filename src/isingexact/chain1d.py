@@ -77,27 +77,36 @@ def recursive_open(p: ChainParams) -> float:
     started from alpha_1 = 1, beta_1 = w_J * w_h, with w_J = tanh k and
     w_h = tanh h.  Then ln Z = S ln 2 + (S-1) ln cosh k + S ln cosh h
     + ln alpha_S.  The recursion is iterated numerically (never replaced by
-    its eigenvalue closed form, which degenerates as h -> 0); the iterate is
-    renormalized each step to keep it O(1).
+    its eigenvalue closed form, which degenerates as h -> 0).
+
+    It runs in the basis u = alpha + beta, v = alpha - beta:
+
+        u_{i+1} = u_i (1 + w_J)(1 + w_h)/2 + v_i (1 - w_J)(1 - w_h)/2
+        v_{i+1} = u_i (1 - w_J)(1 + w_h)/2 + v_i (1 + w_J)(1 - w_h)/2
+
+    where every coefficient is positive, (1 +- w_J)/2 = e^{+-k} / 2cosh k and
+    1 +- w_h = e^{+-h} / cosh h, so the recursion runs on ln u and ln v by
+    np.logaddexp with no cancelling, where in alpha and beta it cancels once
+    tanh k rounds to -1.  alpha_1, beta_1 is one step from alpha = 1,
+    beta = 0, that is u = v = 1.
     """
     if p.closed:
         raise DomainError("recursive_open expects an open chain")
     if p.n_spins < 2:
         raise DomainError("the recursion needs at least two spins")
-    s = p.n_spins
-    w_j = math.tanh(p.k)
-    w_h = math.tanh(p.h)
-    alpha, beta = 1.0, w_j * w_h
-    log_scale = 0.0
-    for _ in range(s - 1):
-        alpha, beta = alpha + beta * w_h, beta * w_j + alpha * w_j * w_h
-        norm = abs(alpha) + abs(beta)
-        if norm > 0.0:
-            alpha /= norm
-            beta /= norm
-            log_scale += math.log(norm)
-    return (s * math.log(2.0) + (s - 1) * log_cosh(p.k) + s * log_cosh(p.h)
-            + log_scale + math.log(alpha))
+    s, k, h = p.n_spins, p.k, p.h
+    # ln((1 +- w_J)/2) = -ln(1 + e^{-+2k}),  ln(1 +- w_h) = ln 2 - ln(1 + e^{-+2h})
+    j_plus, j_minus = -np.logaddexp(0.0, -2.0 * k), -np.logaddexp(0.0, 2.0 * k)
+    h_plus = math.log(2.0) - np.logaddexp(0.0, -2.0 * h)
+    h_minus = math.log(2.0) - np.logaddexp(0.0, 2.0 * h)
+    from_u = np.array([j_plus + h_plus, j_minus + h_plus])
+    from_v = np.array([j_minus + h_minus, j_plus + h_minus])
+    log_uv = np.zeros(2)
+    for _ in range(s):
+        log_uv = np.logaddexp(from_u + log_uv[0], from_v + log_uv[1])
+    # alpha_S = (u_S + v_S) / 2
+    return float(s * math.log(2.0) + (s - 1) * log_cosh(k) + s * log_cosh(h)
+                 + np.logaddexp(log_uv[0], log_uv[1]) - math.log(2.0))
 
 
 def induction_closed(p: ChainParams) -> float:

@@ -8,7 +8,11 @@ Four families of exact products:
 * the triangular-torus double sum (per-site log Z proxy).
 
 All products are accumulated in log space; raw products overflow already
-around 40 x 40.
+around 40 x 40.  A parity-product factor depends on its two angles only
+through their cosines, and each grid is closed under theta -> -theta, so the
+Kac-Ward route takes the log of each distinct factor once, about
+(m/2 + 1)(n/2 + 1) of them, and weights it by its multiplicity; no product
+over phi is done in closed form, which would turn it into the gamma route.
 """
 
 from __future__ import annotations
@@ -120,7 +124,10 @@ def kacward_products(m: int, n: int, k_h: float, k_v: float,
     (parity_v, size m) and phi on the column-direction grid (parity_h,
     size n).  Each factor is non-negative; it vanishes only at the critical
     manifold on the integer/integer grid, where the log is -inf rather than
-    an exception.
+    an exception.  The factors at theta and -theta (and at phi and -phi)
+    are equal, so the logs of the (floor(m/2) + 1) x (floor(n/2) + 1)
+    distinct factors at most are taken once and summed with the
+    multiplicities of their angles.
     """
     if not (k_h > 0 and k_v > 0):
         raise DomainError("couplings must be positive")
@@ -128,26 +135,44 @@ def kacward_products(m: int, n: int, k_h: float, k_v: float,
                                 gp.parity_v, gp.parity_h)
 
 
-MAX_KACWARD_FACTORS = 1 << 24   # 4096 x 4096 factors, 128 MiB of float64 per product
+# 4096 x 4096 factors, of which at most 2049 x 2049 are distinct: 32 MiB of
+# float64 per product
+MAX_KACWARD_FACTORS = 1 << 24
+
+
+def _folded_grid(parity: str, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angles of angle_grid(parity, length) that are distinct under
+    theta -> 2 pi - theta, with their multiplicities: 2 for each, 1 for the
+    self-reflected 0 (on the integer grid) and pi (on the integer grid of
+    even length and the half grid of odd length).  The multiplicities sum
+    to length."""
+    count = length // 2 + 1 if parity == "integer" else (length + 1) // 2
+    weights = np.full(count, 2.0)
+    if parity == "integer":
+        weights[0] = 1.0
+    if (parity == "integer") == (length % 2 == 0):
+        weights[-1] = 1.0
+    return angle_grid(parity, length)[:count], weights
 
 
 def _kacward_log_product(m: int, n: int, x: float, y: float,
                          parity_v: str, parity_h: str) -> float:
     """log of the double product of kacward_products in the fugacities
-    x, y; -inf when a factor vanishes (below 1e-300)."""
+    x, y; -inf when a factor vanishes (below 1e-300).  Only the factors on
+    the folded grids are formed; their logs are summed as
+    w_theta . log F . w_phi."""
     if m < 1 or n < 1:
         raise DomainError("lattice sides must be positive")
     if m * n > MAX_KACWARD_FACTORS:
         raise CapacityError(
             f"{m} x {n} = {m * n} Kac-Ward factors exceed the {MAX_KACWARD_FACTORS} ceiling")
-    theta = angle_grid(parity_v, m)[:, None]
-    phi = angle_grid(parity_h, n)[None, :]
-    factors = ((1.0 + x * x) * (1.0 + y * y)
-               - 2.0 * y * (1.0 - x * x) * np.cos(theta)
+    theta, w_theta = _folded_grid(parity_v, m)
+    phi, w_phi = _folded_grid(parity_h, n)
+    factors = (((1.0 + x * x) * (1.0 + y * y) - 2.0 * y * (1.0 - x * x) * np.cos(theta))[:, None]
                - 2.0 * x * (1.0 - y * y) * np.cos(phi))
     if float(factors.min()) < 1e-300:
         return -math.inf
-    return float(np.log(factors).sum())
+    return float(w_theta @ np.log(factors, out=factors) @ w_phi)
 
 
 def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:

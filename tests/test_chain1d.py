@@ -68,10 +68,14 @@ def test_large_chain_does_not_overflow():
     assert recursive_open(q) == pytest.approx(lz, rel=1e-4)  # same bulk density
 
 
-@pytest.mark.parametrize("k,h", [(400.0, 0.1), (0.3, 400.0), (-400.0, 0.0)])
+@pytest.mark.parametrize("k,h", [(400.0, 0.1), (0.3, 400.0), (-400.0, 0.0),
+                                 (-20.0, 20.0), (-20.0, -30.0), (-400.0, 400.0), (-400.0, -600.0),
+                                 (-10.0, 10.0), (-3.0, 400.0), (20.0, -20.0), (0.3, 0.2)])
 def test_every_route_at_large_coupling_or_field(k, h):
     # e^{4|k|} or cosh h is past the float range: each route shifts by its
-    # largest scale before any exp, and no RuntimeWarning is raised on the way
+    # largest scale before any exp, and no RuntimeWarning is raised on the way.
+    # From k = -20 on tanh k rounds to -1, where the open chain's recursion in
+    # alpha and beta cancelled (log(0) at (-20, 20), 5.9e-10 off at (-10, 10))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ring = ChainParams(n_spins=5, k=k, h=h, closed=True)

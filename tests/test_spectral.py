@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -5,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingexact.core import CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings
+from isingexact.core import (CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings,
+                             angle_grid)
 from isingexact.oracle import MatchingWeights, build_lattice_graph, count_matchings, enumerate_partition_graph
 from isingexact.spectral import (
     GridParity,
+    _folded_grid,
+    _kacward_log_product,
     dimer_count_free,
     gamma_spectrum,
     kacward_log_z,
@@ -16,7 +20,8 @@ from isingexact.spectral import (
     kaufman_partition,
     triangular_log_z_per_site,
 )
-from isingexact.pfaffian import dimer_count_free as dimer_count_free_pf, ising_pfaffian_torus
+from isingexact.pfaffian import (dimer_count_free as dimer_count_free_pf, ising_pfaffian_torus,
+                                 ising_torus_logdet)
 from isingexact.thermo import onsager_free_energy, triangular_free_energy
 from isingexact.transfer2d import log_z_torus
 
@@ -104,6 +109,74 @@ def test_kacward_refuses_oversized_products_before_allocating():
         kacward_log_z(100000, 100000, 0.3, 0.3)
     with pytest.raises(CapacityError):
         kacward_products(4097, 4096, 0.3, 0.3, GridParity())
+
+
+def reference_kacward_log_product(m, n, x, y, parity_v, parity_h):
+    """The unfolded double product: the log of every one of the m x n
+    factors, summed.  Also returns the sum of the logs' magnitudes, the
+    scale of the sum's rounding error."""
+    theta = angle_grid(parity_v, m)[:, None]
+    phi = angle_grid(parity_h, n)[None, :]
+    factors = ((1.0 + x * x) * (1.0 + y * y)
+               - 2.0 * y * (1.0 - x * x) * np.cos(theta)
+               - 2.0 * x * (1.0 - y * y) * np.cos(phi))
+    if float(factors.min()) < 1e-300:
+        return -math.inf, math.inf
+    logs = np.log(factors)
+    return float(logs.sum()), float(np.abs(logs).sum())
+
+
+PARITY_PAIRS = [(a, b) for a in ("integer", "half") for b in ("integer", "half")]
+FOLD_COUPLINGS = (1e-300, 0.05, 0.3, K_CRIT, 0.9, 5.0, 400.0)
+FOLD_SHAPES = [(m, n) for m in range(1, 10) for n in range(1, 10)] + [(16, 33), (2048, 2048)]
+
+
+@pytest.mark.parametrize("m,n", FOLD_SHAPES)
+def test_folded_product_matches_the_unfolded_one(m, n):
+    # each unfolded 2048 x 2048 reference takes ~60 ms: there only x = y
+    pairs = (itertools.product(FOLD_COUPLINGS, FOLD_COUPLINGS) if m * n < 10 ** 4
+             else zip(FOLD_COUPLINGS, FOLD_COUPLINGS))
+    for kh, kv in pairs:
+        x, y = math.tanh(kh), math.tanh(kv)
+        for parity_v, parity_h in PARITY_PAIRS:
+            want, scale = reference_kacward_log_product(m, n, x, y, parity_v, parity_h)
+            got = _kacward_log_product(m, n, x, y, parity_v, parity_h)
+            if want == -math.inf:
+                assert got == -math.inf
+            else:
+                # at small couplings ln P cancels far below its terms, where
+                # both sums are roundoff of the terms' magnitudes: so the
+                # tolerance is relative to sum |ln F|, which is |ln P| itself
+                # wherever the terms do not cancel
+                assert abs(got - want) <= 1e-13 * scale, (kh, kv, parity_v, parity_h)
+
+
+@pytest.mark.parametrize("m,n", FOLD_SHAPES)
+def test_folded_product_vanishes_at_criticality(m, n):
+    x = math.tanh(K_CRIT)
+    assert _kacward_log_product(m, n, x, x, "integer", "integer") == -math.inf
+    assert reference_kacward_log_product(m, n, x, x, "integer", "integer")[0] == -math.inf
+
+
+@pytest.mark.parametrize("parity", ["integer", "half"])
+def test_folded_grid_multiplicities(parity):
+    # each folded cosine repeated by its multiplicity is the full grid's
+    # cosines, so the multiplicities sum to the grid length
+    for length in list(range(1, 70)) + [2048, 2049]:
+        angles, weights = _folded_grid(parity, length)
+        assert weights.sum() == length
+        folded = np.repeat(np.cos(angles), weights.astype(int))
+        assert np.sort(folded) == pytest.approx(np.sort(np.cos(angle_grid(parity, length))),
+                                                abs=1e-14)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (5, 4), (7, 9), (16, 33)])
+def test_closed_form_determinant_matches_the_unfolded_product(m, n):
+    for z1, z2 in [(0.3, 0.6), (math.tanh(K_CRIT), 0.05), (0.99, 0.2)]:
+        for s1, s2 in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]:
+            want, scale = reference_kacward_log_product(
+                m, n, z2, z1, "integer" if s1 > 0 else "half", "integer" if s2 > 0 else "half")
+            assert abs(ising_torus_logdet(m, n, z1, z2, s1, s2) - want) <= 1e-13 * scale
 
 
 def test_grid_parity_validation():
