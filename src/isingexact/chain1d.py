@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, log_cosh
+from .core import DomainError, finite, log_cosh
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ def transfer_closed(p: ChainParams) -> float:
             geometric = -math.expm1(n * math.log1p(-d)) / d
         else:                     # lambda_2 rounds to 0
             geometric = 1.0
-        return (math.log(2.0) + k + log_cosh(h) + (n - 1) * (k + c + math.log(lam1))
-                + math.log(geometric))
-    return n * (k + c + math.log(lam1)) + math.log1p((lam2 / lam1) ** n)
+        return finite(math.log(2.0) + k + log_cosh(h) + (n - 1) * (k + c + math.log(lam1))
+                      + math.log(geometric), "ln Z")
+    return finite(n * (k + c + math.log(lam1)) + math.log1p((lam2 / lam1) ** n), "ln Z")
 
 
 def recursive_open(p: ChainParams) -> float:
@@ -102,11 +102,15 @@ def recursive_open(p: ChainParams) -> float:
     from_u = np.array([j_plus + h_plus, j_minus + h_plus])
     from_v = np.array([j_minus + h_minus, j_plus + h_minus])
     log_uv = np.zeros(2)
-    for _ in range(s):
-        log_uv = np.logaddexp(from_u + log_uv[0], from_v + log_uv[1])
-    # alpha_S = (u_S + v_S) / 2
-    return float(s * math.log(2.0) + (s - 1) * log_cosh(k) + s * log_cosh(h)
+    # a coupling or field near the float range makes ln Z inf or nan,
+    # which finite() refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            log_uv = np.logaddexp(from_u + log_uv[0], from_v + log_uv[1])
+        # alpha_S = (u_S + v_S) / 2
+        log_z = (s * math.log(2.0) + (s - 1) * log_cosh(k) + s * log_cosh(h)
                  + np.logaddexp(log_uv[0], log_uv[1]) - math.log(2.0))
+    return finite(float(log_z), "ln Z")
 
 
 def induction_closed(p: ChainParams) -> float:
@@ -131,10 +135,13 @@ def induction_closed(p: ChainParams) -> float:
     cols1, cols2 = [0, 0, 2, 2], [1, 1, 3, 3]
     log_z = np.array([k + h, -np.inf, -np.inf, k - h])
     log_scale = 0.0
-    for _ in range(p.n_spins - 1):
-        log_z = np.logaddexp(x1 + log_z[cols1], x2 + log_z[cols2])
-        top = log_z.max()
-        log_z -= top
-        log_scale += top
-    return float(log_scale + np.logaddexp(np.logaddexp(log_z[0], log_z[1]),
-                                          np.logaddexp(log_z[2], log_z[3])))
+    # as in recursive_open, inf or nan past the float range is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(p.n_spins - 1):
+            log_z = np.logaddexp(x1 + log_z[cols1], x2 + log_z[cols2])
+            top = log_z.max()
+            log_z -= top
+            log_scale += top
+        log_z = log_scale + np.logaddexp(np.logaddexp(log_z[0], log_z[1]),
+                                         np.logaddexp(log_z[2], log_z[3]))
+    return finite(float(log_z), "ln Z")

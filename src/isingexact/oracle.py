@@ -2,8 +2,8 @@
 
 Two exhaustive engines live here: the spin-configuration sum over arbitrary
 weighted graphs (up to 26 sites) and exact perfect-matching counters (plain
-backtracking, a broken-profile DP, and the Hafnian).  Every closed-form
-module in the package is validated against these.
+backtracking, a row transfer over one row's labelings, and the Hafnian).
+Every closed-form module in the package is validated against these.
 
 The configuration sum does not loop over 2^N states in Python.  Spins map to
 bits, a bond is (anti)parallel according to the XOR of its two bits, and
@@ -28,6 +28,11 @@ The partition function is then a max-shifted log-sum-exp over the occupied
 bins, each bin's energy read off its group counts.  The density of states
 is structural (independent of the coupling values), so it is cached per
 graph shape.
+
+The matching row transfer builds the Pell(width) ways to label the cells of
+one row once (covered from above, starting a dimer down, or half of a dimer
+along the row) and maps the profile of dimers protruding into the next row
+by one weighted bincount per row.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -346,23 +351,27 @@ def count_matchings_graph(num_sites: int,
     return rec(0)
 
 
-# profile-DP work ceiling, rows * (3^width + 16 * 2^width): each row steps
-# through 3^width (incoming, protrusion) pairs and pays ~16 steps of overhead
-# per incoming state.  14 x 14 takes ~10 s (2-vCPU x86-64).
+# profile-DP work ceiling on the accepted shapes, rows * (3^width + 16 * 2^width)
+# at most its value at 14 x 14.  The row transfer itself costs rows * Pell(width);
+# 14 x 14, the widest accepted shape, takes ~15 ms and the longest accepted
+# strip, 2 018 044 x 1, ~2 s (2-vCPU x86-64).
 _PROFILE_WORK = 14 * (3 ** 14 + 16 * 2 ** 14)
 
 
 def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
-    """Broken-profile dynamic program for the free m x n grid.
+    """Row-transfer dynamic program for the free m x n grid.
 
     State after each row: bitmask of columns where a z1-bond (row-direction
-    dimer) protrudes into the next row.  Within a row, cells not covered by
-    protrusions must tile exactly with z2-bonds (adjacent column pairs).
+    dimer) protrudes into the next row.  A row's labelings are built once,
+    cell by cell: each cell is covered from above, starts a z1 dimer down,
+    or is the right half of a z2 dimer with its left neighbor, so there are
+    a(j) = 2 a(j-1) + a(j-2) of them for j cells (Pell numbers, 195 025 at
+    width 14).  A row then maps the state by one weighted bincount, and the
+    count is the state with nothing protruding past the last row.
     The profile runs along the shorter side, by count(m, n, z1, z2) =
-    count(n, m, z2, z1).  Independent of the backtracking counter; handles
-    8 x 8 instantly.  The work grows like rows * (3^width + 16 * 2^width),
-    width the shorter side; past its value at 14 x 14 it is a CapacityError.
-    A count past the float range is a DomainError.
+    count(n, m, z2, z1).  Independent of the backtracking counter.  Past
+    rows * (3^width + 16 * 2^width) at 14 x 14, width the shorter side, it
+    is a CapacityError.  A count past the float range is a DomainError.
     """
     if (m * n) % 2:
         return 0.0
@@ -372,51 +381,26 @@ def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -
     if n > 14 or m * (3 ** n + 16 * 2 ** n) > _PROFILE_WORK:   # m >= n: n > 14 is past it
         raise CapacityError(f"a {m} x {n} profile DP exceeds the work ceiling "
                             f"rows * (3^width + 16 * 2^width) = {_PROFILE_WORK}")
-    z1 = np.float64(z1)   # so a power past the float range is inf, not OverflowError
-
-    def row_weight(free_mask: int) -> Optional[float]:
-        """Tile the free cells of one row with horizontal (z2) dominoes."""
-        weight = 1.0
-        j = 0
-        while j < n:
-            if free_mask >> j & 1:
-                if j + 1 >= n or not free_mask >> (j + 1) & 1:
-                    return None
-                weight *= z2
-                j += 2
-            else:
-                j += 1
-        return weight
-
-    size = 1 << n
-    state = np.zeros(size, dtype=np.float64)
-    state[0] = 1.0
     # a weight past the float range makes a product inf (or 0 * inf nan),
     # which finite() refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in range(m):
-            nxt = np.zeros(size, dtype=np.float64)
-            last = row == m - 1
-            for incoming in range(size):
-                amp = state[incoming]
-                if amp == 0.0:
-                    continue
-                avail = (~incoming) & (size - 1)
-                if last:
-                    w = row_weight(avail)
-                    if w is not None:
-                        nxt[0] += amp * w
-                    continue
-                # enumerate subsets of avail as new protrusions
-                out = avail
-                while True:
-                    w = row_weight(avail & ~out)
-                    if w is not None:
-                        nxt[out] += amp * w * z1 ** out.bit_count()
-                    if out == 0:
-                        break
-                    out = (out - 1) & avail
-            state = nxt
+        # (inc, out, weight) of the labelings of the first j - 1 and j cells
+        # (none and one at j = 0): the cells covered from above, the cells
+        # starting a z1 dimer down, and the product of the dimer weights.
+        # Cell j is covered from above, starts a z1 dimer, or closes a z2
+        # dimer on a labeling of the first j - 1 cells
+        before = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.ones(0))
+        labels = (np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1))
+        for j in range(n):
+            (inc, out, weight), (inc2, out2, weight2) = labels, before
+            before, labels = labels, (np.concatenate((inc | 1 << j, inc, inc2)),
+                                      np.concatenate((out, out | 1 << j, out2)),
+                                      np.concatenate((weight, weight * z1, weight2 * z2)))
+        inc, out, weight = labels
+        state = np.zeros(1 << n)
+        state[0] = 1.0
+        for _ in range(m):
+            state = np.bincount(out, weights=weight * state[inc], minlength=1 << n)
     return finite(float(state[0]), "the dimer count")
 
 

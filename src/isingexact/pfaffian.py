@@ -242,7 +242,7 @@ def build_dimer_matrix(spec: LatticeSpec, w: MatchingWeights,
       cylinder_a  wrap in the column direction (alternating z2 entries with
                   the odd-parity corner sign)
       cylinder_b  wrap in the row direction with entry -z1 (requires an even
-                  row count; the counting helpers transpose odd grids)
+                  row count)
       torus1..4   both wraps with sign choices (+,+), (+,-), (-,+), (-,-)
                   multiplying the z1 / z2 wrap entries
     """

@@ -15,8 +15,9 @@ The correlation integrals A(K, k) and B(K, k) are evaluated in the angle
 tan(alpha) = sinh(x), where both integrands are analytic on [0, pi/2] for
 every k > 0; a fixed 128-node Gauss-Legendre rule integrates them to
 roundoff, on one panel for k <= 1 and on panels two decades wide past the
-knee at alpha = 1/k for k > 1.  Past K = 2 the end near pi/2 is integrated
-in beta = pi/2 - alpha, on panels graded from pi/2 - phi.
+knee at alpha = 1/k for k > 1.  Past K_c, where the upper limit
+phi = arctan(sinh 2K) passes pi/4, the part above pi/4 is integrated in
+beta = pi/2 - alpha, on panels graded from pi/2 - phi.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import DomainError, exp_finite, finite, log_cosh
+from .core import K_CRIT, DomainError, exp_finite, finite, log_cosh
 from .spectral import _log_2sinh_abs
 
 
@@ -89,12 +90,26 @@ def elliptic_k_series(k: float, terms: int = 60) -> float:
     return 0.5 * math.pi * total
 
 
+def _edge_coupling(l_a: float, l_b: float, l_c: float) -> float:
+    """The triangle coupling on the edge (a, b), opposite vertex c:
+
+        e^{4K} = 1 + 2 sinh 2L_a sinh 2L_b / (cosh 2(L_a - L_b) + cosh 2L_c)
+
+    whose terms are all positive, taken in logs so that it neither cancels
+    at small couplings nor overflows at large ones.  Past 2L ~ 1.8e308 it is
+    nan, which modulus_k refuses."""
+    with np.errstate(invalid="ignore"):
+        log_ratio = (_log_2sinh_abs(2.0 * l_a) + _log_2sinh_abs(2.0 * l_b) - math.log(2.0)
+                     - np.logaddexp(log_cosh(2.0 * (l_a - l_b)), log_cosh(2.0 * l_c)))
+        return float(np.logaddexp(0.0, log_ratio)) / 4.0
+
+
 def star_to_triangle(l1: float, l2: float, l3: float) -> StarTriangleMap:
     """Triangle couplings, scale factor R and modulus k for a star
     (L1, L2, L3).
 
-    Every quantity is taken in log form, so no coupling overflows: the
-    pairwise sums 2(K_a + K_b) as differences of ln cosh, ln R =
+    Every quantity is taken in log form, so no coupling overflows: each K_i
+    from its sum of positive terms (_edge_coupling), ln R =
     ln 2 + ln cosh(L1 + L2 + L3) - (K1 + K2 + K3), and the stored
     invariants sinh 2K_i sinh 2L_i = 1/k and R^2 = 2k prod sinh 2L_i, which
     are verified to 1e-10 before the map is returned.  A failed invariant,
@@ -102,15 +117,8 @@ def star_to_triangle(l1: float, l2: float, l3: float) -> StarTriangleMap:
     for l in (l1, l2, l3):
         if not (l > 0 and math.isfinite(l)):
             raise DomainError("star couplings must be positive")
-    c_all = log_cosh(l1 + l2 + l3)
-    # pairwise sums 2(K_a + K_b) from the three log-ratio relations
-    s12 = c_all - log_cosh(l1 + l2 - l3)
-    s23 = c_all - log_cosh(l2 + l3 - l1)
-    s31 = c_all - log_cosh(l3 + l1 - l2)
-    k1 = (s12 + s31 - s23) / 4.0
-    k2 = (s12 + s23 - s31) / 4.0
-    k3 = (s23 + s31 - s12) / 4.0
-    log_r = math.log(2.0) + c_all - (k1 + k2 + k3)
+    k1, k2, k3 = _edge_coupling(l2, l3, l1), _edge_coupling(l3, l1, l2), _edge_coupling(l1, l2, l3)
+    log_r = math.log(2.0) + log_cosh(l1 + l2 + l3) - (k1 + k2 + k3)
     mod = modulus_k(k1, k2, k3)
     if mod == 0.0:
         raise DomainError(f"the modulus k of the star {(l1, l2, l3)!r} is below the float range")
@@ -159,10 +167,6 @@ def _gauss_legendre() -> tuple:
     return np.polynomial.legendre.leggauss(128)
 
 
-# largest K integrated in alpha alone: phi stays 0.036 below pi/2
-_ALPHA_ONLY = 2.0
-
-
 def _panels(lo: float, hi: float, knee: float) -> list:
     """Panel edges on [lo, hi]: split at the knee and then every two decades
     past it, at the splits that fall inside (lo, hi)."""
@@ -189,9 +193,9 @@ def _angle_rule(k_arg: float, k: float):
     1/sqrt(1 - (1-k^2) sin^2 alpha) = 1/sqrt(cos^2 + k^2 sin^2).
 
     For k > 1 the kernel falls from 1 to ~1/(k alpha) around the knee
-    alpha = 1/k, so [0, phi] is split there and then every two decades:
-    the rule is applied on [0, 1/k], [1/k, 100/k], ...  Up to K = 2, phi =
-    2 arctan(tanh K) is at least 0.036 below pi/2 and one range suffices.
+    alpha = 1/k, so the alpha range is split there and then every two
+    decades: the rule is applied on [0, 1/k], [1/k, 100/k], ...  Up to K_c,
+    phi = 2 arctan(tanh K) is at most pi/4 and the alpha range is [0, phi].
     Past it, near pi/2 the kernel is ~1/sqrt(beta^2 + k^2) in beta =
     pi/2 - alpha, and beta carries no digits as pi/2 - alpha: [0, pi/4] is
     integrated in alpha as above, and [beta_0, pi/4] in beta from
@@ -200,22 +204,24 @@ def _angle_rule(k_arg: float, k: float):
     if not math.isfinite(k):
         raise DomainError(f"the modulus must be finite, got {k!r}")
     knee = 1.0 / k if k > 0.0 else math.inf
-    if k_arg <= _ALPHA_ONLY:
-        alpha, weights = _gauss_panels(_panels(0.0, 2.0 * math.atan(math.tanh(k_arg)), knee))
-        sin2, cos2 = np.sin(alpha) ** 2, np.cos(alpha) ** 2
-        return sin2, cos2, weights / np.sqrt(cos2 + k * k * sin2)
+    alpha, w_alpha = _gauss_panels(_panels(0.0, min(2.0 * math.atan(math.tanh(k_arg)),
+                                                    0.25 * math.pi), knee))
+    sin_a, cos_a = np.sin(alpha), np.cos(alpha)
+    # hypot: k^2 overflows past k ~ 1e154, and sin^2 alpha underflows below
+    # the knee of such a k
+    kernel = w_alpha / np.hypot(cos_a, k * sin_a)
+    sin2, cos2 = sin_a ** 2, cos_a ** 2
+    if k_arg <= K_CRIT:
+        return sin2, cos2, kernel
     beta_0 = 2.0 * math.atan(math.exp(-2.0 * k_arg))
     if max(k, beta_0) == 0.0:
         raise DomainError(f"A and B at k = 0 need pi/2 - phi > 0; at K = {k_arg!r} "
                           "it is below the float range")
-    alpha, w_alpha = _gauss_panels(_panels(0.0, 0.25 * math.pi, knee))
     beta, w_beta = _gauss_panels(_panels(beta_0, 0.25 * math.pi, max(k, beta_0)))
     sin_b, cos_b = np.sin(beta), np.cos(beta)
-    # hypot: sin^2 beta underflows where beta_0 < 1e-154
-    kernel = np.concatenate((w_alpha / np.hypot(np.cos(alpha), k * np.sin(alpha)),
-                             w_beta / np.hypot(sin_b, k * cos_b)))
-    return (np.concatenate((np.sin(alpha) ** 2, cos_b ** 2)),
-            np.concatenate((np.cos(alpha) ** 2, sin_b ** 2)), kernel)
+    # hypot as above: sin^2 beta underflows where beta_0 < 1e-154
+    return (np.concatenate((sin2, cos_b ** 2)), np.concatenate((cos2, sin_b ** 2)),
+            np.concatenate((kernel, w_beta / np.hypot(sin_b, k * cos_b))))
 
 
 def integral_a(k_arg: float, k: float) -> float:
@@ -270,9 +276,10 @@ def correlation_f(k_arg: float, k: float) -> float:
     and 1 at K = inf on both sides of the critical modulus; tanh 2K at
     k = 0.
 
-    Past K = 2 with k < 1, A and B both grow like 2K while f stays below
-    1, so f is taken as (a - b) A + b (A - B), with A - B integrated
-    directly from its own integrand cos^2 alpha / sqrt(...)."""
+    Every term is non-negative: for k < 1, where A and B both grow like 2K
+    while f stays below 1, f is taken as (a - b) A + b (A - B), with A - B
+    integrated directly from its own integrand cos^2 alpha / sqrt(...); for
+    k > 1, b < 0."""
     if not (k_arg >= 0):
         raise DomainError("argument must be non-negative")
     a, b = ab_coefficients(k)
@@ -281,7 +288,7 @@ def correlation_f(k_arg: float, k: float) -> float:
     if k == 0.0:
         return math.tanh(2.0 * k_arg)
     sin2, cos2, kernel = _angle_rule(k_arg, k)
-    if k_arg <= _ALPHA_ONLY or k > 1.0:
+    if k > 1.0:
         return float(a * kernel.sum() - b * (sin2 @ kernel))
     return float((a - b) * kernel.sum() + b * (cos2 @ kernel))
 

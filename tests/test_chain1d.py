@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from isingexact.chain1d import ChainParams, induction_closed, recursive_open, transfer_closed
-from isingexact.core import LatticeSpec, ReducedCouplings
+from isingexact.core import DomainError, LatticeSpec, ReducedCouplings
 from isingexact.oracle import build_lattice_graph, enumerate_partition_graph
 
 
@@ -70,21 +70,28 @@ def test_large_chain_does_not_overflow():
 
 @pytest.mark.parametrize("k,h", [(400.0, 0.1), (0.3, 400.0), (-400.0, 0.0),
                                  (-20.0, 20.0), (-20.0, -30.0), (-400.0, 400.0), (-400.0, -600.0),
-                                 (-10.0, 10.0), (-3.0, 400.0), (20.0, -20.0), (0.3, 0.2)])
+                                 (-10.0, 10.0), (-3.0, 400.0), (20.0, -20.0), (0.3, 0.2),
+                                 (-1e308, 0.0), (1e308, 0.0), (0.3, 1e308), (0.3, -1e308)])
 def test_every_route_at_large_coupling_or_field(k, h):
     # e^{4|k|} or cosh h is past the float range: each route shifts by its
     # largest scale before any exp, and no RuntimeWarning is raised on the way.
     # From k = -20 on tanh k rounds to -1, where the open chain's recursion in
-    # alpha and beta cancelled (log(0) at (-20, 20), 5.9e-10 off at (-10, 10))
+    # alpha and beta cancelled (log(0) at (-20, 20), 5.9e-10 off at (-10, 10)).
+    # At |k| or |h| = 1e308 ln Z itself is past the float range, and every
+    # route refuses it, as the oracle does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ring = ChainParams(n_spins=5, k=k, h=h, closed=True)
-        want = _oracle_chain(5, k, h, closed=True)
-        assert transfer_closed(ring) == pytest.approx(want, rel=1e-14, abs=0.0)
-        assert induction_closed(ring) == pytest.approx(want, rel=1e-14, abs=0.0)
-        chain = ChainParams(n_spins=5, k=k, h=h, closed=False)
-        assert recursive_open(chain) == pytest.approx(_oracle_chain(5, k, h, closed=False),
-                                                      rel=1e-14, abs=0.0)
+        for closed, routes in ((True, (transfer_closed, induction_closed)),
+                               (False, (recursive_open,))):
+            p = ChainParams(n_spins=5, k=k, h=h, closed=closed)
+            if max(abs(k), abs(h)) >= 1e308:
+                for route in (lambda _: _oracle_chain(5, k, h, closed),) + routes:
+                    with pytest.raises(DomainError, match="float range"):
+                        route(p)
+                continue
+            want = _oracle_chain(5, k, h, closed)
+            for route in routes:
+                assert route(p) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_frustrated_ring_against_its_ground_states():

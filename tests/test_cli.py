@@ -85,16 +85,20 @@ def test_sweep_csv_shape(capsys):
 def test_sweep_rows_are_the_scalar_calls(capsys, monkeypatch):
     q = QuadratureSpec(points_per_axis=64)
     step = (0.5 - 0.3) / 4
-    want = ["k,minus_beta_f,internal_energy,specific_heat"] + [
-        ",".join(format(v, ".17g") for v in (k, onsager_free_energy(k, k, q),
-                                             internal_energy(k, q=q), specific_heat(k, q=q)))
-        for k in (0.3 + i * step for i in range(5))]
-    argv = ("sweep", "--k-from", "0.3", "--k-to", "0.5", "--steps", "5", "--points", "64")
-    code, out, _ = _run(capsys, *argv)
-    assert code == 0 and out.splitlines() == want
-    # the sweep reads no environment: a thread-count variable is ignored
-    monkeypatch.setenv("ISING_THREADS", "abc")
-    assert _run(capsys, *argv)[:2] == (0, out)
+    # one step is the row at --k-from alone
+    for steps, ks in ((5, [0.3 + i * step for i in range(5)]), (1, [0.3])):
+        want = ["k,minus_beta_f,internal_energy,specific_heat"] + [
+            ",".join(format(v, ".17g") for v in (k, onsager_free_energy(k, k, q),
+                                                 internal_energy(k, q=q), specific_heat(k, q=q)))
+            for k in ks]
+        argv = ("sweep", "--k-from", "0.3", "--k-to", "0.5", "--steps", str(steps),
+                "--points", "64")
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and out.splitlines() == want
+        # the sweep reads no environment: a thread-count variable is ignored
+        with monkeypatch.context() as env:
+            env.setenv("ISING_THREADS", "abc")
+            assert _run(capsys, *argv)[:2] == (0, out)
 
 
 def test_identical_invocations_are_byte_identical(capsys):

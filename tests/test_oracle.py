@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from isingexact import oracle
 from isingexact.core import CapacityError, DomainError, LatticeSpec, ReducedCouplings
+from isingexact.pfaffian import dimer_count_free as dimer_count_free_pf
+from isingexact.spectral import dimer_count_free as dimer_count_free_product
 from isingexact.oracle import (
     MatchingWeights,
     WeightedGraph,
@@ -190,6 +192,20 @@ def test_direct_fallback_matches_binned_path():
         enumerate_partition_graph(g, h=0.13), rel=1e-12)
 
 
+def test_direct_fallback_past_the_bin_limit_matches_naive_sum():
+    # 23 edges with distinct couplings on 12 sites: 2^23 density-of-states
+    # bins, past the 2^22 limit, so the sum takes the direct energies
+    rng = np.random.default_rng(5)
+    pairs = list(itertools.combinations(range(12), 2))
+    picks = rng.choice(len(pairs), size=23, replace=False)
+    g = WeightedGraph(12, tuple((*pairs[i], float(rng.uniform(-0.8, 0.8))) for i in picks))
+    with mock.patch.object(oracle, "_enumerate_direct", wraps=_enumerate_direct) as direct, \
+            mock.patch.dict(oracle._DOS_CACHE, clear=True):
+        for h in (0.0, 0.37):
+            assert enumerate_partition_graph(g, h) == pytest.approx(naive_log_z(g, h), rel=1e-12)
+        assert direct.call_count == 2 and not oracle._DOS_CACHE
+
+
 def test_matching_counts_small_grids():
     assert count_matchings(2, 2) == 2
     assert count_matchings(2, 3) == 3
@@ -206,6 +222,18 @@ def test_matching_dp_agrees_with_backtracking():
 
 def test_matching_dp_eight_by_eight():
     assert count_matchings_dp(8, 8) == pytest.approx(12988816, rel=1e-12)
+
+
+@pytest.mark.parametrize("z1,z2", [(1.0, 1.0), (0.7, 1.3), (3.0, 0.2)])
+def test_matching_dp_against_both_closed_forms(z1, z2):
+    # every even shape up to 14 x 14, the widest the work ceiling accepts:
+    # Kasteleyn's Pfaffian and the Temperley-Fisher cosine product
+    w = MatchingWeights(z1, z2)
+    for m, n in itertools.product(range(1, 15), repeat=2):
+        if (m * n) % 2 == 0:
+            count = count_matchings_dp(m, n, w)
+            assert count == pytest.approx(dimer_count_free_pf(m, n, w), rel=1e-12)
+            assert count == pytest.approx(dimer_count_free_product(m, n, w), rel=1e-12)
 
 
 def test_weighted_matchings():

@@ -84,7 +84,16 @@ def test_modulus_symmetric_in_arguments():
     assert modulus_k(0.3, 0.7, 1.1) == pytest.approx(modulus_k(1.1, 0.3, 0.7), rel=1e-14)
 
 
-@pytest.mark.parametrize("ls", [(20.0, 20.0, 20.0), (150.0, 150.0, 150.0), (100.0, 100.0, 0.01)])
+# large stars, stars with a small coupling, where a difference of ln cosh
+# cancels, and log-uniform random stars in [1e-8, 300]^3
+EXTREME_STARS = [(20.0, 20.0, 20.0), (150.0, 150.0, 150.0), (100.0, 100.0, 0.01),
+                 (1e-8, 1e-8, 1e-8), (1e-5, 1e-5, 3.0), (50.0, 0.1, 0.1),
+                 (7.494e-07, 0.05063, 0.0007864), (7.617e-05, 5.23e-05, 1.916),
+                 (30.43, 7.214e-07, 0.06907), (1.335e-05, 135.2, 43.39),
+                 (0.04593, 0.77, 0.002496)]
+
+
+@pytest.mark.parametrize("ls", EXTREME_STARS)
 def test_star_triangle_at_large_couplings(ls):
     # sinh 2K sinh 2L and R^2 are past the float range or lose the modulus
     # to cancellation; the map checks both in log form
@@ -93,6 +102,19 @@ def test_star_triangle_at_large_couplings(ls):
         log_sinh = [2.0 * x + math.log(-math.expm1(-4.0 * x)) - math.log(2.0) for x in (ka, lb)]
         assert sum(log_sinh) == pytest.approx(-math.log(m.k_modulus), rel=1e-10)
     assert m.k_modulus == pytest.approx(modulus_k(*m.K), rel=0, abs=0)
+
+
+@pytest.mark.parametrize("ls", EXTREME_STARS)
+def test_star_triangle_against_high_precision(ls):
+    # K on the edge (a, b) opposite c: e^{4K} = cosh(L_a + L_b + L_c)
+    # cosh(L_a + L_b - L_c) / (cosh(L_a - L_b + L_c) cosh(L_a - L_b - L_c))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(800):
+        l1, l2, l3 = (mpmath.mpf(x) for x in ls)
+        for got, (la, lb, lc) in zip(star_to_triangle(*ls).K, [(l2, l3, l1), (l3, l1, l2), (l1, l2, l3)]):
+            want = mpmath.log(mpmath.cosh(la + lb + lc) * mpmath.cosh(la + lb - lc)
+                              / (mpmath.cosh(la - lb + lc) * mpmath.cosh(la - lb - lc))) / 4
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_star_triangle_past_the_float_range_is_refused():
@@ -170,6 +192,21 @@ def test_integrals_past_the_knee_at_large_modulus(k_arg, k):
     assert integral_a(k_arg, k) == pytest.approx(reference(lambda t: 1.0), rel=1e-12, abs=0.0)
     assert integral_b(k_arg, k) == pytest.approx(reference(lambda t: math.sin(t) ** 2),
                                                  rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k_arg", [0.3, 3.0])
+def test_integrals_where_the_squared_modulus_overflows(k_arg):
+    # k^2 is past the float range: A = F(phi | 1 - k^2) and
+    # B = (F - E)(phi | 1 - k^2) / (1 - k^2), incomplete elliptic integrals
+    mpmath = pytest.importorskip("mpmath")
+    k = 1e200
+    with mpmath.workdps(50):
+        phi = mpmath.atan(mpmath.sinh(2 * mpmath.mpf(k_arg)))
+        m = 1 - mpmath.mpf(k) ** 2
+        f, e = mpmath.ellipf(phi, m), mpmath.ellipe(phi, m)
+        want_a, want_b = float(f), float((f - e) / m)
+    assert integral_a(k_arg, k) == pytest.approx(want_a, rel=1e-12, abs=0.0)
+    assert integral_b(k_arg, k) == pytest.approx(want_b, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("k_arg", [4.0, 6.0, 12.0])
