@@ -53,8 +53,11 @@ _LOW_BITS = 14
 # log2 of the configurations handled per numpy chunk; bounds chunk memory
 _CHUNK_BITS = 20
 
-# structural density-of-states cache: key -> flat int64 array
+# structural density-of-states cache: key -> flat int64 array, oldest first.
+# Past _DOS_CACHE_BYTES the oldest entries are evicted (a criterion-1 entry
+# is a few KB; the largest, 2^22 bins, is 32 MiB)
 _DOS_CACHE: Dict[tuple, np.ndarray] = {}
+_DOS_CACHE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,11 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
     dos = _DOS_CACHE.get((n, structure))
     if dos is None:
         dos = _DOS_CACHE[(n, structure)] = _density_of_states(n, structure)
+        held = sum(d.nbytes for d in _DOS_CACHE.values())
+        for key in list(_DOS_CACHE):
+            if held <= _DOS_CACHE_BYTES:
+                break
+            held -= _DOS_CACHE.pop(key).nbytes
 
     # energy of each occupied bin: a group with n_g bonds of strength k
     # (multiplicity c) and c_g antiparallel bonds contributes k*c*(n_g - 2 c_g),
@@ -356,6 +364,9 @@ def count_matchings_graph(num_sites: int,
 # 14 x 14, the widest accepted shape, takes ~15 ms and the longest accepted
 # strip, 2 018 044 x 1, ~2 s (2-vCPU x86-64).
 _PROFILE_WORK = 14 * (3 ** 14 + 16 * 2 ** 14)
+# rows between checks of the matching row transfer for a count past the
+# float range; even, so the rows so far have an even site count
+_OVERFLOW_ROWS = 1024
 
 
 def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
@@ -399,8 +410,13 @@ def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -
         inc, out, weight = labels
         state = np.zeros(1 << n)
         state[0] = 1.0
-        for _ in range(m):
+        for row in range(m):
             state = np.bincount(out, weights=weight * state[inc], minlength=1 << n)
+            # an inf or nan count of the rows so far is one of the whole grid:
+            # each labeling feeds its bin whatever its weight (0 * inf is
+            # nan), and the rows left have a matching
+            if row % _OVERFLOW_ROWS == _OVERFLOW_ROWS - 1 and not math.isfinite(state[0]):
+                break
     return finite(float(state[0]), "the dimer count")
 
 

@@ -17,13 +17,16 @@ instead of being guessed.
 The counting routes never form their matrices: `_column_sweep` eliminates
 a column block matrix one front of about three columns at a time (Wimmer's
 banded case), and it shares the one elimination loop, `_eliminate`, with
-pfaffian().
+pfaffian().  The four torus matrices differ in the row-wrap sign s1, which
+is in every column block, and the column-wrap sign s2, which only the last
+front sees: each torus route makes one sweep per s1 and closes its last
+front twice, once for each s2.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +45,7 @@ _MAX_SWEEP_WORK = 64 * 256 * 768 ** 2   # columns * b * front^2 of the 64 x 64 I
 _TORUS_TERMS = {"torus1": (1.0, 1.0, -0.5), "torus2": (1.0, -1.0, 0.5),
                 "torus3": (-1.0, 1.0, 0.5), "torus4": (-1.0, -1.0, 0.5)}
 TORUS_VARIANTS = tuple(_TORUS_TERMS)
+_WRAP_SIGNS = (1.0, -1.0)
 VARIANTS = ("free", "cylinder_a", "cylinder_b") + TORUS_VARIANTS
 
 
@@ -138,26 +142,30 @@ def _eliminate(a: np.ndarray, eligible: int, scale: float) -> Tuple[int, float, 
 
 
 def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
-                  wrap: Optional[float]) -> Tuple[int, float]:
-    """Pf(A) as (sign, log magnitude) of A = I_n (x) D + H (x) C - H^T (x) C^T,
-    H the n x n shift with `wrap` in its (n-1, 0) corner (None: free),
-    without forming A.  Column 0 is the separator the wrap couples to; the
-    front [delayed nodes, column j, column j+1, separator] eliminates the
-    first two groups, whose couplings are all in it, and the last front
-    every node left.  Pivots are judged against the largest entry of A, so
-    a last front of roundoff is singular, as in pfaffian()."""
-    if n == 1 and wrap is not None:
-        d, wrap = d + wrap * (c - c.T), None   # H = [[wrap]]
+                  wraps: Optional[Sequence[float]]) -> List[Tuple[int, float]]:
+    """Pf(A) as (sign, log magnitude) of A = I_n (x) D + H (x) C - H^T (x) C^T
+    for each wrap in `wraps`, H the n x n shift with the wrap in its
+    (n-1, 0) corner (None: one free sweep, one result), without forming A.
+    Column 0 is the separator the wrap couples to; the front [delayed
+    nodes, column j, column j+1, separator] eliminates the first two groups,
+    whose couplings are all in it.  The wrap enters only the last front, so
+    columns 1 .. n-2 are swept once and a copy of the last front is closed
+    for each wrap.  Pivots are judged against the largest entry of A, so a
+    last front of roundoff is singular, as in pfaffian()."""
+    if n == 1 and wraps is not None:
+        # H = [[wrap]]
+        return [_column_sweep(d + wrap * (c - c.T), c, 1, None)[0] for wrap in wraps]
     b = len(d)
-    sep = 0 if wrap is None else b
+    sep = 0 if wraps is None else b
     front = 2 * b + sep
+    singular = [(0, -math.inf)] * (1 if wraps is None else len(wraps))
     # work ~ columns * eliminated nodes * front^2; the bound also keeps the
     # front below ~2700 nodes (58 MB)
     if n * b * front * front > _MAX_SWEEP_WORK:
         raise CapacityError(f"{n} columns of {b} nodes exceed the Pfaffian sweep ceiling")
     scale = float(max(np.abs(d).max(), np.abs(c).max()))
     if scale == 0.0:
-        return (0, -math.inf)
+        return singular
     # the front is kept in the order [delayed, column j, separator]; moving
     # a column past the separator is b * sep interchanges
     flip = -1 if (b * sep) % 2 else 1
@@ -169,14 +177,9 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
         f[b:, b:] = d
         f[b:, :b] = c
         f[:b, b:] = -c.T
-    for j in range(1 if sep else 0, n):
+    for j in range(1 if sep else 0, n - 1):
         h = len(f) - sep   # the delayed nodes and column j
         cur = slice(h - b, h)
-        if j == n - 1:
-            if sep:
-                f[cur, h:] += wrap * c
-                f[h:, cur] -= wrap * c.T
-            break
         g = np.zeros((h + b + sep, h + b + sep))
         nxt = slice(h, h + b)
         g[:h, :h] = f[:h, :h]
@@ -189,12 +192,23 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
         sign *= flip
         step_sign, step_log, rest = _eliminate(g, h, scale)
         if step_sign == 0:
-            return (0, -math.inf)
+            return singular
         sign *= step_sign
         log_mag += step_log
         f = g[rest:, rest:]
-    last_sign, last_log, _ = _eliminate(f, len(f), scale)
-    return (sign * last_sign, log_mag + last_log)
+    if wraps is None:
+        last_sign, last_log, _ = _eliminate(f, len(f), scale)
+        return [(sign * last_sign, log_mag + last_log)]
+    h = len(f) - sep   # the delayed nodes and column n-1
+    cur = slice(h - b, h)
+    closes = []
+    for wrap in wraps:
+        g = f.copy()
+        g[cur, h:] += wrap * c
+        g[h:, cur] -= wrap * c.T
+        last_sign, last_log, _ = _eliminate(g, len(g), scale)
+        closes.append((sign * last_sign, log_mag + last_log))
+    return closes
 
 
 def _interchange(a: np.ndarray, left: np.ndarray, right: np.ndarray, i: int, j: int) -> None:
@@ -274,16 +288,17 @@ def _dimer_blocks(m: int, w: MatchingWeights, s1: float) -> Tuple[np.ndarray, np
 
 def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
     """Matching generating function of the free grid as |Pf| of the free
-    build_dimer_matrix, swept along the longer side.  A count past the float
-    range is a DomainError."""
+    build_dimer_matrix, swept along the longer side; 0 for an odd site
+    count, which has no perfect matching.  A count past the float range is
+    a DomainError."""
     LatticeSpec(m, n, "square", "free")   # rejects sides < 1
     if (m * n) % 2:
-        raise DomainError("odd site count has no perfect matching")
+        return 0.0
     if m > n:
         m, n, w = n, m, MatchingWeights(w.z2, w.z1)
     # Kasteleyn: the Pfaffian is the count up to a sign that depends only
     # on the site order (negative for odd m and n = 2 mod 4)
-    sign, log_mag = _column_sweep(*_dimer_blocks(m, w, 0.0), n, None)
+    (sign, log_mag), = _column_sweep(*_dimer_blocks(m, w, 0.0), n, None)
     return 0.0 if sign == 0 else exp_finite(log_mag, "the dimer count")
 
 
@@ -300,10 +315,12 @@ def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) ->
     if m % 2 or (m > n and n % 2 == 0):
         m, n, w = n, m, MatchingWeights(w.z2, w.z1)
     LatticeSpec(m, n, "square", "torus")   # rejects sides < 1
-    blocks = {s1: _dimer_blocks(m, w, s1) for s1 in (1.0, -1.0)}
+    # one sweep per row-wrap sign s1, closed for both column-wrap signs s2
+    closes = {(s1, s2): pf for s1 in _WRAP_SIGNS for s2, pf in
+              zip(_WRAP_SIGNS, _column_sweep(*_dimer_blocks(m, w, s1), n, _WRAP_SIGNS))}
     log_mags, weights = [], []
     for s1, s2, weight in _TORUS_TERMS.values():
-        sign, log_mag = _column_sweep(*blocks[s1], n, s2)
+        sign, log_mag = closes[s1, s2]
         log_mags.append(log_mag)
         weights.append(weight * sign)
     return exp_finite(log_sum(log_mags, weights, "the dimer count"), "the dimer count")
@@ -375,13 +392,15 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
         m, n, k_h, k_v = n, m, k_v, k_h
     z1 = math.tanh(k_v)   # row-direction bonds couple neighboring rows
     z2 = math.tanh(k_h)
-    blocks = {s1: _ising_blocks(m, z1, z2, s1) for s1 in (1.0, -1.0)}
+    # one sweep per row-wrap sign s1, closed for both column-wrap signs s2
+    closes = {(s1, s2): pf for s1 in _WRAP_SIGNS for s2, pf in
+              zip(_WRAP_SIGNS, _column_sweep(*_ising_blocks(m, z1, z2, s1), n, _WRAP_SIGNS))}
     # an odd site count flips the global Pfaffian sign (site-ordering
     # permutation parity); the relative sign pattern is unchanged
     parity = -1.0 if (m * n) % 2 else 1.0
     variants = []
     for variant, (s1, s2, weight) in _TORUS_TERMS.items():
-        sign, log_mag = _column_sweep(*blocks[s1], n, s2)
+        sign, log_mag = closes[s1, s2]
         log_det = ising_torus_logdet(m, n, z1, z2, s1, s2)
         variants.append((variant, parity * weight * sign, log_mag, log_det))
     top = max(lm for _, w, lm, _ in variants if w != 0)

@@ -97,7 +97,8 @@ def _edge_coupling(l_a: float, l_b: float, l_c: float) -> float:
 
     whose terms are all positive, taken in logs so that it neither cancels
     at small couplings nor overflows at large ones.  Past 2L ~ 1.8e308 it is
-    nan, which modulus_k refuses."""
+    nan, and where the ratio is below the smallest float (the star
+    (1, 1, 1e200)) it is 0; star_to_triangle refuses both."""
     with np.errstate(invalid="ignore"):
         log_ratio = (_log_2sinh_abs(2.0 * l_a) + _log_2sinh_abs(2.0 * l_b) - math.log(2.0)
                      - np.logaddexp(log_cosh(2.0 * (l_a - l_b)), log_cosh(2.0 * l_c)))
@@ -113,11 +114,15 @@ def star_to_triangle(l1: float, l2: float, l3: float) -> StarTriangleMap:
     ln 2 + ln cosh(L1 + L2 + L3) - (K1 + K2 + K3), and the stored
     invariants sinh 2K_i sinh 2L_i = 1/k and R^2 = 2k prod sinh 2L_i, which
     are verified to 1e-10 before the map is returned.  A failed invariant,
-    or an R or k outside the float range, is a DomainError."""
+    or a K, R or k outside the float range, is a DomainError."""
     for l in (l1, l2, l3):
         if not (l > 0 and math.isfinite(l)):
             raise DomainError("star couplings must be positive")
     k1, k2, k3 = _edge_coupling(l2, l3, l1), _edge_coupling(l3, l1, l2), _edge_coupling(l1, l2, l3)
+    for k in (k1, k2, k3):
+        if not (k > 0.0 and math.isfinite(k)):
+            raise DomainError(f"a triangle coupling of the star {(l1, l2, l3)!r} is {k!r}: "
+                              "the star is past the float range")
     log_r = math.log(2.0) + log_cosh(l1 + l2 + l3) - (k1 + k2 + k3)
     mod = modulus_k(k1, k2, k3)
     if mod == 0.0:

@@ -5,6 +5,7 @@ machinery the production path uses."""
 
 import itertools
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -183,6 +184,23 @@ def test_ghost_past_the_split_matches_direct_sum():
         assert len(oracle._DOS_CACHE) == 1
 
 
+def test_dos_cache_evicts_the_oldest_past_its_byte_bound(monkeypatch):
+    # four tori, m n bonds in each of two groups: (m n + 1)^2 int64 bins.
+    # A bound of the two newest entries must evict the two oldest
+    specs = [LatticeSpec(3, 3), LatticeSpec(3, 4), LatticeSpec(3, 5), LatticeSpec(4, 4)]
+    graphs = [build_lattice_graph(spec, ReducedCouplings(k_h=0.3, k_v=0.5)) for spec in specs]
+    sizes = [8 * (spec.rows * spec.cols + 1) ** 2 for spec in specs]
+    bound = sizes[-1] + sizes[-2]
+    monkeypatch.setattr(oracle, "_DOS_CACHE_BYTES", bound)
+    with mock.patch.dict(oracle._DOS_CACHE, clear=True):
+        for g, size in zip(graphs, sizes):
+            assert enumerate_partition_graph(g) == pytest.approx(_enumerate_direct(g, 0.0),
+                                                                 rel=1e-12)
+            held = [dos.nbytes for dos in oracle._DOS_CACHE.values()]
+            assert size in held and sum(held) <= bound
+        assert sorted(held) == sizes[-2:]
+
+
 def test_direct_fallback_matches_binned_path():
     rng = np.random.default_rng(3)
     edges = tuple((int(i), int(j), float(rng.uniform(0.1, 0.8)))
@@ -282,6 +300,15 @@ def test_matching_dp_past_the_float_range_is_a_domain_error():
     # z1^4 alone overflows; the count is refused rather than inf
     with pytest.raises(DomainError, match="float range"):
         count_matchings_dp(4, 4, MatchingWeights(1e200, 1.0))
+
+
+@pytest.mark.parametrize("m,n", [(967_555, 2), (2, 967_555)])
+def test_matching_dp_refuses_an_overflowed_strip_early(m, n):
+    # Fibonacci growth passes the float range after ~1480 of the ~1e6 rows
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="float range"):
+        count_matchings_dp(m, n)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_enumeration_past_the_float_range_is_a_domain_error():

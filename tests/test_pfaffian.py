@@ -336,7 +336,7 @@ def test_sweep_matches_dense_cluster_pfaffian(m, n, k):
             d, c = _ising_blocks(m, z1, z2, s1)
             assert np.array_equal(_block_matrix(d, c, n, s2),
                                   _ising_block_matrix(m, n, z1, z2, s1, s2))
-            _assert_same_pfaffian(_column_sweep(d, c, n, s2),
+            _assert_same_pfaffian(_column_sweep(d, c, n, (s2,))[0],
                                   pfaffian(_ising_block_matrix(m, n, z1, z2, s1, s2)))
 
 
@@ -350,7 +350,8 @@ def test_sweep_matches_dense_dimer_pfaffian(m, n, z1, z2):
         d, c = _dimer_blocks(m, w, s1)
         want = build_dimer_matrix(spec, w, variant)
         assert np.array_equal(_block_matrix(d, c, n, wrap), want)
-        _assert_same_pfaffian(_column_sweep(d, c, n, wrap), pfaffian(want))
+        got, = _column_sweep(d, c, n, None if wrap is None else (wrap,))
+        _assert_same_pfaffian(got, pfaffian(want))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -360,14 +361,32 @@ def test_sweep_of_one_column_wraps_onto_itself(m):
         d, c = _ising_blocks(m, 0.4, 0.7, s1)
         want = _ising_block_matrix(m, 1, 0.4, 0.7, s1, s2)
         assert np.array_equal(_block_matrix(d, c, 1, s2), want)
-        _assert_same_pfaffian(_column_sweep(d, c, 1, s2), pfaffian(want))
+        _assert_same_pfaffian(_column_sweep(d, c, 1, (s2,))[0], pfaffian(want))
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (5, 7), (8, 8), (4, 12)])
 def test_sweep_singular_at_criticality(m, n):
-    # the (+, +) cluster matrix is exactly singular at K_c
+    # the (+, +) cluster matrix is exactly singular at K_c; the (+, -) close
+    # of the same sweep is not, and a singular sibling must not poison it
     z = math.tanh(K_CRIT)
-    assert _column_sweep(*_ising_blocks(m, z, z, 1.0), n, 1.0) == (0, -math.inf)
+    plus, minus = _column_sweep(*_ising_blocks(m, z, z, 1.0), n, (1.0, -1.0))
+    assert plus == (0, -math.inf)
+    assert minus[0] != 0 and math.isfinite(minus[1])
+    _assert_same_pfaffian(minus, pfaffian(_ising_block_matrix(m, n, z, z, 1.0, -1.0)))
+
+
+@pytest.mark.parametrize("m,n", [(3, 5), (5, 3), (2, 12), (6, 6), (2, 2), (3, 1)])
+@pytest.mark.parametrize("k", [1e-8, 0.3, K_CRIT, 2.0, 18.0, 400.0])
+def test_both_closes_of_one_sweep(m, n, k):
+    # one sweep per s1 closed for s2 = +1 and -1 equals the dense Pfaffian of
+    # each matrix, and bitwise the sweep closed for that s2 alone
+    z1, z2 = math.tanh(0.6 * k), math.tanh(k)
+    for s1 in (1.0, -1.0):
+        d, c = _ising_blocks(m, z1, z2, s1)
+        closes = _column_sweep(d, c, n, (1.0, -1.0))
+        for s2, got in zip((1.0, -1.0), closes):
+            assert got == _column_sweep(d, c, n, (s2,))[0]
+            _assert_same_pfaffian(got, pfaffian(_ising_block_matrix(m, n, z1, z2, s1, s2)))
 
 
 @pytest.mark.parametrize("m,n,kh,kv", [(3, 5, 0.3, 0.6), (2, 7, 0.9, 0.2), (4, 6, K_CRIT, 0.5),
@@ -380,7 +399,7 @@ def test_ising_pfaffian_transpose(m, n, kh, kv):
 
 @pytest.mark.parametrize("kh,kv", [(K_CRIT, K_CRIT), (0.3, 0.6)])
 def test_torus_past_the_dense_ceiling(kh, kv):
-    # four sweeps of 64 fronts of dimension 768: the cluster matrix would
+    # two sweeps of 64 fronts of dimension 768: the cluster matrix would
     # have dimension 16384, four times the dense ceiling
     got = ising_pfaffian_torus(64, 64, kh, kv)
     assert got == pytest.approx(kaufman_partition(64, 64, kv, kh), rel=1e-9)

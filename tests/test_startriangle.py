@@ -121,6 +121,10 @@ def test_star_triangle_past_the_float_range_is_refused():
     # k = 4 e^{-1200} underflows
     with pytest.raises(DomainError):
         star_to_triangle(400.0, 400.0, 400.0)
+    # K3 underflows to 0; 2 L3 overflows, so K3 is nan
+    for star in ((1.0, 1.0, 1e200), (1.0, 1.0, 1e308)):
+        with pytest.raises(DomainError, match="float range"):
+            star_to_triangle(*star)
 
 
 @pytest.mark.parametrize("ks", [(10.0, 10.0, 10.0), (15.0, 0.3, 0.3), (0.3, 0.7, 1.1),
