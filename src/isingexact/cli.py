@@ -150,17 +150,18 @@ def _cmd_dimers(args) -> int:
     w = MatchingWeights(z1=args.z1, z2=args.z2)
     m, n = args.rows, args.cols
     LatticeSpec(m, n, boundary=args.bc)   # rejects sides < 1
+    method = args.method or ("pfaffian" if args.bc == "torus" else "product")
     if args.bc == "torus":
-        if args.method != "pfaffian":
+        if method != "pfaffian":
             raise DomainError("torus dimer counts are Pfaffian-only")
         count = dimer_count_torus(m, n, w)
-    elif args.method == "product":
+    elif method == "product":
         count = dimer_count_free_product(m, n, w)
-    elif args.method == "pfaffian":
+    elif method == "pfaffian":
         count = dimer_count_free_pf(m, n, w)
     else:  # enumerate
         count = count_matchings_dp(m, n, w)
-    _emit({"method": args.method, "count": float(count),
+    _emit({"method": method, "count": float(count),
            "params": {"rows": m, "cols": n, "z1": args.z1, "z2": args.z2,
                       "bc": args.bc}}, args.format)
     return 0
@@ -252,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z1", type=float, default=1.0)
     p.add_argument("--z2", type=float, default=1.0)
     p.add_argument("--method", choices=("product", "pfaffian", "enumerate"),
-                   default="product")
+                   help="default: product on the free grid, pfaffian on the torus")
     p.add_argument("--bc", choices=("free", "torus"), default="free")
     add_format(p)
     p.set_defaults(func=_cmd_dimers)

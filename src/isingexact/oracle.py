@@ -22,7 +22,12 @@ counts, but most of the per-bond work is done once:
   distinct, so a whole layer is a single popcount of the low state XOR-ed
   with the high partners' spins;
 * flipping every spin keeps every bond count, so only states with the top
-  spin down are enumerated and the density is doubled.
+  spin down are enumerated and the density is doubled;
+* a chunk of ~2^16 states (a few high states by every low state) is
+  keyed in the narrowest unsigned type that holds every bin index (uint16
+  up to 65 536 bins, uint32 past that), in key, XOR and popcount buffers
+  allocated once per build and filled in place, so a build's working set
+  stays in L2 cache.
 
 The partition function is then a max-shifted log-sum-exp over the occupied
 bins, each bin's energy read off its group counts.  The density of states
@@ -50,8 +55,9 @@ from .core import (CapacityError, DomainError, LatticeSpec, ReducedCouplings, fi
 MAX_ENUM_SITES = 26
 # sites in the low half of the DOS split (low states are held as uint16)
 _LOW_BITS = 14
-# log2 of the configurations handled per numpy chunk; bounds chunk memory
-_CHUNK_BITS = 20
+# log2 of the configurations handled per numpy chunk: 2^16 narrow keys and
+# their scratch buffers stay in L2 cache, reused by every chunk of a build
+_CHUNK_BITS = 16
 
 # structural density-of-states cache: key -> flat int64 array, oldest first.
 # Past _DOS_CACHE_BYTES the oldest entries are evicted (a criterion-1 entry
@@ -170,14 +176,35 @@ def _density_of_states(num_sites: int,
             flip = sum(((hi >> (b - n_low)) & 1) << a for a, b in layer)
             cross.append((stride, lo16 & np.uint16(mask), flip.astype(np.uint16)))
 
+    # every partial key is at most total_bins - 1, so the narrowest key type
+    # cannot wrap; a chunk of `rows` high states by every low state is one
+    # set of buffers, filled in place.  rows and len(hi) are powers of two,
+    # so every chunk is full
+    key_type = np.uint16 if total_bins <= 1 << 16 else np.uint32
+    key_low = key_low.astype(key_type)
+    key_high = key_high.astype(key_type)
+    rows = min(1 << max(_CHUNK_BITS - n_low, 0), len(hi))
+    key = np.empty((rows, len(lo)), dtype=key_type)
+    xor = np.empty(key.shape, dtype=np.uint16)
+    count = np.empty(key.shape, dtype=np.uint16)
+    product = np.empty(key.shape, dtype=key_type)
     dos = np.zeros(total_bins, dtype=np.int64)
-    rows = 1 << max(_CHUNK_BITS - n_low, 0)
     for start in range(0, len(hi), rows):
         block = slice(start, start + rows)
-        key = key_low + key_high[block, None]
+        np.add(key_low, key_high[block, None], out=key)
         for stride, low_bits, flip in cross:
-            count = np.bitwise_count(low_bits ^ flip[block, None])
-            key += count if stride == 1 else count * np.int64(stride)
+            np.bitwise_xor(low_bits, flip[block, None], out=xor)
+            # popcount byte by byte (numpy's uint8 popcount is ~3.5x faster
+            # than its uint16 one on x86-64); an entry's byte counts
+            # b0 + 256 b1 become b0 + b1 in place, as
+            # (b0 + 256 b1) * 257 = b0 + 256 (b0 + b1) mod 2^16
+            np.bitwise_count(xor.view(np.uint8), out=count.view(np.uint8))
+            count *= 257
+            count >>= 8
+            if stride == 1:
+                key += count
+            else:
+                key += np.multiply(count, key_type(stride), out=product)
         dos += np.bincount(key.ravel(), minlength=total_bins)
     return 2 * dos
 

@@ -65,6 +65,20 @@ def test_dimers_all_methods(capsys):
             assert json.loads(out)["count"] == want
 
 
+def test_dimers_default_method_follows_the_boundary(capsys):
+    # no --method: the product on the free grid, the Pfaffian on the torus
+    for bc, method, want in (("free", "product", 36), ("torus", "pfaffian", 272)):
+        code, out, err = _run(capsys, "dimers", "--rows", "4", "--cols", "4", "--bc", bc)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["method"] == method
+        assert doc["count"] == pytest.approx(want, rel=1e-12)
+    code, out, err = _run(capsys, "dimers", "--rows", "4", "--cols", "4", "--bc", "torus",
+                          "--method", "product")
+    _refused(code, out, err)
+    assert "torus dimer counts are Pfaffian-only" in err
+
+
 def test_free_energy_json(capsys):
     code, out, _ = _run(capsys, "free-energy", "--method", "onsager", "--k", "0.3")
     assert code == 0
@@ -343,9 +357,9 @@ def _argv(draw):
                  flag("points", st.sampled_from((-1, 15, 16, 4096, 4097)))]
     elif sub == "dimers":
         argv += [flag("rows", _SIDES), flag("cols", _SIDES), flag("z1", _REALS),
-                 flag("z2", _REALS),
-                 flag("method", st.sampled_from(("product", "pfaffian", "enumerate"))),
-                 flag("bc", st.sampled_from(("free", "torus")))]
+                 flag("z2", _REALS), flag("bc", st.sampled_from(("free", "torus")))]
+        if draw(st.booleans()):
+            argv.append(flag("method", st.sampled_from(("product", "pfaffian", "enumerate"))))
     elif sub == "sweep":
         argv += [flag("k-from", _REALS), flag("k-to", _REALS),
                  flag("steps", st.sampled_from((-1, 0, 1, 3))),

@@ -6,6 +6,7 @@ machinery the production path uses."""
 import itertools
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -77,17 +78,28 @@ def spin_graphs(draw):
     return n, tuple(edges)
 
 
+def _chunk_bits(rows_per_chunk, sites, low_bits):
+    """_CHUNK_BITS for one or two high states per chunk, or the default (None)."""
+    if rows_per_chunk is None:
+        return oracle._CHUNK_BITS
+    return min(sites, low_bits) + rows_per_chunk - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph=spin_graphs(), with_field=st.booleans(),
-       low_bits=st.sampled_from((3, 8, oracle._LOW_BITS)))
-def test_density_of_states_matches_per_bond_reference(graph, with_field, low_bits):
+       low_bits=st.sampled_from((3, 8, oracle._LOW_BITS)),
+       rows_per_chunk=st.sampled_from((1, 2, None)))
+def test_density_of_states_matches_per_bond_reference(graph, with_field, low_bits,
+                                                      rows_per_chunk):
     n, edges = graph
     structure = _edge_structure(edges)
     if with_field:
         # the field's ghost graph: one more group, bonds from every site to site n
         structure += (tuple((i, n) for i in range(n)),)
     sites = n + 1 if with_field else n
-    with mock.patch.object(oracle, "_LOW_BITS", low_bits):
+    with mock.patch.object(oracle, "_LOW_BITS", low_bits), \
+            mock.patch.object(oracle, "_CHUNK_BITS",
+                              _chunk_bits(rows_per_chunk, sites, low_bits)):
         dos = _density_of_states(sites, structure)
     ref = reference_density_of_states(sites, structure)
     assert dos.dtype == np.int64
@@ -106,6 +118,62 @@ def test_density_of_states_twenty_site_torus(k_v):
     structure = _edge_structure(g.edges)
     np.testing.assert_array_equal(_density_of_states(20, structure),
                                   reference_density_of_states(20, structure))
+
+
+def _past_the_uint16_keys():
+    # nine groups of three bonds on 16 sites: 4^9 bins, so uint32 keys
+    rng = np.random.default_rng(11)
+    pairs = list(itertools.combinations(range(16), 2))
+    picks = rng.choice(len(pairs), size=27, replace=False)
+    structure = tuple(tuple(sorted(pairs[i] for i in picks[g:g + 3])) for g in range(0, 27, 3))
+    assert math.prod(len(g) + 1 for g in structure) > 1 << 16
+    return 16, structure
+
+
+def _one_high_state():
+    # 15 sites: the top spin is the only high site, and it is fixed down
+    g = build_lattice_graph(LatticeSpec(3, 5), ReducedCouplings(k_h=0.31, k_v=0.57))
+    assert g.num_sites == oracle._LOW_BITS + 1
+    return 15, _edge_structure(g.edges)
+
+
+def _group_across_the_split_in_two_layers():
+    # with 4 low sites, group 1 crosses the split by (0, 5), (0, 6) and
+    # (2, 7): (0, 5) and (0, 6) share their low endpoint, so two layers
+    structure = (((0, 1), (4, 5), (3, 7)), ((0, 5), (0, 6), (2, 7), (1, 2)), ((6, 7),))
+    assert len(oracle._cross_layers(4, structure[1])) == 2
+    return 8, structure
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, None])
+@pytest.mark.parametrize("case,low_bits", [
+    (_past_the_uint16_keys, oracle._LOW_BITS),
+    (_one_high_state, oracle._LOW_BITS),
+    (_group_across_the_split_in_two_layers, 4),
+])
+def test_density_of_states_kernel_cases(case, low_bits, rows_per_chunk):
+    sites, structure = case()
+    with mock.patch.object(oracle, "_LOW_BITS", low_bits), \
+            mock.patch.object(oracle, "_CHUNK_BITS",
+                              _chunk_bits(rows_per_chunk, sites, low_bits)):
+        dos = _density_of_states(sites, structure)
+    assert dos.dtype == np.int64
+    np.testing.assert_array_equal(dos, reference_density_of_states(sites, structure))
+
+
+def test_density_of_states_peak_memory():
+    # one build on the 4 x 5 torus (two bond groups) lives in a few
+    # cache-sized chunk buffers, ~1.3 MiB in all; int64 keys for 2^20 states
+    # alone would take 8 MiB
+    g = build_lattice_graph(LatticeSpec(4, 5), ReducedCouplings(k_h=0.31, k_v=0.57))
+    structure = _edge_structure(g.edges)
+    tracemalloc.start()
+    try:
+        _density_of_states(20, structure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_single_bond():

@@ -276,10 +276,11 @@ def test_dimer_product_past_the_float_range_is_a_domain_error(m, n, w):
             dimer_count_free(m, n, w)
 
 
-def _critical_torus_amplitude():
-    """ln[(theta_2 + theta_3 + theta_4) / (2 eta)] at tau = i, as q-series
-    in the nome q = e^{-pi} (Ferdinand & Fisher, Phys. Rev. 185, 832 (1969))."""
-    q = math.exp(-math.pi)
+def _critical_torus_amplitude(tau_im):
+    """ln[(theta_2 + theta_3 + theta_4) / (2 eta)] at tau = i tau_im, as
+    q-series in the nome q = e^{i pi tau} = e^{-pi tau_im} (Ferdinand & Fisher,
+    Phys. Rev. 185, 832 (1969))."""
+    q = math.exp(-math.pi * tau_im)
     theta2 = 2.0 * sum(q ** ((j + 0.5) ** 2) for j in range(10))
     theta3 = 1.0 + 2.0 * sum(q ** (j * j) for j in range(1, 10))
     theta4 = 1.0 + 2.0 * sum((-1) ** j * q ** (j * j) for j in range(1, 10))
@@ -289,12 +290,17 @@ def _critical_torus_amplitude():
 
 @pytest.mark.parametrize("route", [kaufman_partition, kacward_log_z])
 def test_critical_torus_amplitude(route):
-    # at K_c, ln Z_{LxL} - L^2 (ln 2 / 2 + 2G/pi) -> the tau = i amplitude, with
-    # a clean 1/L^2 correction: one Richardson step from L = 128 and 256
+    # at K_c, ln Z_{L x aL} - a L^2 (ln 2 / 2 + 2G/pi) -> the tau = a i
+    # amplitude, with a clean 1/L^2 correction: one Richardson step from
+    # L = 128 and 256.  What is left is -3.2e-10 at a = 1 and -5.4e-10
+    # (Kaufman) and -5.2e-10 (Kac-Ward) at a = 2
     catalan = 0.915965594177219015054603514932384110774
     free_energy = 0.5 * math.log(2.0) + 2.0 * catalan / math.pi
-    rest = {size: route(size, size, K_CRIT, K_CRIT) - size * size * free_energy
-            for size in (128, 256)}
-    amplitude = _critical_torus_amplitude()
-    assert amplitude == pytest.approx(0.6399119471916227, abs=1e-15)
-    assert (4.0 * rest[256] - rest[128]) / 3.0 == pytest.approx(amplitude, abs=1e-9)
+    for aspect, want in ((1, 0.6399119471916227), (2, 0.712469269252626)):
+        amplitude = _critical_torus_amplitude(aspect)
+        assert amplitude == pytest.approx(want, abs=1e-15)
+        # the amplitude is modular invariant: tau and -1/tau are one torus
+        assert _critical_torus_amplitude(1.0 / aspect) == pytest.approx(amplitude, abs=1e-15)
+        rest = {size: route(size, aspect * size, K_CRIT, K_CRIT)
+                - aspect * size * size * free_energy for size in (128, 256)}
+        assert (4.0 * rest[256] - rest[128]) / 3.0 == pytest.approx(amplitude, abs=1e-9), aspect
