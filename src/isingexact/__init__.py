@@ -11,12 +11,12 @@ from .core import (
     CapacityError,
     DomainError,
     LatticeSpec,
+    MatchingWeights,
     MethodResult,
     ReducedCouplings,
     dual_coupling,
 )
 from .oracle import (
-    MatchingWeights,
     WeightedGraph,
     build_lattice_graph,
     count_matchings,

@@ -83,6 +83,14 @@ def log_cosh(x: float) -> float:
     return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
 
 
+def _log_2sinh_abs(x: np.ndarray) -> np.ndarray:
+    """log(2 |sinh x|) = |x| + ln(1 - e^{-2|x|}), with 1 - e^{-2|x|} taken by
+    expm1 so tiny |x| keeps its digits; -inf at x = 0."""
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        return ax + np.log(-np.expm1(-2.0 * ax))
+
+
 def dual_coupling(k: float) -> float:
     """Map a coupling to its dual: sinh(2k) * sinh(2k*) = 1.
 
@@ -116,6 +124,19 @@ class ReducedCouplings:
                 raise DomainError(f"{name} must be finite, got {v!r}")
         if self.k_d is not None and not math.isfinite(self.k_d):
             raise DomainError(f"k_d must be finite, got {self.k_d!r}")
+
+
+@dataclass(frozen=True)
+class MatchingWeights:
+    """z1 weights bonds along the row index (i -> i+1), z2 along the column
+    index (j -> j+1)."""
+
+    z1: float = 1.0
+    z2: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.z1 < math.inf and 0.0 <= self.z2 < math.inf):
+            raise DomainError("matching weights must be finite and non-negative")
 
 
 @dataclass(frozen=True)

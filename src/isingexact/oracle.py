@@ -14,15 +14,15 @@ both signs gives 2 Z(h), so ln Z is the ghost graph's ln Z - ln 2.  Every
 configuration still gets its own key in a density of states over the group
 counts, but most of the per-bond work is done once:
 
-* the sites split into a low half (the first min(N, 14) sites) and a high
-  half.  One table over the low states holds the weighted counts of the
-  bonds inside the low half; one scalar per high state holds those of the
-  bonds inside the high half;
+* the sites split into a low half (the first min(N - 1, 14) sites) and a
+  high half, which always holds the top spin.  One table over the low
+  states holds the weighted counts of the bonds inside the low half; one
+  scalar per high state holds those of the bonds inside the high half;
 * bonds crossing the split are grouped into layers whose low endpoints are
   distinct, so a whole layer is a single popcount of the low state XOR-ed
   with the high partners' spins;
-* flipping every spin keeps every bond count, so only states with the top
-  spin down are enumerated and the density is doubled;
+* flipping every spin keeps every bond count, so in every build only
+  states with the top spin down are enumerated and the density is doubled;
 * a chunk of ~2^16 states (a few high states by every low state) is
   keyed in the narrowest unsigned type that holds every bin index (uint16
   up to 65 536 bins, uint32 past that), in key, XOR and popcount buffers
@@ -49,8 +49,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CapacityError, DomainError, LatticeSpec, ReducedCouplings, finite,
-                   log_sum)
+from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, ReducedCouplings,
+                   finite, log_sum)
 
 MAX_ENUM_SITES = 26
 # sites in the low half of the DOS split (low states are held as uint16)
@@ -82,19 +82,6 @@ class WeightedGraph:
                 raise DomainError(f"edge ({a},{b}) out of range")
             if not math.isfinite(k):
                 raise DomainError("edge coupling must be finite")
-
-
-@dataclass(frozen=True)
-class MatchingWeights:
-    """z1 weights bonds along the row index (i -> i+1), z2 along the column
-    index (j -> j+1)."""
-
-    z1: float = 1.0
-    z2: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.z1 < math.inf and 0.0 <= self.z2 < math.inf):
-            raise DomainError("matching weights must be finite and non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +144,12 @@ def _density_of_states(num_sites: int,
     for g in edge_groups:
         strides.append(strides[-1] * (len(g) + 1))
     total_bins = strides[-1]
-    n_low = min(num_sites, _LOW_BITS)
+    # the top spin is always high, so spin flip halves every build
+    n_low = min(num_sites - 1, _LOW_BITS)
     n_high = num_sites - n_low
 
     lo = np.arange(1 << n_low, dtype=np.int64)
     key_low = _bond_counts(lo, 0, n_low, edge_groups, strides)
-    if n_high == 0:
-        return np.bincount(key_low, minlength=total_bins)
-
     # top spin fixed down: 2^(n_high - 1) high states
     hi = np.arange(1 << (n_high - 1), dtype=np.int64)
     key_high = _bond_counts(hi, n_low, n_high, edge_groups, strides)
@@ -346,6 +331,8 @@ def count_matchings(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> f
     exhaustive backtracking: sum over matchings of z1^#row-bonds z2^#col-bonds.
 
     Odd site count returns 0 (no perfect matching exists)."""
+    LatticeSpec(m, n, "square", "free")   # rejects sides < 1
+
     def edges():
         # row-major, right (z2) before down (z1): the backtracker sums in
         # edge order.  Lazy, so the site-count ceiling is checked first.
@@ -411,6 +398,7 @@ def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -
     rows * (3^width + 16 * 2^width) at 14 x 14, width the shorter side, it
     is a CapacityError.  A count past the float range is a DomainError.
     """
+    LatticeSpec(m, n, "square", "free")   # rejects sides < 1
     if (m * n) % 2:
         return 0.0
     z1, z2 = w.z1, w.z2

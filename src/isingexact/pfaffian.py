@@ -17,22 +17,20 @@ instead of being guessed.
 The counting routes never form their matrices: `_column_sweep` eliminates
 a column block matrix one front of about three columns at a time (Wimmer's
 banded case), and it shares the one elimination loop, `_eliminate`, with
-pfaffian().  The four torus matrices differ in the row-wrap sign s1, which
-is in every column block, and the column-wrap sign s2, which only the last
-front sees: each torus route makes one sweep per s1 and closes its last
-front twice, once for each s2.
+pfaffian().  Only the last front sees the column wrap: the free grid is
+its close with wrap 0, and each torus route makes one sweep per row-wrap
+sign s1 and closes its last front twice, once per column-wrap sign s2.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CapacityError, DomainError, LatticeSpec, exp_finite, finite, log_cosh,
-                   log_sum)
-from .oracle import MatchingWeights
+from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, exp_finite,
+                   finite, log_cosh, log_sum)
 from .spectral import _kacward_log_product
 
 MAX_DIM = 4096
@@ -142,45 +140,38 @@ def _eliminate(a: np.ndarray, eligible: int, scale: float) -> Tuple[int, float, 
 
 
 def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
-                  wraps: Optional[Sequence[float]]) -> List[Tuple[int, float]]:
+                  wraps: Sequence[float]) -> List[Tuple[int, float]]:
     """Pf(A) as (sign, log magnitude) of A = I_n (x) D + H (x) C - H^T (x) C^T
     for each wrap in `wraps`, H the n x n shift with the wrap in its
-    (n-1, 0) corner (None: one free sweep, one result), without forming A.
-    Column 0 is the separator the wrap couples to; the front [delayed
-    nodes, column j, column j+1, separator] eliminates the first two groups,
-    whose couplings are all in it.  The wrap enters only the last front, so
-    columns 1 .. n-2 are swept once and a copy of the last front is closed
-    for each wrap.  Pivots are judged against the largest entry of A, so a
-    last front of roundoff is singular, as in pfaffian()."""
-    if n == 1 and wraps is not None:
-        # H = [[wrap]]
-        return [_column_sweep(d + wrap * (c - c.T), c, 1, None)[0] for wrap in wraps]
+    (n-1, 0) corner (0: the free grid), without forming A.  Column 0 is the
+    separator the wrap couples to; the front [delayed nodes, column j,
+    column j+1, separator] eliminates the first two groups, whose couplings
+    are all in it.  The wrap enters only the last front, so columns
+    1 .. n-2 are swept once and a copy of the last front is closed for each
+    wrap; one column (H = [[wrap]]) is closed as D + wrap (C - C^T).
+    Pivots are judged against the largest entry of A, so a last front of
+    roundoff is singular, as in pfaffian()."""
     b = len(d)
-    sep = 0 if wraps is None else b
-    front = 2 * b + sep
-    singular = [(0, -math.inf)] * (1 if wraps is None else len(wraps))
     # work ~ columns * eliminated nodes * front^2; the bound also keeps the
     # front below ~2700 nodes (58 MB)
-    if n * b * front * front > _MAX_SWEEP_WORK:
+    if n * b * (3 * b) ** 2 > _MAX_SWEEP_WORK:
         raise CapacityError(f"{n} columns of {b} nodes exceed the Pfaffian sweep ceiling")
+    singular = [(0, -math.inf)] * len(wraps)
     scale = float(max(np.abs(d).max(), np.abs(c).max()))
     if scale == 0.0:
         return singular
+    if n == 1:
+        return [_eliminate(d + wrap * (c - c.T), b, scale)[:2] for wrap in wraps]
     # the front is kept in the order [delayed, column j, separator]; moving
-    # a column past the separator is b * sep interchanges
-    flip = -1 if (b * sep) % 2 else 1
+    # a column past the separator is b * b interchanges
+    flip = -1 if b % 2 else 1
     sign = flip
     log_mag = 0.0
-    f = np.zeros((b + sep, b + sep))
-    f[:b, :b] = d
-    if sep:
-        f[b:, b:] = d
-        f[b:, :b] = c
-        f[:b, b:] = -c.T
-    for j in range(1 if sep else 0, n - 1):
-        h = len(f) - sep   # the delayed nodes and column j
+    f = np.block([[d, -c.T], [c, d]])   # column 1, then the separator
+    for j in range(1, n - 1):
+        h = len(f) - b   # the delayed nodes and column j
         cur = slice(h - b, h)
-        g = np.zeros((h + b + sep, h + b + sep))
+        g = np.zeros((h + 2 * b, h + 2 * b))
         nxt = slice(h, h + b)
         g[:h, :h] = f[:h, :h]
         g[:h, h + b:] = f[:h, h:]
@@ -196,10 +187,7 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
         sign *= step_sign
         log_mag += step_log
         f = g[rest:, rest:]
-    if wraps is None:
-        last_sign, last_log, _ = _eliminate(f, len(f), scale)
-        return [(sign * last_sign, log_mag + last_log)]
-    h = len(f) - sep   # the delayed nodes and column n-1
+    h = len(f) - b   # the delayed nodes and column n-1
     cur = slice(h - b, h)
     closes = []
     for wrap in wraps:
@@ -209,6 +197,16 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
         last_sign, last_log, _ = _eliminate(g, len(g), scale)
         closes.append((sign * last_sign, log_mag + last_log))
     return closes
+
+
+def _torus_closes(blocks: Callable[[float], Tuple[np.ndarray, np.ndarray]],
+                  n: int) -> List[Tuple[int, float]]:
+    """Pf of the four torus matrices as (sign, log magnitude), in
+    _TORUS_TERMS order, from one sweep per row-wrap sign s1 (column blocks
+    blocks(s1)) closed for both column-wrap signs s2."""
+    closes = {(s1, s2): pf for s1 in _WRAP_SIGNS for s2, pf in
+              zip(_WRAP_SIGNS, _column_sweep(*blocks(s1), n, _WRAP_SIGNS))}
+    return [closes[s1, s2] for s1, s2, _ in _TORUS_TERMS.values()]
 
 
 def _interchange(a: np.ndarray, left: np.ndarray, right: np.ndarray, i: int, j: int) -> None:
@@ -298,7 +296,7 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
         m, n, w = n, m, MatchingWeights(w.z2, w.z1)
     # Kasteleyn: the Pfaffian is the count up to a sign that depends only
     # on the site order (negative for odd m and n = 2 mod 4)
-    (sign, log_mag), = _column_sweep(*_dimer_blocks(m, w, 0.0), n, None)
+    (sign, log_mag), = _column_sweep(*_dimer_blocks(m, w, 0.0), n, (0.0,))
     return 0.0 if sign == 0 else exp_finite(log_mag, "the dimer count")
 
 
@@ -310,20 +308,15 @@ def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) ->
     transposed first, and so are even ones with more rows than columns,
     to sweep along the longer side (the torus count is
     orientation-invariant).  A count past the float range is a DomainError."""
+    LatticeSpec(m, n, "square", "torus")   # rejects sides < 1
     if (m * n) % 2:
         return 0.0
     if m % 2 or (m > n and n % 2 == 0):
         m, n, w = n, m, MatchingWeights(w.z2, w.z1)
-    LatticeSpec(m, n, "square", "torus")   # rejects sides < 1
-    # one sweep per row-wrap sign s1, closed for both column-wrap signs s2
-    closes = {(s1, s2): pf for s1 in _WRAP_SIGNS for s2, pf in
-              zip(_WRAP_SIGNS, _column_sweep(*_dimer_blocks(m, w, s1), n, _WRAP_SIGNS))}
-    log_mags, weights = [], []
-    for s1, s2, weight in _TORUS_TERMS.values():
-        sign, log_mag = closes[s1, s2]
-        log_mags.append(log_mag)
-        weights.append(weight * sign)
-    return exp_finite(log_sum(log_mags, weights, "the dimer count"), "the dimer count")
+    closes = _torus_closes(lambda s1: _dimer_blocks(m, w, s1), n)
+    weights = [weight * sign for (_, _, weight), (sign, _) in zip(_TORUS_TERMS.values(), closes)]
+    return exp_finite(log_sum([log_mag for _, log_mag in closes], weights, "the dimer count"),
+                      "the dimer count")
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +385,12 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
         m, n, k_h, k_v = n, m, k_v, k_h
     z1 = math.tanh(k_v)   # row-direction bonds couple neighboring rows
     z2 = math.tanh(k_h)
-    # one sweep per row-wrap sign s1, closed for both column-wrap signs s2
-    closes = {(s1, s2): pf for s1 in _WRAP_SIGNS for s2, pf in
-              zip(_WRAP_SIGNS, _column_sweep(*_ising_blocks(m, z1, z2, s1), n, _WRAP_SIGNS))}
+    closes = _torus_closes(lambda s1: _ising_blocks(m, z1, z2, s1), n)
     # an odd site count flips the global Pfaffian sign (site-ordering
     # permutation parity); the relative sign pattern is unchanged
     parity = -1.0 if (m * n) % 2 else 1.0
     variants = []
-    for variant, (s1, s2, weight) in _TORUS_TERMS.items():
-        sign, log_mag = closes[s1, s2]
+    for (variant, (s1, s2, weight)), (sign, log_mag) in zip(_TORUS_TERMS.items(), closes):
         log_det = ising_torus_logdet(m, n, z1, z2, s1, s2)
         variants.append((variant, parity * weight * sign, log_mag, log_det))
     top = max(lm for _, w, lm, _ in variants if w != 0)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CapacityError, DomainError, ReducedCouplings, angle_grid, dual_coupling,
-                   exp_finite, finite, log_cosh, log_sum)
-from .oracle import MatchingWeights
+from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, ReducedCouplings,
+                   _log_2sinh_abs, angle_grid, dual_coupling, exp_finite, finite, log_cosh,
+                   log_sum)
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ def gamma_spectrum(n: int, k_t: float, k_s: float) -> np.ndarray:
     nears overflow and arcsinh x equals ln 2x to double precision, gamma is
     2 (a + b + ln 2w).
     """
+    LatticeSpec(1, n)   # rejects n < 1
     if not (k_t > 0.0 and math.isfinite(k_t)):
         raise DomainError("k_t must be positive (its dual enters the spectrum)")
     if not (k_s >= 0.0 and math.isfinite(k_s)):
@@ -74,14 +75,6 @@ def gamma_spectrum(n: int, k_t: float, k_s: float) -> np.ndarray:
             gamma = 2.0 * (kd + k_s + np.log(2.0 * w))
     gamma[0] = 2.0 * (kd - k_s)
     return gamma
-
-
-def _log_2sinh_abs(x: np.ndarray) -> np.ndarray:
-    """log(2 |sinh x|) = |x| + ln(1 - e^{-2|x|}), with 1 - e^{-2|x|} taken by
-    expm1 so tiny |x| keeps its digits; -inf at x = 0."""
-    ax = np.abs(x)
-    with np.errstate(divide="ignore"):
-        return ax + np.log(-np.expm1(-2.0 * ax))
 
 
 def kaufman_partition(m: int, n: int, k_t: float, k_s: float) -> float:
@@ -210,13 +203,12 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
     is factored out before squaring, so no weight overflows a term.  A count
     past the float range is a DomainError.
     """
+    LatticeSpec(m, n, "square", "free")   # rejects sides < 1
     z1, z2 = w.z1, w.z2
     if m % 2 == 1:
         if n % 2 == 1:
             return 0.0
         m, n, z1, z2 = n, m, z2, z1
-    if m == 0 or n == 0:
-        return 1.0
     z = max(z1, z2)
     if z == 0.0:
         return 0.0
@@ -244,6 +236,7 @@ def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:
     cosh 2k and sinh 2k as e^{2k} (1 +- t) / 2, t = e^{-4k}, so large
     couplings do not overflow.
     """
+    LatticeSpec(m, n, "triangular")   # rejects sides < 1
     kd = c.k_d if c.k_d is not None else 0.0
     for v in (c.k_h, c.k_v, kd):
         if v < 0:

@@ -29,8 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import K_CRIT, DomainError, exp_finite, finite, log_cosh
-from .spectral import _log_2sinh_abs
+from .core import K_CRIT, DomainError, _log_2sinh_abs, exp_finite, finite, log_cosh
 
 
 @dataclass(frozen=True)

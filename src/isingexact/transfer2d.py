@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, DomainError, finite
+from .core import CapacityError, DomainError, LatticeSpec, finite
 
 MAX_COLS = 14
 _MAX_DENSE_COLS = 12
@@ -57,7 +57,8 @@ class TransferOperator:
 
 
 def _check(n: int, k_a: float, k_b: float) -> None:
-    if not 1 <= n <= MAX_COLS:
+    LatticeSpec(1, n)   # rejects n < 1
+    if n > MAX_COLS:
         raise CapacityError(f"transfer matrix supports 1..{MAX_COLS} columns, got {n}")
     if not (math.isfinite(k_a) and math.isfinite(k_b)):
         raise DomainError("couplings must be finite")

@@ -12,10 +12,12 @@ from isingexact.core import (
     dual_coupling,
     log_sum,
 )
-from isingexact.oracle import (MatchingWeights, build_lattice_graph, count_matchings_dp,
-                               enumerate_partition_graph)
-from isingexact.spectral import gamma_spectrum, kaufman_partition
-from isingexact.transfer2d import log_z_torus
+from isingexact.oracle import (MatchingWeights, build_lattice_graph, count_matchings,
+                               count_matchings_dp, enumerate_partition_graph)
+from isingexact.pfaffian import dimer_count_free as dimer_count_free_pf, dimer_count_torus
+from isingexact.spectral import (dimer_count_free as dimer_count_free_product, gamma_spectrum,
+                                 kaufman_partition, triangular_log_z_per_site)
+from isingexact.transfer2d import build_transfer, log_z_torus
 
 
 def test_critical_coupling_identities():
@@ -123,6 +125,25 @@ def test_lattice_spec_validation():
         LatticeSpec(2, 2, boundary="moebius")
     with pytest.raises(DomainError):
         LatticeSpec(2, 5, geometry="chain")
+
+
+@pytest.mark.parametrize("side", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda s: gamma_spectrum(s, 0.3, 0.4),
+    lambda s: triangular_log_z_per_site(s, 3, ReducedCouplings(k_h=0.3, k_v=0.4, k_d=0.2)),
+    lambda s: dimer_count_free_product(3, s),
+    lambda s: dimer_count_free_pf(s, 3),
+    lambda s: dimer_count_torus(3, s),
+    lambda s: count_matchings(s, 3),
+    lambda s: count_matchings_dp(3, s),
+    lambda s: build_transfer(s, 0.3, 0.4),
+], ids=["gamma_spectrum", "triangular_log_z_per_site", "dimer_count_free_product",
+        "dimer_count_free_pf", "dimer_count_torus", "count_matchings", "count_matchings_dp",
+        "build_transfer"])
+def test_sides_below_one_are_domain_errors(call, side):
+    # the other side is odd, so an odd site count cannot answer 0 first
+    with pytest.raises(DomainError, match="rows and cols must be positive"):
+        call(side)
 
 
 def test_couplings_must_be_finite():

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isingexact import oracle
 from isingexact.core import CapacityError, DomainError, LatticeSpec, ReducedCouplings
@@ -82,13 +82,32 @@ def _chunk_bits(rows_per_chunk, sites, low_bits):
     """_CHUNK_BITS for one or two high states per chunk, or the default (None)."""
     if rows_per_chunk is None:
         return oracle._CHUNK_BITS
-    return min(sites, low_bits) + rows_per_chunk - 1
+    return min(sites - 1, low_bits) + rows_per_chunk - 1
+
+
+def _ring(n):
+    """n sites in a ring of 0.3 bonds, with -0.5 bonds to the next but one,
+    a doubled bond and a self-loop."""
+    edges = [(i, (i + 1) % n, 0.3) for i in range(n)]
+    edges += [(i, (i + 2) % n, -0.5) for i in range(0, n, 3)]
+    return n, tuple(edges + [(0, n - 1, 0.7), (0, n - 1, 0.7), (n // 2, n // 2, 0.7)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(graph=spin_graphs(), with_field=st.booleans(),
        low_bits=st.sampled_from((3, 8, oracle._LOW_BITS)),
        rows_per_chunk=st.sampled_from((1, 2, None)))
+# every site but the top one fits in the low half at the default split
+@example(graph=(1, ((0, 0, 0.3),)), with_field=False, low_bits=oracle._LOW_BITS,
+         rows_per_chunk=None)
+@example(graph=(1, ((0, 0, 0.3),)), with_field=True, low_bits=oracle._LOW_BITS,
+         rows_per_chunk=None)
+@example(graph=_ring(2), with_field=False, low_bits=oracle._LOW_BITS, rows_per_chunk=None)
+@example(graph=_ring(2), with_field=True, low_bits=oracle._LOW_BITS, rows_per_chunk=None)
+@example(graph=_ring(13), with_field=False, low_bits=oracle._LOW_BITS, rows_per_chunk=None)
+@example(graph=_ring(13), with_field=True, low_bits=oracle._LOW_BITS, rows_per_chunk=None)
+@example(graph=_ring(14), with_field=False, low_bits=oracle._LOW_BITS, rows_per_chunk=None)
+@example(graph=_ring(14), with_field=True, low_bits=oracle._LOW_BITS, rows_per_chunk=None)
 def test_density_of_states_matches_per_bond_reference(graph, with_field, low_bits,
                                                       rows_per_chunk):
     n, edges = graph

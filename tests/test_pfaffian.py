@@ -313,7 +313,7 @@ def test_counts_past_the_float_range_are_domain_errors():
 def _block_matrix(d, c, n, wrap):
     """The dense n-column matrix I (x) D + H (x) C - H^T (x) C^T of a sweep."""
     h = np.eye(n, k=1)
-    h[n - 1, 0] += 0.0 if wrap is None else wrap
+    h[n - 1, 0] += wrap
     return np.kron(np.eye(n), d) + np.kron(h, c) - np.kron(h.T, c.T)
 
 
@@ -345,12 +345,14 @@ def test_sweep_matches_dense_cluster_pfaffian(m, n, k):
 def test_sweep_matches_dense_dimer_pfaffian(m, n, z1, z2):
     w = MatchingWeights(z1, z2)
     spec = LatticeSpec(m, n)
-    cases = [("free", 0.0, None)] + [(v, s1, s2) for v, (s1, s2, _) in _TORUS_TERMS.items()]
+    # the free grid and the cylinders are the sweeps with a zero wrap
+    cases = [("free", 0.0, 0.0), ("cylinder_a", 0.0, -1.0), ("cylinder_b", -1.0, 0.0)]
+    cases += [(v, s1, s2) for v, (s1, s2, _) in _TORUS_TERMS.items()]
     for variant, s1, wrap in cases:
         d, c = _dimer_blocks(m, w, s1)
         want = build_dimer_matrix(spec, w, variant)
         assert np.array_equal(_block_matrix(d, c, n, wrap), want)
-        got, = _column_sweep(d, c, n, None if wrap is None else (wrap,))
+        got, = _column_sweep(d, c, n, (wrap,))
         _assert_same_pfaffian(got, pfaffian(want))
 
 
