@@ -14,6 +14,7 @@ from .core import (
     MatchingWeights,
     MethodResult,
     ReducedCouplings,
+    SelfCheckError,
     dual_coupling,
 )
 from .oracle import (
@@ -64,7 +65,7 @@ from .startriangle import (
 
 __all__ = [
     "K_CRIT", "CapacityError", "DomainError", "LatticeSpec", "MethodResult",
-    "ReducedCouplings", "dual_coupling",
+    "ReducedCouplings", "SelfCheckError", "dual_coupling",
     "MatchingWeights", "WeightedGraph", "build_lattice_graph",
     "count_matchings", "count_matchings_dp", "enumerate_partition_graph",
     "ChainParams", "induction_closed", "recursive_open", "transfer_closed",

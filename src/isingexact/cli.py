@@ -23,12 +23,12 @@ import numpy as np
 from . import (
     CapacityError,
     DomainError,
-    K_CRIT,
     LatticeSpec,
     MatchingWeights,
     MethodResult,
     ReducedCouplings,
     QuadratureSpec,
+    SelfCheckError,
     build_lattice_graph,
     count_matchings_dp,
     critical_point_square,
@@ -48,121 +48,115 @@ from . import (
 from .pfaffian import dimer_count_free as dimer_count_free_pf
 from .spectral import dimer_count_free as dimer_count_free_product
 
-# Torus-only routes as fn(rows, cols, kh, kv).  Kaufman's transfer direction
-# runs along the columns: (k_t, k_s) = (kv, kh).  Each entry looks its
-# function up at call time, so a patched module attribute takes effect.
-_TORUS_METHODS = {
-    "transfer": lambda rows, cols, kh, kv: log_z_torus(rows, cols, kh, kv),
-    "kaufman": lambda rows, cols, kh, kv: kaufman_partition(rows, cols, kv, kh),
-    "pfaffian": lambda rows, cols, kh, kv: ising_pfaffian_torus(rows, cols, kh, kv),
-    "kacward": lambda rows, cols, kh, kv: kacward_log_z(rows, cols, kh, kv),
+# The route tables.  Each entry looks its function up in this module at call
+# time, so a patched module attribute takes effect.
+
+# The z and compare routes as fn(spec, couplings), the oracle first.
+# Kaufman's transfer direction runs along the columns: (k_t, k_s) = (kv, kh).
+_LOG_Z = {
+    "oracle": lambda s, c: enumerate_partition_graph(build_lattice_graph(s, c)),
+    "transfer": lambda s, c: log_z_torus(s.rows, s.cols, c.k_h, c.k_v),
+    "kaufman": lambda s, c: kaufman_partition(s.rows, s.cols, c.k_v, c.k_h),
+    "pfaffian": lambda s, c: ising_pfaffian_torus(s.rows, s.cols, c.k_h, c.k_v),
+    "kacward": lambda s, c: kacward_log_z(s.rows, s.cols, c.k_h, c.k_v),
 }
-_Z_METHODS = ("oracle",) + tuple(_TORUS_METHODS)
+
+# The free-energy routes: the couplings each reads besides --k, and
+# fn(k, *those couplings, quadrature).
+_FREE_ENERGY = {
+    "onsager": (("k2",), lambda k, k2, q: onsager_free_energy(k, k2, q)),
+    "fermionic": ((), lambda k, q: fermionic_free_energy(k, q)),
+    "dirac": ((), lambda k, q: dirac_free_energy(k, q)),
+    "triangular": (("k2", "k3"), lambda k, k2, k3, q: triangular_free_energy(k, k2, k3, q)),
+}
+
+# The dimer routes by boundary as fn(rows, cols, weights), the default first.
+_DIMERS = {
+    "free": {"product": lambda m, n, w: dimer_count_free_product(m, n, w),
+             "pfaffian": lambda m, n, w: dimer_count_free_pf(m, n, w),
+             "enumerate": lambda m, n, w: count_matchings_dp(m, n, w)},
+    "torus": {"pfaffian": lambda m, n, w: dimer_count_torus(m, n, w)},
+}
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _json_value(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return json.dumps(v)
     if isinstance(v, dict):
-        return _json_object(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(x) for x in v) + "]"
-    raise TypeError(f"unserializable value {v!r}")
-
-
-def _json_object(d: dict) -> str:
-    items = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in d.items())
-    return "{" + items + "}"
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_value(x)}" for k, x in v.items()) + "}"
+    return json.dumps(v) if isinstance(v, str) else _fmt(v)
 
 
 def _emit(d: dict, fmt: str) -> None:
     if fmt == "json":
-        print(_json_object(d))
+        print(_json_value(d))
     else:
         flat = {k: v for k, v in d.items() if not isinstance(v, dict)}
-        for k, v in d.items():
-            if isinstance(v, dict):
-                flat.update({f"{k}.{kk}": vv for kk, vv in v.items()})
+        flat.update({f"{k}.{kk}": vv for k, v in d.items() if isinstance(v, dict)
+                     for kk, vv in v.items()})
         print(",".join(flat.keys()))
         print(",".join(_fmt(v) for v in flat.values()))
 
 
-def _compute_log_z(method: str, rows: int, cols: int, kh: float, kv: float,
-                   kd, bc: str) -> MethodResult:
-    params = {"rows": rows, "cols": cols, "kh": kh, "kv": kv, "bc": bc}
+def _lattice(args, kd=None):
+    """The spec, couplings and params of a z or compare invocation."""
+    params = {"rows": args.rows, "cols": args.cols, "kh": args.kh, "kv": args.kv,
+              "bc": args.bc}
     if kd is not None:
         params["kd"] = kd
+    geometry = "square" if kd is None else "triangular"
+    return (LatticeSpec(args.rows, args.cols, geometry=geometry, boundary=args.bc),
+            ReducedCouplings(k_h=args.kh, k_v=args.kv, k_d=kd), params)
+
+
+def _check_applies(method: str, spec: LatticeSpec) -> None:
+    """Every route but the oracle needs the square lattice on the torus."""
     if method == "oracle":
-        geometry = "triangular" if kd is not None else "square"
-        spec = LatticeSpec(rows, cols, geometry=geometry, boundary=bc)
-        g = build_lattice_graph(spec, ReducedCouplings(k_h=kh, k_v=kv, k_d=kd))
-        return MethodResult(enumerate_partition_graph(g), "oracle", params)
-    if kd is not None:
+        return
+    if spec.geometry != "square":
         raise DomainError(f"method {method!r} has no diagonal-coupling form")
-    if bc != "torus":
+    if spec.boundary != "torus":
         raise DomainError(f"method {method!r} is torus-only")
-    if method not in _TORUS_METHODS:
-        raise DomainError(f"unknown method {method!r}")
-    return MethodResult(_TORUS_METHODS[method](rows, cols, kh, kv), method, params)
+
+
+def _log_z(method: str, spec: LatticeSpec, couplings: ReducedCouplings,
+           params: dict) -> MethodResult:
+    _check_applies(method, spec)
+    return MethodResult(_LOG_Z[method](spec, couplings), method, params)
 
 
 def _cmd_z(args) -> int:
-    res = _compute_log_z(args.method, args.rows, args.cols,
-                         args.kh, args.kv, args.kd, args.bc)
-    _emit({"method": res.method, "log_z": res.log_z, "params": res.params},
-          args.format)
+    res = _log_z(args.method, *_lattice(args, args.kd))
+    _emit({"method": res.method, "log_z": res.log_z, "params": res.params}, args.format)
     return 0
 
 
 def _cmd_free_energy(args) -> int:
-    q = QuadratureSpec(points_per_axis=args.points)
+    reads, fn = _FREE_ENERGY[args.method]
     params = {"k": args.k, "points_per_axis": args.points}
-    if args.method == "onsager":
-        k2 = args.k2 if args.k2 is not None else args.k
-        params["k2"] = k2
-        f = onsager_free_energy(args.k, k2, q)
-    elif args.method == "fermionic":
-        f = fermionic_free_energy(args.k, q)
-    elif args.method == "dirac":
-        f = dirac_free_energy(args.k, q)
-    else:  # triangular
-        k2 = args.k2 if args.k2 is not None else args.k
-        k3 = args.k3 if args.k3 is not None else args.k
-        params.update(k2=k2, k3=k3)
-        f = triangular_free_energy(args.k, k2, k3, q)
+    for name in ("k2", "k3"):
+        value = getattr(args, name)
+        if name in reads:
+            params[name] = args.k if value is None else value
+        elif value is not None:
+            raise DomainError(f"method {args.method!r} does not read --{name}")
+    f = fn(args.k, *(params[name] for name in reads),
+           QuadratureSpec(points_per_axis=args.points))
     _emit({"method": args.method, "f": f, "params": params}, args.format)
     return 0
 
 
 def _cmd_dimers(args) -> int:
     w = MatchingWeights(z1=args.z1, z2=args.z2)
-    m, n = args.rows, args.cols
-    LatticeSpec(m, n, boundary=args.bc)   # rejects sides < 1
-    method = args.method or ("pfaffian" if args.bc == "torus" else "product")
-    if args.bc == "torus":
-        if method != "pfaffian":
-            raise DomainError("torus dimer counts are Pfaffian-only")
-        count = dimer_count_torus(m, n, w)
-    elif method == "product":
-        count = dimer_count_free_product(m, n, w)
-    elif method == "pfaffian":
-        count = dimer_count_free_pf(m, n, w)
-    else:  # enumerate
-        count = count_matchings_dp(m, n, w)
+    routes = _DIMERS[args.bc]
+    method = args.method or next(iter(routes))
+    if method not in routes:
+        raise DomainError(f"{args.bc} dimer counts are {'/'.join(routes).title()}-only")
+    count = routes[method](args.rows, args.cols, w)
     _emit({"method": method, "count": float(count),
-           "params": {"rows": m, "cols": n, "z1": args.z1, "z2": args.z2,
+           "params": {"rows": args.rows, "cols": args.cols, "z1": args.z1, "z2": args.z2,
                       "bc": args.bc}}, args.format)
     return 0
 
@@ -175,21 +169,21 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    spec, couplings, params = _lattice(args)
     values = {}
-    for method in _Z_METHODS:
+    for method in _LOG_Z:
+        # a route that does not apply, is past its capacity or refuses the
+        # input is skipped; a route whose own check failed is an error
         try:
-            res = _compute_log_z(method, args.rows, args.cols,
-                                 args.kh, args.kv, None, args.bc)
+            values[method] = _log_z(method, spec, couplings, params).log_z
+        except SelfCheckError:
+            raise
         except (DomainError, CapacityError) as exc:
             print(f"compare: skipping {method}: {exc}", file=sys.stderr)
-            continue
-        values[method] = res.log_z
     if len(values) < 2:
         raise DomainError("fewer than two methods applicable; nothing to compare")
     max_delta = max(abs(a - b) for a, b in itertools.combinations(values.values(), 2))
-    _emit({"log_z": values, "max_pairwise_delta": max_delta,
-           "params": {"rows": args.rows, "cols": args.cols,
-                      "kh": args.kh, "kv": args.kv, "bc": args.bc}},
+    _emit({"log_z": values, "max_pairwise_delta": max_delta, "params": params},
           args.format)
     return 0
 
@@ -220,24 +214,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and thermodynamic-limit observables.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p, default="json"):
-        p.add_argument("--format", choices=("json", "csv"), default=default)
+    def add_format(p):
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def add_lattice(p):
+        for side in ("--rows", "--cols"):
+            p.add_argument(side, type=int, required=True)
+        for coupling in ("--kh", "--kv"):
+            p.add_argument(coupling, type=float, required=True)
+        p.add_argument("--bc", choices=("free", "torus"), default="torus")
 
     p = sub.add_parser("z", help="log partition function of one finite lattice")
-    p.add_argument("--method", choices=_Z_METHODS, required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--kh", type=float, required=True)
-    p.add_argument("--kv", type=float, required=True)
+    p.add_argument("--method", choices=tuple(_LOG_Z), required=True)
+    add_lattice(p)
     p.add_argument("--kd", type=float, default=None,
                    help="diagonal coupling (triangular lattice, oracle only)")
-    p.add_argument("--bc", choices=("free", "torus"), default="torus")
     add_format(p)
     p.set_defaults(func=_cmd_z)
 
     p = sub.add_parser("free-energy", help="thermodynamic-limit -beta f per site")
-    p.add_argument("--method", choices=("onsager", "fermionic", "dirac", "triangular"),
-                   required=True)
+    p.add_argument("--method", choices=tuple(_FREE_ENERGY), required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--k2", type=float, default=None)
     p.add_argument("--k3", type=float, default=None)
@@ -252,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--z1", type=float, default=1.0)
     p.add_argument("--z2", type=float, default=1.0)
-    p.add_argument("--method", choices=("product", "pfaffian", "enumerate"),
+    p.add_argument("--method", choices=tuple(_DIMERS["free"]),   # the free grid has them all
                    help="default: product on the free grid, pfaffian on the torus")
     p.add_argument("--bc", choices=("free", "torus"), default="free")
     add_format(p)
@@ -265,11 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare",
                        help="run every applicable method on one lattice and "
                             "report the max pairwise log Z deviation")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--kh", type=float, required=True)
-    p.add_argument("--kv", type=float, required=True)
-    p.add_argument("--bc", choices=("free", "torus"), default="torus")
+    add_lattice(p)
     add_format(p)
     p.set_defaults(func=_cmd_compare)
 

@@ -31,6 +31,12 @@ class CapacityError(RuntimeError):
     """Problem size exceeds the hard limits of an exact method."""
 
 
+class SelfCheckError(DomainError):
+    """A route's own consistency check failed (a Pfaffian^2 that misses its
+    determinant, a signed sum that lost positivity, a broken star-triangle
+    invariant): the route is wrong there, not merely out of its domain."""
+
+
 def log_sum(log_terms, weights=1.0, what: str = "the sum") -> float:
     """ln sum_i w_i e^{l_i}, shifted by the largest l_i of nonzero weight.
 
@@ -38,7 +44,7 @@ def log_sum(log_terms, weights=1.0, what: str = "the sum") -> float:
     the torus routes).  An exact cancellation or an empty sum is -inf; a
     non-finite largest term (inf, nan, or -inf when every term is -inf) is
     returned as is, for the caller's finite() to judge; a negative sum is a
-    DomainError naming `what`."""
+    SelfCheckError naming `what`."""
     log_terms = np.asarray(log_terms, dtype=np.float64)
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), log_terms.shape)
     live = weights != 0.0
@@ -51,7 +57,7 @@ def log_sum(log_terms, weights=1.0, what: str = "the sum") -> float:
         return float(top)
     total = np.sum(weights * np.exp(log_terms - top))
     if total < 0.0:
-        raise DomainError(f"{what} lost positivity: the signed sum is negative")
+        raise SelfCheckError(f"{what} lost positivity: the signed sum is negative")
     return -math.inf if total == 0.0 else float(top + np.log(total))
 
 
@@ -148,7 +154,8 @@ class LatticeSpec:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise DomainError("rows and cols must be positive")
+            raise DomainError("lattice sides must be positive: rows and cols must be positive, "
+                              f"got {self.rows} x {self.cols}")
         if self.geometry not in GEOMETRIES:
             raise DomainError(f"unknown geometry {self.geometry!r}")
         if self.boundary not in BOUNDARIES:
@@ -159,8 +166,8 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class MethodResult:
-    """ln Z (or ln Z per site where flagged), the producing method, and the
-    numerical settings needed to reproduce the value bit-for-bit."""
+    """ln Z, the producing method, and the numerical settings needed to
+    reproduce the value bit-for-bit."""
 
     log_z: float
     method: str

@@ -29,8 +29,8 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, exp_finite,
-                   finite, log_cosh, log_sum)
+from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, SelfCheckError,
+                   exp_finite, finite, log_cosh, log_sum)
 from .spectral import _kacward_log_product
 
 MAX_DIM = 4096
@@ -372,9 +372,9 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     where the A_i are the four cluster matrices with wrap-sign choices
     (+,+), (+,-), (-,+), (-,-) and bond fugacities z = tanh k.  Each
     Pfaffian is cross-checked against the closed-form determinant of the
-    same matrix.  core.log_sum adds the four log magnitudes, each weighted
-    by its coefficient above, the Pfaffian's sign and -1 for an odd site
-    count.
+    same matrix; a miss is a SelfCheckError.  core.log_sum adds the four log
+    magnitudes, each weighted by its coefficient above, the Pfaffian's sign
+    and -1 for an odd site count.
     """
     if m < 2 or n < 2:
         raise DomainError("torus needs both sides >= 2")
@@ -400,8 +400,8 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
         # determinant cross-check only applies to contributing variants
         if w != 0 and log_mag > top - 15.0 and not math.isclose(
                 2.0 * log_mag, log_det, rel_tol=1e-8, abs_tol=1e-8):
-            raise DomainError(f"{variant}: Pfaffian^2 gives log det {2.0 * log_mag!r}, "
-                              f"the closed form {log_det!r}")
+            raise SelfCheckError(f"{variant}: Pfaffian^2 gives log det {2.0 * log_mag!r}, "
+                                 f"the closed form {log_det!r}")
     pref = m * n * (math.log(2.0) + log_cosh(k_h) + log_cosh(k_v))
     return finite(pref + log_sum([lm for _, _, lm, _ in variants],
                                  [w for _, w, _, _ in variants], "the four-Pfaffian sum"),

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import os
@@ -10,8 +11,15 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from isingexact import (LatticeSpec, MatchingWeights, ReducedCouplings, build_lattice_graph,
+                        count_matchings_dp, critical_point_square, dimer_count_torus,
+                        dirac_free_energy, enumerate_partition_graph, fermionic_free_energy,
+                        ising_pfaffian_torus, kacward_log_z, kaufman_partition,
+                        triangular_free_energy)
 from isingexact.cli import run
 from isingexact.core import K_CRIT
+from isingexact.pfaffian import dimer_count_free as dimer_count_free_pf
+from isingexact.spectral import dimer_count_free as dimer_count_free_product
 from isingexact.thermo import (QuadratureSpec, internal_energy, onsager_free_energy,
                                specific_heat)
 from isingexact.transfer2d import log_z_torus
@@ -245,6 +253,120 @@ def test_exit_code_domain_error(capsys):
     assert err.startswith("error:") and "underflows" in err
 
 
+def _oracle(rows, cols, kh, kv, bc="torus", kd=None):
+    spec = LatticeSpec(rows, cols, geometry="square" if kd is None else "triangular",
+                       boundary=bc)
+    return enumerate_partition_graph(build_lattice_graph(spec, ReducedCouplings(kh, kv, kd)))
+
+
+def _z_doc(method, log_z, rows, cols, kh, kv, bc="torus", kd=None):
+    params = {"rows": rows, "cols": cols, "kh": kh, "kv": kv, "bc": bc}
+    if kd is not None:
+        params["kd"] = kd
+    return {"method": method, "log_z": log_z, "params": params}
+
+
+def _compare_doc(rows, cols, kh, kv):
+    log_z = {"oracle": _oracle(rows, cols, kh, kv),
+             "transfer": log_z_torus(rows, cols, kh, kv),
+             "kaufman": kaufman_partition(rows, cols, kv, kh),
+             "pfaffian": ising_pfaffian_torus(rows, cols, kh, kv),
+             "kacward": kacward_log_z(rows, cols, kh, kv)}
+    delta = max(abs(a - b) for a, b in itertools.combinations(log_z.values(), 2))
+    return {"log_z": log_z, "max_pairwise_delta": delta,
+            "params": {"rows": rows, "cols": cols, "kh": kh, "kv": kv, "bc": "torus"}}
+
+
+def _dimers_doc(method, count, rows, cols, z1, z2, bc):
+    return {"method": method, "count": float(count),
+            "params": {"rows": rows, "cols": cols, "z1": z1, "z2": z2, "bc": bc}}
+
+
+def _free_energy_doc(method, f, k, points=256, **couplings):
+    return {"method": method, "f": f, "params": {"k": k, "points_per_axis": points,
+                                                 **couplings}}
+
+
+_W = MatchingWeights(0.5, 2.0)
+_Q = QuadratureSpec(points_per_axis=256)
+_KC = critical_point_square()
+
+# each invocation with its output document, from the library calls it makes
+_OUTPUTS = {
+    "z --method oracle --rows 3 --cols 4 --kh 0.3 --kv 0.6":
+        lambda: _z_doc("oracle", _oracle(3, 4, 0.3, 0.6), 3, 4, 0.3, 0.6),
+    "z --method oracle --rows 3 --cols 4 --kh 0.3 --kv 0.6 --bc free":
+        lambda: _z_doc("oracle", _oracle(3, 4, 0.3, 0.6, "free"), 3, 4, 0.3, 0.6, "free"),
+    "z --method oracle --rows 3 --cols 3 --kh 0.3 --kv 0.2 --kd 0.1":
+        lambda: _z_doc("oracle", _oracle(3, 3, 0.3, 0.2, kd=0.1), 3, 3, 0.3, 0.2, kd=0.1),
+    "z --method oracle --rows 3 --cols 4 --kh 0.3 --kv 0.2 --kd -0.25 --bc free":
+        lambda: _z_doc("oracle", _oracle(3, 4, 0.3, 0.2, "free", -0.25), 3, 4, 0.3, 0.2,
+                       "free", -0.25),
+    "z --method transfer --rows 3 --cols 5 --kh 0.44 --kv 0.2":
+        lambda: _z_doc("transfer", log_z_torus(3, 5, 0.44, 0.2), 3, 5, 0.44, 0.2),
+    "z --method kaufman --rows 3 --cols 5 --kh 0.44 --kv 0.2":
+        lambda: _z_doc("kaufman", kaufman_partition(3, 5, 0.2, 0.44), 3, 5, 0.44, 0.2),
+    "z --method pfaffian --rows 3 --cols 5 --kh 0.44 --kv 0.2":
+        lambda: _z_doc("pfaffian", ising_pfaffian_torus(3, 5, 0.44, 0.2), 3, 5, 0.44, 0.2),
+    "z --method kacward --rows 3 --cols 5 --kh 0.44 --kv 0.2":
+        lambda: _z_doc("kacward", kacward_log_z(3, 5, 0.44, 0.2), 3, 5, 0.44, 0.2),
+    "compare --rows 4 --cols 4 --kh 0.44 --kv 0.2": lambda: _compare_doc(4, 4, 0.44, 0.2),
+    "dimers --rows 4 --cols 6 --z1 0.5 --z2 2":
+        lambda: _dimers_doc("product", dimer_count_free_product(4, 6, _W), 4, 6, 0.5, 2.0,
+                            "free"),
+    "dimers --rows 4 --cols 6 --z1 0.5 --z2 2 --method pfaffian":
+        lambda: _dimers_doc("pfaffian", dimer_count_free_pf(4, 6, _W), 4, 6, 0.5, 2.0, "free"),
+    "dimers --rows 4 --cols 6 --z1 0.5 --z2 2 --method enumerate":
+        lambda: _dimers_doc("enumerate", count_matchings_dp(4, 6, _W), 4, 6, 0.5, 2.0, "free"),
+    "dimers --rows 4 --cols 6 --z1 0.5 --z2 2 --bc torus":
+        lambda: _dimers_doc("pfaffian", dimer_count_torus(4, 6, _W), 4, 6, 0.5, 2.0, "torus"),
+    "free-energy --method onsager --k 0.3":
+        lambda: _free_energy_doc("onsager", onsager_free_energy(0.3, 0.3, _Q), 0.3, k2=0.3),
+    "free-energy --method onsager --k 0.3 --k2 0.5":
+        lambda: _free_energy_doc("onsager", onsager_free_energy(0.3, 0.5, _Q), 0.3, k2=0.5),
+    "free-energy --method fermionic --k 0.3":
+        lambda: _free_energy_doc("fermionic", fermionic_free_energy(0.3, _Q), 0.3),
+    "free-energy --method dirac --k 0.3":
+        lambda: _free_energy_doc("dirac", dirac_free_energy(0.3, _Q), 0.3),
+    "free-energy --method triangular --k 0.3":
+        lambda: _free_energy_doc("triangular", triangular_free_energy(0.3, 0.3, 0.3, _Q), 0.3,
+                                 k2=0.3, k3=0.3),
+    "free-energy --method triangular --k 0.3 --k2 0.2 --k3 0.1 --points 64":
+        lambda: _free_energy_doc("triangular", triangular_free_energy(
+            0.3, 0.2, 0.1, QuadratureSpec(points_per_axis=64)), 0.3, 64, k2=0.2, k3=0.1),
+    "critical": lambda: {"k_crit": _KC, "tanh_k_crit": math.tanh(_KC),
+                         "sinh_sq_2k_crit": math.sinh(2.0 * _KC) ** 2},
+}
+
+
+def _text(v):
+    """The CLI's rendering of one value: floats to 17 significant digits."""
+    if isinstance(v, dict):
+        return "{" + ", ".join(f'"{k}": {_text(x)}' for k, x in v.items()) + "}"
+    if isinstance(v, str):
+        return f'"{v}"'
+    return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
+def _csv(doc):
+    flat = {k: v for k, v in doc.items() if not isinstance(v, dict)}
+    flat.update({f"{k}.{kk}": vv for k, v in doc.items() if isinstance(v, dict)
+                 for kk, vv in v.items()})
+    return "\n".join((",".join(flat), ",".join(
+        format(v, ".17g") if isinstance(v, float) else str(v) for v in flat.values()))) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", list(_OUTPUTS))
+def test_output_bytes(capsys, argv, fmt):
+    # the exact bytes of each output: every route called with the arguments
+    # shown, keys in this order, floats in 17 significant digits
+    code, out, err = _run(capsys, *argv.split(), "--format", fmt)
+    assert code == 0, err
+    doc = _OUTPUTS[argv]()
+    assert out == (_text(doc) + "\n" if fmt == "json" else _csv(doc))
+
+
 def test_seventeen_digit_floats(capsys):
     _, out, _ = _run(capsys, "free-energy", "--method", "onsager", "--k", "0.3")
     assert format(onsager_free_energy(0.3, 0.3), ".17g") in out
@@ -277,15 +399,62 @@ def test_dense_transfer_past_twelve_columns_exit_code(capsys):
                    "--kh", "-0.3", "--kv", "-0.3"), want_code=3)
 
 
-def test_pfaffian_cross_check_failure_exit_code(capsys, monkeypatch):
-    # a Pfaffian^2 that misses its closed-form determinant is a DomainError
+def _break_pfaffian_cross_check(monkeypatch):
     module = importlib.import_module("isingexact.pfaffian")
     exact = module.ising_torus_logdet
     monkeypatch.setattr(module, "ising_torus_logdet", lambda *args: exact(*args) + 1e-6)
+
+
+def test_pfaffian_cross_check_failure_exit_code(capsys, monkeypatch):
+    # a Pfaffian^2 that misses its closed-form determinant is a DomainError
+    _break_pfaffian_cross_check(monkeypatch)
     code, out, err = _run(capsys, "z", "--method", "pfaffian", "--rows", "4", "--cols", "4",
                           "--kh", "0.3", "--kv", "0.3")
     _refused(code, out, err)
     assert "torus1" in err and "closed form" in err
+
+
+def test_compare_fails_on_a_failed_self_check(capsys, monkeypatch):
+    # compare skips a route that refuses its input, but not one whose own
+    # cross-check failed: the other four agreeing would hide a wrong route
+    _break_pfaffian_cross_check(monkeypatch)
+    code, out, err = _run(capsys, "compare", "--rows", "4", "--cols", "4",
+                          "--kh", "0.3", "--kv", "0.3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "closed form" in err and "skipping" not in err
+
+
+def test_compare_skips_the_oracle_past_its_ceiling(capsys):
+    code, out, err = _run(capsys, "compare", "--rows", "6", "--cols", "6",
+                          "--kh", "0.3", "--kv", "0.3")
+    assert code == 0
+    assert err.startswith("compare: skipping oracle") and err.count("\n") == 1
+    doc = json.loads(out)
+    assert list(doc["log_z"]) == ["transfer", "kaufman", "pfaffian", "kacward"]
+    assert doc["max_pairwise_delta"] < 1e-10
+
+
+def test_compare_on_the_free_grid_has_too_few_methods(capsys):
+    code, out, err = _run(capsys, "compare", "--bc", "free", "--rows", "3", "--cols", "3",
+                          "--kh", "0.3", "--kv", "0.3")
+    assert code == 1 and out == ""
+    assert "fewer than two methods" in err
+
+
+def test_diagonal_coupling_is_oracle_only(capsys):
+    code, out, err = _run(capsys, "z", "--method", "kaufman", "--rows", "3", "--cols", "3",
+                          "--kh", "0.3", "--kv", "0.3", "--kd", "0.2")
+    _refused(code, out, err)
+    assert "diagonal-coupling" in err
+
+
+@pytest.mark.parametrize("method,flag", [("fermionic", "--k2"), ("dirac", "--k3"),
+                                         ("onsager", "--k3")])
+def test_free_energy_refuses_a_coupling_its_method_does_not_read(capsys, method, flag):
+    code, out, err = _run(capsys, "free-energy", "--method", method, "--k", "0.3",
+                          flag, "0.9")
+    _refused(code, out, err)
+    assert flag in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,8 +522,10 @@ def _argv(draw):
     elif sub == "free-energy":
         argv += [flag("method", st.sampled_from(("onsager", "fermionic", "dirac",
                                                  "triangular"))),
-                 flag("k", _REALS), flag("k2", _REALS), flag("k3", _REALS),
-                 flag("points", st.sampled_from((-1, 15, 16, 4096, 4097)))]
+                 flag("k", _REALS), flag("points", st.sampled_from((-1, 15, 16, 4096, 4097)))]
+        # a method refuses a coupling it does not read, so each is drawn on
+        # some draws only
+        argv += [flag(name, _REALS) for name in ("k2", "k3") if draw(st.booleans())]
     elif sub == "dimers":
         argv += [flag("rows", _SIDES), flag("cols", _SIDES), flag("z1", _REALS),
                  flag("z2", _REALS), flag("bc", st.sampled_from(("free", "torus")))]
