@@ -84,6 +84,20 @@ def exp_finite(log_value: float, what: str) -> float:
     return math.exp(log_value)
 
 
+def _dimer_count(log_count: float, m: int, n: int, w: "MatchingWeights") -> float:
+    """e^log_count as the dimer count of the free or toroidal m x n grid,
+    refused past the float range, and below its normal range (0 included)
+    whenever the grid has a perfect matching: z1 dimers tile it when m is
+    even, z2 dimers when n is even.  Such a count has lost its digits; a
+    grid with no matching keeps its exact 0."""
+    count = exp_finite(log_count, "the dimer count")
+    if count < sys.float_info.min and ((w.z1 > 0.0 and m % 2 == 0)
+                                       or (w.z2 > 0.0 and n % 2 == 0)):
+        raise DomainError(f"the dimer count = {count!r} is below the normal float range, "
+                          "though the grid has a perfect matching")
+    return count
+
+
 def log_cosh(x: float) -> float:
     """ln cosh x without overflow for large |x|."""
     return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)

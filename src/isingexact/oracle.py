@@ -2,7 +2,8 @@
 
 Two exhaustive engines live here: the spin-configuration sum over arbitrary
 weighted graphs (up to 26 sites) and exact perfect-matching counters (plain
-backtracking, a row transfer over one row's labelings, and the Hafnian).
+backtracking, a row transfer over one row's labelings, and the hafnian,
+which is the backtracker on the complete graph).
 Every closed-form module in the package is validated against these.
 
 The configuration sum does not loop over 2^N states in Python.  Spins map to
@@ -436,24 +437,16 @@ def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -
 
 
 def hafnian(a: np.ndarray) -> float:
-    """Hafnian of a symmetric even-dimensional matrix by recursive pairing:
-    sum over perfect pairings of the index set of the product of entries."""
+    """Hafnian of a symmetric even-dimensional matrix, the sum over perfect
+    pairings of the index set of the product of entries: the matching
+    backtracker on the complete graph with edge weights a[i, j], i < j."""
     a = np.asarray(a, dtype=np.float64)
-    dim = a.shape[0]
-    if a.shape != (dim, dim) or dim % 2:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or len(a) % 2:
         raise DomainError("hafnian needs a square matrix of even dimension")
+    dim = len(a)
     if dim > 12:
-        raise CapacityError("recursive hafnian is limited to dimension 12")
+        raise CapacityError("the hafnian is limited to dimension 12")
     if not np.allclose(a, a.T):
         raise DomainError("hafnian needs a symmetric matrix")
-
-    def rec(idx: Tuple[int, ...]) -> float:
-        if not idx:
-            return 1.0
-        first, rest = idx[0], idx[1:]
-        total = 0.0
-        for pos, j in enumerate(rest):
-            total += a[first, j] * rec(rest[:pos] + rest[pos + 1:])
-        return total
-
-    return rec(tuple(range(dim)))
+    return count_matchings_graph(dim, ((i, j, float(a[i, j]))
+                                       for i in range(dim) for j in range(i + 1, dim)))

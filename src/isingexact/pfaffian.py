@@ -30,7 +30,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, SelfCheckError,
-                   exp_finite, finite, log_cosh, log_sum)
+                   _dimer_count, exp_finite, finite, log_cosh, log_sum)
 from .spectral import _kacward_log_product
 
 MAX_DIM = 4096
@@ -57,9 +57,9 @@ def pfaffian(a: np.ndarray) -> Tuple[int, float]:
     matrix returns (0, -inf).
     """
     a = np.array(a, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("pfaffian needs a square matrix")
+    n = len(a)
     if n % 2:
         raise DomainError("pfaffian needs even dimension")
     if n > MAX_DIM:
@@ -288,7 +288,8 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
     """Matching generating function of the free grid as |Pf| of the free
     build_dimer_matrix, swept along the longer side; 0 for an odd site
     count, which has no perfect matching.  A count past the float range is
-    a DomainError."""
+    a DomainError, and so is one below its normal range (a singular sweep
+    included) on a grid that has a matching."""
     LatticeSpec(m, n, "square", "free")   # rejects sides < 1
     if (m * n) % 2:
         return 0.0
@@ -297,7 +298,7 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
     # Kasteleyn: the Pfaffian is the count up to a sign that depends only
     # on the site order (negative for odd m and n = 2 mod 4)
     (sign, log_mag), = _column_sweep(*_dimer_blocks(m, w, 0.0), n, (0.0,))
-    return 0.0 if sign == 0 else exp_finite(log_mag, "the dimer count")
+    return _dimer_count(log_mag if sign else -math.inf, m, n, w)
 
 
 def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> float:
@@ -307,7 +308,8 @@ def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) ->
     The alternating-sign direction must have even length: odd-row grids are
     transposed first, and so are even ones with more rows than columns,
     to sweep along the longer side (the torus count is
-    orientation-invariant).  A count past the float range is a DomainError."""
+    orientation-invariant).  A count past the float range is a DomainError,
+    and so is one below its normal range on a grid that has a matching."""
     LatticeSpec(m, n, "square", "torus")   # rejects sides < 1
     if (m * n) % 2:
         return 0.0
@@ -315,8 +317,8 @@ def dimer_count_torus(m: int, n: int, w: MatchingWeights = MatchingWeights()) ->
         m, n, w = n, m, MatchingWeights(w.z2, w.z1)
     closes = _torus_closes(lambda s1: _dimer_blocks(m, w, s1), n)
     weights = [weight * sign for (_, _, weight), (sign, _) in zip(_TORUS_TERMS.values(), closes)]
-    return exp_finite(log_sum([log_mag for _, log_mag in closes], weights, "the dimer count"),
-                      "the dimer count")
+    return _dimer_count(log_sum([log_mag for _, log_mag in closes], weights, "the dimer count"),
+                        m, n, w)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ over phi is done in closed form, which would turn it into the gamma route.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, ReducedCouplings,
-                   _log_2sinh_abs, angle_grid, dual_coupling, exp_finite, finite, log_cosh,
+                   _dimer_count, _log_2sinh_abs, angle_grid, dual_coupling, finite, log_cosh,
                    log_sum)
 
 
@@ -88,8 +89,7 @@ def kaufman_partition(m: int, n: int, k_t: float, k_s: float) -> float:
     both sides of the critical point: core.log_sum adds the four log
     products with weights (1, 1, 1, -sign gamma_0).
     """
-    if m < 1 or n < 1:
-        raise DomainError("lattice sides must be positive")
+    LatticeSpec(m, n)   # rejects sides < 1
     if not (k_s > 0.0):
         raise DomainError("k_s must be positive")
     half_m = 0.5 * m * gamma_spectrum(n, k_t, k_s)
@@ -154,8 +154,7 @@ def _kacward_log_product(m: int, n: int, x: float, y: float,
     x, y; -inf when a factor vanishes (below 1e-300).  Only the factors on
     the folded grids are formed; their logs are summed as
     w_theta . log F . w_phi."""
-    if m < 1 or n < 1:
-        raise DomainError("lattice sides must be positive")
+    LatticeSpec(m, n)   # rejects sides < 1
     if m * n > MAX_KACWARD_FACTORS:
         raise CapacityError(
             f"{m} x {n} = {m * n} Kac-Ward factors exceed the {MAX_KACWARD_FACTORS} ceiling")
@@ -199,9 +198,12 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
                                                + z2^2 cos^2(pi j/(n+1)))
 
     evaluated in log space.  An odd m is handled by reorienting the grid;
-    odd m and odd n means no perfect matching (returns 0).  z = max(z1, z2)
-    is factored out before squaring, so no weight overflows a term.  A count
-    past the float range is a DomainError.
+    odd m and odd n means no perfect matching (returns 0).  The cosine at
+    j = (n+1)/2 of an odd n is exactly 0, so a zero z1 there gives an exact
+    0.  z = max(z1, z2) is factored out before squaring, so no weight
+    overflows a term.  A count past the float range is a DomainError, and
+    so is one below the normal range, or with a factor whose squares both
+    underflowed, on a grid that has a matching.
     """
     LatticeSpec(m, n, "square", "free")   # rejects sides < 1
     z1, z2 = w.z1, w.z2
@@ -214,12 +216,16 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
         return 0.0
     k = np.arange(1, m // 2 + 1)[:, None]
     j = np.arange(1, n + 1)[None, :]
-    terms = ((z1 / z * np.cos(np.pi * k / (m + 1))) ** 2
-             + (z2 / z * np.cos(np.pi * j / (n + 1))) ** 2)
-    if float(terms.min()) <= 0.0:
-        return 0.0
-    log_count = float((math.log(2.0) + math.log(z) + 0.5 * np.log(terms)).sum())
-    return exp_finite(log_count, "the dimer count")
+    cos_j = np.cos(np.pi * j / (n + 1))
+    if n % 2:
+        cos_j[0, n // 2] = 0.0   # j = (n+1)/2, where the float cosine is 6e-17
+    terms = (z1 / z * np.cos(np.pi * k / (m + 1))) ** 2 + (z2 / z * cos_j) ** 2
+    if float(terms.min()) < sys.float_info.min:
+        # no matching, or a factor whose squares both underflowed
+        log_count = -math.inf
+    else:
+        log_count = float((math.log(2.0) + math.log(z) + 0.5 * np.log(terms)).sum())
+    return _dimer_count(log_count, m, n, MatchingWeights(z1, z2))
 
 
 def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:

@@ -267,8 +267,8 @@ def ab_coefficients(k: float) -> Tuple[float, float]:
     K(l) (l^2/2 - sum_{n>=1} 2^{n-1} c_n^2), which does not cancel.
     """
     lam = 2.0 / math.pi
-    if not k >= 0:
-        raise DomainError("modulus must be non-negative")
+    if not (k >= 0 and math.isfinite(k)):
+        raise DomainError(f"modulus must be non-negative and finite, got {k!r}")
     if k == 1.0:
         raise DomainError("modulus k = 1 is the critical point (singular)")
     if k < 1.0:

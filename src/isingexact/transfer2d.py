@@ -12,18 +12,19 @@ Every weight is shifted by the exact largest entry of T_s, so no finite
 coupling overflows, and ln Z = m ln(largest entry) plus a max-shifted
 ln sum_i lambda_i^m.
 
-log_z_torus cuts the torus into rows along the side that gives the narrower
-transfer matrix, width min(m, n), among the cuts of at most MAX_COLS columns
-where that sum cannot cancel: the coupling between rows is >= 0 (then
-V >= 0, so every lambda_i >= 0), or the row count is even.  A torus with
-both couplings negative and both sides odd has no such cut; it takes
-products of the dense T = V D at width min(m, n) instead, whose entries are
-all positive, and so does a torus whose only such cut is wider than
-MAX_COLS.  The dense product holds 4^n entries per array, so it stops at
-12 columns (2^24 entries, 128 MiB of float64) with a CapacityError.  Where
-a product or the trace falls below the normal float range relative to the
-shift (|K| in the hundreds), that route is a DomainError, and so is a shift
-or ln Z past the float range.
+partition_torus_transfer sums only sign-safe cuts, where no lambda_i^m is
+negative: the coupling between rows is >= 0 (then V >= 0, so every
+lambda_i >= 0), or the row count m is even.  Any other cut may cancel, and
+is a DomainError.  log_z_torus cuts the torus into rows along the side that
+gives the narrower transfer matrix, width min(m, n), among the sign-safe
+cuts of at most MAX_COLS columns.  A torus with both couplings negative and
+both sides odd has no such cut; it takes products of the dense T = V D at
+width min(m, n) instead, whose entries are all positive, and so does a
+torus whose only such cut is wider than MAX_COLS.  The dense product holds
+4^n entries per array, so it stops at 12 columns (2^24 entries, 128 MiB of
+float64) with a CapacityError.  Where a product or the trace falls below
+the normal float range relative to the shift (|K| in the hundreds), that
+route is a DomainError, and so is a shift or ln Z past the float range.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ from .core import CapacityError, DomainError, LatticeSpec, finite
 
 MAX_COLS = 14
 _MAX_DENSE_COLS = 12
-
-# a signed spectral sum is refused once it amplifies eigenvalue rounding
-# (~1e-14 of the largest eigenvalue) by more than this many digits
-_MAX_DIGITS_LOST = 4.0
 
 
 @dataclass(frozen=True)
@@ -62,6 +59,11 @@ def _check(n: int, k_a: float, k_b: float) -> None:
         raise CapacityError(f"transfer matrix supports 1..{MAX_COLS} columns, got {n}")
     if not (math.isfinite(k_a) and math.isfinite(k_b)):
         raise DomainError("couplings must be finite")
+
+
+def _sign_safe(rows: int, k_a: float) -> bool:
+    """Whether no lambda_i^rows can be negative: k_a >= 0 or rows even."""
+    return k_a >= 0.0 or rows % 2 == 0
 
 
 def _rotate(states: np.ndarray, n: int) -> np.ndarray:
@@ -156,25 +158,15 @@ def build_transfer(n: int, k_a: float, k_b: float) -> TransferOperator:
 
 def partition_torus_transfer(m: int, t: TransferOperator) -> float:
     """ln Tr(T^m) = m log_shift + ln sum_i lambda_i^m, the sum shifted by the
-    largest |lambda_i|.
-
-    With k_a >= 0 (V is positive semi-definite) or m even, no term is
-    negative.  Otherwise the terms carry both signs, and the sum is
-    returned only while it amplifies the eigenvalues' rounding by at most
-    _MAX_DIGITS_LOST digits; past that, DomainError names the digits lost.
-    """
+    largest |lambda_i|.  A cut that is not sign-safe (k_a < 0 with m odd),
+    whose sum may cancel, is a DomainError."""
     if m < 1:
         raise DomainError("m must be positive")
+    if not _sign_safe(m, t.k_a):
+        raise DomainError(f"{m} rows at k_a = {t.k_a!r} are not a sign-safe cut: "
+                          "the spectral sum may cancel")
     top = float(np.abs(t.eigenvalues).max())
-    ratio = t.eigenvalues / top
-    total = float(np.sum(ratio ** m))
-    if t.k_a < 0 and m % 2:
-        scale = m * float(np.sum(np.abs(ratio) ** (m - 1)))
-        lost = math.log10(scale / abs(total)) if total != 0.0 else math.inf
-        if not (total > 0.0 and lost <= _MAX_DIGITS_LOST):
-            raise DomainError(
-                f"the signed spectral sum of {m} rows at k_a = {t.k_a!r} loses {lost:.1f} "
-                f"digits to cancellation (limit {_MAX_DIGITS_LOST:g})")
+    total = float(np.sum((t.eigenvalues / top) ** m))
     return m * (t.log_shift + math.log(top)) + math.log(total)
 
 
@@ -215,13 +207,12 @@ def _dense_log_trace(m: int, n: int, k_a: float, k_b: float) -> float:
 def log_z_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     """ln Z of the m x n torus with horizontal coupling k_h (within rows)
     and vertical coupling k_v (between rows), by the spectrum at the
-    narrowest cut of at most MAX_COLS columns whose sum cannot cancel, else
-    by the dense product at the narrowest cut (see the module docstring)."""
-    if m < 1 or n < 1:
-        raise DomainError("lattice sides must be positive")
+    narrowest sign-safe cut of at most MAX_COLS columns, else by the dense
+    product at the narrowest cut (see the module docstring)."""
+    LatticeSpec(m, n)   # rejects sides < 1
     # (rows, width, coupling between rows, coupling within a row), narrowest first
     cuts = sorted([(m, n, k_v, k_h), (n, m, k_h, k_v)], key=lambda c: c[1])
-    safe = [c for c in cuts if c[1] <= MAX_COLS and (c[2] >= 0.0 or c[0] % 2 == 0)]
+    safe = [c for c in cuts if c[1] <= MAX_COLS and _sign_safe(c[0], c[2])]
     if safe:
         rows, width, k_a, k_b = safe[0]
         log_z = partition_torus_transfer(rows, build_transfer(width, k_a, k_b))

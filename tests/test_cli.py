@@ -466,6 +466,9 @@ def test_free_energy_refuses_a_coupling_its_method_does_not_read(capsys, method,
     ("--rows", "4", "--cols", "4", "--z1", "nan"),
     ("--rows", "4", "--cols", "4", "--z1", "nan", "--method", "enumerate"),
     ("--rows", "-2", "--cols", "4", "--method", "enumerate"),
+    # counts below the normal float range of grids that have a matching
+    ("--rows", "3", "--cols", "4", "--z2", "1e-14", "--method", "pfaffian"),
+    ("--bc", "torus", "--rows", "2", "--cols", "3", "--z2", "1e13"),
 ])
 def test_dimers_refusals(capsys, argv):
     _refused(*_run(capsys, "dimers", *argv))
@@ -479,6 +482,15 @@ def test_dimers_enumerate_past_the_work_ceiling_exit_code(capsys, rows, cols):
     _refused(*_run(capsys, "dimers", "--method", "enumerate", "--rows", rows, "--cols", cols),
              want_code=3)
     assert time.perf_counter() - start < 1.0
+
+
+def test_dimers_product_of_a_grid_without_matchings_is_zero(capsys):
+    # 2 x 3 with no z1 dimers: the midpoint cosine of the odd side is 0
+    for method in ("product", "pfaffian", "enumerate"):
+        code, out, err = _run(capsys, "dimers", "--rows", "2", "--cols", "3", "--z1", "0",
+                              "--method", method)
+        assert code == 0, err
+        assert json.loads(out)["count"] == 0
 
 
 def test_dimers_enumerate_along_the_shorter_side(capsys):

@@ -1,23 +1,42 @@
+import importlib
 import math
+import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from isingexact.chain1d import ChainParams, induction_closed, recursive_open, transfer_closed
 from isingexact.core import (
     K_CRIT,
+    CapacityError,
     DomainError,
     LatticeSpec,
+    MethodResult,
     ReducedCouplings,
+    SelfCheckError,
     dual_coupling,
+    log_cosh,
     log_sum,
 )
-from isingexact.oracle import (MatchingWeights, build_lattice_graph, count_matchings,
-                               count_matchings_dp, enumerate_partition_graph)
-from isingexact.pfaffian import dimer_count_free as dimer_count_free_pf, dimer_count_torus
-from isingexact.spectral import (dimer_count_free as dimer_count_free_product, gamma_spectrum,
-                                 kaufman_partition, triangular_log_z_per_site)
-from isingexact.transfer2d import build_transfer, log_z_torus
+from isingexact.oracle import (MatchingWeights, WeightedGraph, build_lattice_graph,
+                               count_matchings, count_matchings_dp, count_matchings_graph,
+                               enumerate_partition_graph, hafnian)
+from isingexact.pfaffian import (build_dimer_matrix, dimer_count_free as dimer_count_free_pf,
+                                 dimer_count_torus, ising_pfaffian_torus, pfaffian)
+from isingexact.spectral import (GridParity, dimer_count_free as dimer_count_free_product,
+                                 gamma_spectrum, kacward_products, kaufman_partition,
+                                 triangular_log_z_per_site)
+from isingexact.startriangle import (ab_coefficients, b_near_critical, correlation_f,
+                                     integral_a, landen_descending, modulus_k,
+                                     square_lattice_energy, star_to_triangle)
+from isingexact.thermo import dirac_free_energy, specific_heat
+from isingexact.transfer2d import build_transfer, log_z_torus, partition_torus_transfer
+
+# the package re-exports pfaffian() under the module's name
+pfaffian_module = importlib.import_module("isingexact.pfaffian")
+startriangle_module = importlib.import_module("isingexact.startriangle")
 
 
 def test_critical_coupling_identities():
@@ -137,9 +156,11 @@ def test_lattice_spec_validation():
     lambda s: count_matchings(s, 3),
     lambda s: count_matchings_dp(3, s),
     lambda s: build_transfer(s, 0.3, 0.4),
+    lambda s: log_z_torus(3, s, 0.3, 0.4),
+    lambda s: kaufman_partition(s, 3, 0.4, 0.3),
 ], ids=["gamma_spectrum", "triangular_log_z_per_site", "dimer_count_free_product",
         "dimer_count_free_pf", "dimer_count_torus", "count_matchings", "count_matchings_dp",
-        "build_transfer"])
+        "build_transfer", "log_z_torus", "kaufman_partition"])
 def test_sides_below_one_are_domain_errors(call, side):
     # the other side is odd, so an odd site count cannot answer 0 first
     with pytest.raises(DomainError, match="rows and cols must be positive"):
@@ -168,3 +189,132 @@ def test_past_the_float_range_is_refused_without_a_warning(call):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             call()
+
+
+# every guard that no other test reaches: (call, error type, message fragment)
+_REFUSALS = {
+    "ChainParams sites": (lambda: ChainParams(0), DomainError, "n_spins must be positive"),
+    "ChainParams finite": (lambda: ChainParams(3, k=math.nan), DomainError,
+                           "couplings must be finite"),
+    "transfer_closed open": (lambda: transfer_closed(ChainParams(3, 0.3, 0.1, closed=False)),
+                             DomainError, "expects a closed chain"),
+    "recursive_open closed": (lambda: recursive_open(ChainParams(3, 0.3, 0.1, closed=True)),
+                              DomainError, "expects an open chain"),
+    "recursive_open one spin": (lambda: recursive_open(ChainParams(1, 0.3, 0.1, closed=False)),
+                                DomainError, "at least two spins"),
+    "induction_closed open": (lambda: induction_closed(ChainParams(3, 0.3, 0.1, closed=False)),
+                              DomainError, "expects a closed chain"),
+    "induction_closed one spin": (lambda: induction_closed(ChainParams(1, 0.3, 0.1)),
+                                  DomainError, "at least two spins"),
+    "MethodResult": (lambda: MethodResult(math.inf, "oracle"), DomainError,
+                     "log_z must be finite"),
+    "WeightedGraph sites": (lambda: WeightedGraph(0, ()), DomainError, "at least one site"),
+    "WeightedGraph range": (lambda: WeightedGraph(2, ((0, 2, 0.3),)), DomainError,
+                            "out of range"),
+    "WeightedGraph finite": (lambda: WeightedGraph(2, ((0, 1, math.nan),)), DomainError,
+                             "edge coupling must be finite"),
+    "field": (lambda: enumerate_partition_graph(WeightedGraph(2, ((0, 1, 0.3),)), math.inf),
+              DomainError, "field must be finite"),
+    "honeycomb k_d": (lambda: build_lattice_graph(LatticeSpec(2, 2, "honeycomb"),
+                                                  ReducedCouplings(0.3, 0.3)),
+                      DomainError, "needs all three couplings"),
+    "honeycomb free": (lambda: build_lattice_graph(LatticeSpec(2, 2, "honeycomb", "free"),
+                                                   ReducedCouplings(0.3, 0.3, 0.3)),
+                       DomainError, "on the torus only"),
+    "triangular k_d": (lambda: build_lattice_graph(LatticeSpec(2, 2, "triangular"),
+                                                   ReducedCouplings(0.3, 0.3)),
+                       DomainError, "needs k_d"),
+    "backtracker sites": (lambda: count_matchings_graph(38, ()), CapacityError,
+                          "limited to 36 sites"),
+    "hafnian odd": (lambda: hafnian(np.ones((3, 3))), DomainError, "even dimension"),
+    "hafnian oblong": (lambda: hafnian(np.ones((2, 4))), DomainError, "square matrix"),
+    "hafnian scalar": (lambda: hafnian(1.0), DomainError, "square matrix"),
+    "hafnian size": (lambda: hafnian(np.ones((14, 14))), CapacityError, "dimension 12"),
+    "hafnian asymmetric": (lambda: hafnian([[0.0, 1.0], [2.0, 0.0]]), DomainError,
+                           "symmetric"),
+    "pfaffian oblong": (lambda: pfaffian(np.zeros((2, 4))), DomainError, "square matrix"),
+    "pfaffian scalar": (lambda: pfaffian(1.0), DomainError, "square matrix"),
+    "pfaffian odd": (lambda: pfaffian(np.zeros((3, 3))), DomainError, "even dimension"),
+    "pfaffian symmetric": (lambda: pfaffian([[0.0, 1.0], [1.0, 0.0]]), DomainError,
+                           "not antisymmetric"),
+    "dimer variant": (lambda: build_dimer_matrix(LatticeSpec(2, 2), MatchingWeights(),
+                                                 "torus5"), DomainError, "unknown variant"),
+    "dimer odd": (lambda: build_dimer_matrix(LatticeSpec(3, 3), MatchingWeights()),
+                  DomainError, "odd site count"),
+    "dimer size": (lambda: build_dimer_matrix(LatticeSpec(2, 2049), MatchingWeights()),
+                   CapacityError, "too large"),
+    "ising_pfaffian_torus side": (lambda: ising_pfaffian_torus(1, 4, 0.3, 0.3), DomainError,
+                                  "both sides >= 2"),
+    "ising_pfaffian_torus coupling": (lambda: ising_pfaffian_torus(4, 4, -0.3, 0.3),
+                                      DomainError, "couplings must be positive"),
+    "gamma_spectrum k_t": (lambda: gamma_spectrum(3, 0.0, 0.3), DomainError,
+                           "k_t must be positive"),
+    "gamma_spectrum k_s": (lambda: gamma_spectrum(3, 0.3, -0.1), DomainError,
+                           "k_s must be non-negative"),
+    "kacward_products": (lambda: kacward_products(3, 3, 0.0, 0.3, GridParity()), DomainError,
+                         "couplings must be positive"),
+    "triangular sign": (lambda: triangular_log_z_per_site(
+        3, 3, ReducedCouplings(-0.3, 0.3, 0.2)), DomainError, "non-negative"),
+    "triangular critical": (lambda: triangular_log_z_per_site(
+        4, 4, ReducedCouplings(K_CRIT, K_CRIT, 0.0)), DomainError, "vanishing factor"),
+    "star_to_triangle": (lambda: star_to_triangle(0.0, 0.3, 0.3), DomainError,
+                         "star couplings must be positive"),
+    "modulus_k sign": (lambda: modulus_k(-0.1, 0.3, 0.3), DomainError, "non-negative"),
+    "modulus_k degenerate": (lambda: modulus_k(0.0, 0.0, 0.5), DomainError, "degenerate"),
+    "integral_a modulus": (lambda: integral_a(0.3, math.inf), DomainError,
+                           "modulus must be finite"),
+    "ab_coefficients sign": (lambda: ab_coefficients(-0.1), DomainError,
+                             "modulus must be non-negative"),
+    "ab_coefficients infinite": (lambda: ab_coefficients(math.inf), DomainError,
+                                 "modulus must be non-negative and finite"),
+    "correlation_f": (lambda: correlation_f(-0.1, 0.3), DomainError,
+                      "argument must be non-negative"),
+    "square_lattice_energy": (lambda: square_lattice_energy(0.0, 0.3), DomainError,
+                              "couplings must be positive"),
+    "landen_descending": (lambda: landen_descending(1.0), DomainError, "needs 0 <= k < 1"),
+    "dirac_free_energy": (lambda: dirac_free_energy(0.0), DomainError,
+                          "coupling must be positive"),
+    "specific_heat": (lambda: specific_heat(1e-5), DomainError, "k - dk must stay positive"),
+    "build_transfer": (lambda: build_transfer(3, math.nan, 0.3), DomainError,
+                       "couplings must be finite"),
+    "partition_torus_transfer": (lambda: partition_torus_transfer(0, build_transfer(2, 0.3, 0.4)),
+                                 DomainError, "m must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_guard_refuses_with_its_type_and_message(name):
+    call, error, fragment = _REFUSALS[name]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_pfaffian_past_its_dimension_is_a_capacity_error(monkeypatch):
+    # a matrix past MAX_DIM would take 134 MB; the ceiling is lowered instead
+    monkeypatch.setattr(pfaffian_module, "MAX_DIM", 2)
+    with pytest.raises(CapacityError, match="exceeds the 2 ceiling"):
+        pfaffian(np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("patch,fragment", [
+    # a modulus off by 1e-9 relative breaks sinh 2K sinh 2L = 1/k
+    (("modulus_k", lambda *k: (1.0 + 1e-9) * modulus_k(*k)), "1/k violated"),
+    # ln R off by 1e-9 breaks R^2 = 2k prod sinh 2L alone: it is the only
+    # log_cosh at L1 + L2 + L3 (the couplings take it at 2L and 2(La - Lb))
+    (("log_cosh", lambda x: log_cosh(x) + (1e-9 if x == 0.3 + 0.4 + 0.5 else 0.0)),
+     "R^2 identity violated"),
+])
+def test_star_triangle_invariant_failure_is_a_self_check_error(monkeypatch, patch, fragment):
+    monkeypatch.setattr(startriangle_module, *patch)
+    with pytest.raises(SelfCheckError, match=re.escape(fragment)):
+        star_to_triangle(0.3, 0.4, 0.5)
+
+
+def test_edge_cases_return_exact_values():
+    assert pfaffian(np.zeros((0, 0))) == (1, 0.0)
+    # all-zero column blocks: the sweep is singular at once, and no weight
+    # means no matching
+    assert dimer_count_free_pf(2, 2, MatchingWeights(0.0, 0.0)) == 0.0
+    assert dimer_count_torus(2, 2, MatchingWeights(0.0, 0.0)) == 0.0
+    assert triangular_log_z_per_site(3, 3, ReducedCouplings(0.0, 0.0, 0.0)) == math.log(2.0)
+    assert b_near_critical(1.0) == 0.0

@@ -1,3 +1,5 @@
+import collections
+import functools
 import importlib
 import math
 
@@ -208,6 +210,102 @@ def test_torus_dimer_count_matches_enumeration(m, n):
 
 def test_torus_dimer_count_odd_odd_is_zero():
     assert dimer_count_torus(3, 5) == 0.0
+
+
+def _matchings_by_z1_dimers(num_sites, edges):
+    """Exact integer counts of the perfect matchings by their number of z1
+    dimers, by backtracking; edges (a, b, is_z1), parallel edges distinct."""
+    adj = [[] for _ in range(num_sites)]
+    for a, b, is_z1 in edges:
+        adj[a].append((b, is_z1))
+        adj[b].append((a, is_z1))
+    full = (1 << num_sites) - 1
+
+    @functools.lru_cache(maxsize=None)
+    def rec(cov):
+        if cov == full:
+            return ((0, 1),)
+        p = (~cov & (cov + 1)).bit_length() - 1
+        counts = collections.Counter()
+        for q, is_z1 in adj[p]:
+            if not cov >> q & 1:
+                for t, c in rec(cov | 1 << p | 1 << q):
+                    counts[t + is_z1] += c
+        return tuple(counts.items())
+
+    return dict(rec(0)) if num_sites % 2 == 0 else {}
+
+
+def _grid_edges_by_kind(m, n, wrap):
+    """Bonds of the m x n grid (site i * n + j), z1 along i; on the torus
+    a side of length 2 doubles its bonds."""
+    edges = []
+    for i in range(m):
+        for j in range(n):
+            if i + 1 < m or wrap:
+                edges.append((i * n + j, (i + 1) % m * n + j, 1))
+            if j + 1 < n or wrap:
+                edges.append((i * n + j, i * n + (j + 1) % n, 0))
+    return edges
+
+
+_RATIO_EXPONENTS = [s * e for e in (3, 6, 9, 12, 13, 15, 20, 25, 30) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("bc,m,n", [("free", m, n) for m in range(1, 7) for n in range(1, 7)]
+                         + [("torus", m, n) for m, n in [(2, 3), (4, 3), (3, 4), (4, 4), (2, 4)]])
+def test_dimer_counts_at_extreme_weight_ratios_are_right_or_refused(bc, m, n):
+    # z1 / z2 = 1e+-3 ... 1e+-30: each route agrees with the exact counts by
+    # number of z1 dimers, summed in log space, to 1e-12, or raises a
+    # DomainError.  Past a ratio of ~1e12 the sweeps' singular test and the
+    # product's midpoint cosine used to return 0 or a wrong count
+    counts = _matchings_by_z1_dimers(m * n, _grid_edges_by_kind(m, n, bc == "torus"))
+    routes = ((dimer_count_free, dimer_product) if bc == "free" else (dimer_count_torus,))
+    for e in _RATIO_EXPONENTS:
+        z1, z2 = 10.0 ** (e / 2), 10.0 ** (-e / 2)
+        logs = [math.log(c) + t * math.log(z1) + (m * n // 2 - t) * math.log(z2)
+                for t, c in counts.items()]
+        for route in routes:
+            try:
+                got = route(m, n, MatchingWeights(z1, z2))
+            except DomainError:
+                continue
+            if not counts:
+                assert got == 0.0
+                continue
+            top = max(logs)
+            want = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+            assert got > 0.0 and abs(math.log(got) - want) <= 1e-12, (route, e, got)
+
+
+@pytest.mark.parametrize("route", [dimer_count_free, dimer_count_torus, dimer_product])
+def test_dimer_count_below_the_float_range_is_a_domain_error(route):
+    # the count 1e-1600, and a 2 x 3 grid whose sweep is singular and whose
+    # product factor squares underflow; a zero weight keeps its exact 0
+    for m, n, w in ((4, 4, MatchingWeights(1e-200, 1e-200)), (2, 3, MatchingWeights(1e-160, 1.0)),
+                    (2, 2, MatchingWeights(0.0, 1e-200))):
+        with pytest.raises(DomainError, match="below the normal float range"):
+            route(m, n, w)
+    assert route(2, 3, MatchingWeights(0.0, 1.0)) == 0.0
+    assert route(3, 2, MatchingWeights(1.0, 0.0)) == 0.0
+
+
+@pytest.mark.parametrize("m,n,w", [(16, 24, MatchingWeights(0.6, 1.2)),
+                                   (20, 32, MatchingWeights(1.1, 0.7))])
+def test_large_torus_dimer_count_against_reference_pfaffians(m, n, w):
+    # the reference is 1/2 (-Pf A1 + Pf A2 + Pf A3 + Pf A4) of the dense
+    # build_dimer_matrix variants by the unblocked reference_pfaffian, which
+    # shares no code with the sweep; both orientations of the route are checked
+    spec = LatticeSpec(m, n, "square", "torus")
+    terms = [reference_pfaffian(build_dimer_matrix(spec, w, variant))
+             for variant in ("torus1", "torus2", "torus3", "torus4")]
+    top = max(log_mag for _, log_mag in terms)
+    want = top + math.log(math.fsum(weight * sign * math.exp(log_mag - top)
+                                    for weight, (sign, log_mag)
+                                    in zip((-0.5, 0.5, 0.5, 0.5), terms)))
+    assert math.log(dimer_count_torus(m, n, w)) == pytest.approx(want, rel=0.0, abs=1e-12)
+    assert math.log(dimer_count_torus(n, m, MatchingWeights(w.z2, w.z1))) == pytest.approx(
+        want, rel=0.0, abs=1e-12)
 
 
 def reference_skew_shift(length, corner):

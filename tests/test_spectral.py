@@ -209,6 +209,16 @@ def test_dimer_product_with_a_weight_past_the_root_of_the_float_range():
     assert dimer_count_free(2, 2, MatchingWeights(0.0, 0.0)) == 0.0
 
 
+def test_dimer_product_midpoint_cosine_of_an_odd_side_is_zero():
+    # cos(pi j/(n+1)) at j = (n+1)/2 rounds to 6e-17: a grid with no matching
+    # counted 2.4e-16, and a small weight was 2e-4 off
+    for m in (2, 4, 6):
+        for n in (1, 3, 5, 7):
+            assert dimer_count_free(m, n, MatchingWeights(0.0, 1.0)) == 0.0
+            assert dimer_count_free(n, m, MatchingWeights(1.0, 0.0)) == 0.0
+    assert dimer_count_free(3, 4, MatchingWeights(1.0, 1e-14)) == pytest.approx(4e-28, rel=1e-14)
+
+
 # ------------------------------------------------------- triangular lattice
 
 def reference_triangular_log_z_per_site(m, n, kh, kv, kd):

@@ -66,32 +66,29 @@ def test_torus_against_oracle(m, n, kh, kv):
 
 @pytest.mark.parametrize("m,n", [(3, 3), (3, 5), (5, 5)])
 def test_fully_frustrated_torus_against_oracle(m, n):
-    # both couplings < 0 and both sides odd: every spectral sum cancels (the
-    # direct sum is refused), the dense product of positive entries does not
+    # both couplings < 0 and both sides odd: every spectral sum may cancel
+    # (the direct sum is refused), the dense product of positive entries does not
     assert log_z_torus(m, n, -5.0, -5.0) == pytest.approx(_oracle_torus(m, n, -5.0, -5.0),
                                                           rel=1e-14)
-    with pytest.raises(DomainError, match="digits"):
+    with pytest.raises(DomainError, match="not a sign-safe cut"):
         partition_torus_transfer(m, build_transfer(n, -5.0, -5.0))
 
 
-def test_signed_sum_is_accurate_or_refused():
-    # k_a < 0 with an odd row count, called directly: within 1e-10 of the
-    # direct power of the reference matrix, or a DomainError naming the loss
-    answered = refused = 0
+def test_unsafe_cut_is_refused_and_safe_cuts_are_accurate():
+    # k_a < 0 with an odd row count may cancel, so it is refused; the same
+    # operator at an even row count, and the k_a > 0 operator at the odd one,
+    # are within 1e-10 of the direct power of the reference matrix
     for n in range(1, 8):
         for m in (1, 3, 5, 7):
             for k_a in (-0.02, -0.3, -1.3, -5.0):
                 for k_b in (0.4, 0.0, -1.0):
                     t = build_transfer(n, k_a, k_b)
-                    try:
-                        got = partition_torus_transfer(m, t)
-                    except DomainError as exc:
-                        assert "digits" in str(exc)
-                        refused += 1
-                        continue
-                    answered += 1
-                    assert abs(got - reference_log_trace_power(m, n, k_a, k_b)) < 1e-10
-    assert answered > 0 and refused > 0
+                    with pytest.raises(DomainError, match="not a sign-safe cut"):
+                        partition_torus_transfer(m, t)
+                    for rows, safe in ((m + 1, t), (m, build_transfer(n, -k_a, k_b))):
+                        got = partition_torus_transfer(rows, safe)
+                        want = reference_log_trace_power(rows, n, safe.k_a, k_b)
+                        assert abs(got - want) < 1e-10
 
 
 def test_operator_dimension():
