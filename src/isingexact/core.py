@@ -64,7 +64,12 @@ def log_sum(log_terms, weights=1.0, what: str = "the sum") -> float:
 def angle_grid(parity: str, length: int) -> np.ndarray:
     """The length angles 2 pi r / length ('integer') or pi (2r + 1) / length
     ('half'), r = 0 .. length - 1."""
-    r = np.arange(length)
+    return _grid_angles(parity, length, np.arange(length))
+
+
+def _grid_angles(parity: str, length: int, r: np.ndarray) -> np.ndarray:
+    """The angles of angle_grid(parity, length) at the indices r, each the
+    same float as in the whole grid."""
     if parity == "integer":
         return 2.0 * np.pi * r / length
     return np.pi * (2.0 * r + 1.0) / length

@@ -44,6 +44,7 @@ by one weighted bincount per row.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -347,10 +348,18 @@ def count_matchings(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> f
     return count_matchings_graph(m * n, edges())
 
 
+# a nonzero dimer weight, partial product or partial count below the normal
+# float range has lost digits to underflow
+_TINY = sys.float_info.min
+_UNDERFLOW = "a partial dimer count is below the normal float range, where its digits are lost"
+
+
 def count_matchings_graph(num_sites: int,
                           edges: Iterable[Tuple[int, int, float]]) -> float:
     """Generating function over perfect matchings of an arbitrary weighted
-    graph (backtracking); parallel edges count as distinct dimer slots."""
+    graph (backtracking); parallel edges count as distinct dimer slots.
+    A product of two nonzero factors, or a nonzero partial count, below the
+    normal float range is a DomainError; a zero weight keeps its exact 0."""
     if num_sites > 36:
         raise CapacityError("backtracking counter is limited to 36 sites")
     if num_sites % 2:
@@ -368,7 +377,13 @@ def count_matchings_graph(num_sites: int,
         total = 0.0
         for q, z in adj[p]:
             if q != p and not cov >> q & 1:
-                total += z * rec(cov | 1 << p | 1 << q)
+                sub = rec(cov | 1 << p | 1 << q)
+                term = z * sub
+                if -_TINY < term < _TINY and z and sub:
+                    raise DomainError(_UNDERFLOW)
+                total += term
+        if total and -_TINY < total < _TINY:
+            raise DomainError(_UNDERFLOW)
         return total
 
     return rec(0)
@@ -397,7 +412,11 @@ def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -
     The profile runs along the shorter side, by count(m, n, z1, z2) =
     count(n, m, z2, z1).  Independent of the backtracking counter.  Past
     rows * (3^width + 16 * 2^width) at 14 x 14, width the shorter side, it
-    is a CapacityError.  A count past the float range is a DomainError.
+    is a CapacityError.  A count past the float range is a DomainError, and
+    so is a nonzero labeling weight or partial product (hence partial count)
+    below the normal range, whose digits are lost; a zero weight keeps its
+    exact 0.  A row needs that check only once the least nonzero labeling
+    weight times a lower bound of the nonzero partial counts is below it.
     """
     LatticeSpec(m, n, "square", "free")   # rejects sides < 1
     if (m * n) % 2:
@@ -418,16 +437,32 @@ def count_matchings_dp(m: int, n: int, w: MatchingWeights = MatchingWeights()) -
         # dimer on a labeling of the first j - 1 cells
         before = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.ones(0))
         labels = (np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1))
+        # the least nonzero weight of the labelings of the first j - 1 and j
+        # cells: every labeling keeps its weight in the next cell (covered
+        # from above), and rounding is monotone, so the last one is the least
+        # nonzero weight of every labeling built
+        least_before, least = math.inf, 1.0
         for j in range(n):
             (inc, out, weight), (inc2, out2, weight2) = labels, before
             before, labels = labels, (np.concatenate((inc | 1 << j, inc, inc2)),
                                       np.concatenate((out, out | 1 << j, out2)),
                                       np.concatenate((weight, weight * z1, weight2 * z2)))
+            least_before, least = least, min(least, least * z1 if z1 > 0.0 else math.inf,
+                                             least_before * z2 if z2 > 0.0 else math.inf)
+        if least < _TINY:
+            raise DomainError(_UNDERFLOW)
         inc, out, weight = labels
+        bound = 1.0   # no nonzero partial count is below it
         state = np.zeros(1 << n)
         state[0] = 1.0
         for row in range(m):
-            state = np.bincount(out, weights=weight * state[inc], minlength=1 << n)
+            products = weight * state[inc]
+            bound *= least
+            if bound < _TINY and np.any((products < _TINY) & (weight > 0.0) & (state[inc] > 0.0)):
+                raise DomainError(_UNDERFLOW)
+            state = np.bincount(out, weights=products, minlength=1 << n)
+            if bound < _TINY:
+                bound = float(np.min(state, where=state > 0.0, initial=math.inf))
             # an inf or nan count of the rows so far is one of the whole grid:
             # each labeling feeds its bin whatever its weight (0 * inf is
             # nan), and the rows left have a matching

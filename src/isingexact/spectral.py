@@ -13,10 +13,21 @@ through their cosines, and each grid is closed under theta -> -theta, so the
 Kac-Ward route takes the log of each distinct factor once, about
 (m/2 + 1)(n/2 + 1) of them, and weights it by its multiplicity; no product
 over phi is done in closed form, which would turn it into the gamma route.
+
+The three double products (Kac-Ward, free dimers, triangular) share one
+blocked loop, _blocked_log_sum: it forms at most _BLOCK factors at a time
+in one reused buffer, from the parts of the one-dimensional grids that the
+block needs, checks the block against its floor before taking its log, and
+adds the block's share of the sum, so a product's memory is a few blocks,
+whatever its shape.  A product that fits in one block is its one-shot
+expression, bitwise.  Past MAX_KACWARD_FACTORS factors, and past
+_MAX_SPECTRUM columns of a gamma spectrum, a route is a CapacityError
+before it allocates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, ReducedCouplings,
-                   _dimer_count, _log_2sinh_abs, angle_grid, dual_coupling, finite, log_cosh,
-                   log_sum)
+                   _dimer_count, _grid_angles, _log_2sinh_abs, angle_grid, dual_coupling, finite,
+                   log_cosh, log_sum)
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,11 @@ class GridParity:
         for p in (self.parity_v, self.parity_h):
             if p not in ("integer", "half"):
                 raise DomainError(f"unknown parity {p!r}")
+
+
+# columns of a gamma spectrum: 2n angles are 4 MiB of float64 per array, and
+# kaufman_partition peaks near 18 MiB, at 128 times a 2048-wide torus
+_MAX_SPECTRUM = 1 << 18
 
 
 def gamma_spectrum(n: int, k_t: float, k_s: float) -> np.ndarray:
@@ -57,6 +73,9 @@ def gamma_spectrum(n: int, k_t: float, k_s: float) -> np.ndarray:
     2 (a + b + ln 2w).
     """
     LatticeSpec(1, n)   # rejects n < 1
+    if n > _MAX_SPECTRUM:
+        raise CapacityError(f"a gamma spectrum of {n} columns exceeds the "
+                            f"{_MAX_SPECTRUM}-column ceiling")
     if not (k_t > 0.0 and math.isfinite(k_t)):
         raise DomainError("k_t must be positive (its dual enters the spectrum)")
     if not (k_s >= 0.0 and math.isfinite(k_s)):
@@ -128,43 +147,118 @@ def kacward_products(m: int, n: int, k_h: float, k_v: float,
                                 gp.parity_v, gp.parity_h)
 
 
-# 4096 x 4096 factors, of which at most 2049 x 2049 are distinct: 32 MiB of
-# float64 per product
+# factors of one double product (Kac-Ward, free dimers, triangular sum), a
+# 4096 x 4096 grid.  The blocks bound the memory, so this bounds the work:
+# at the ceiling a Kac-Ward product takes 0.02 s (4096 x 4096) to 0.25 s
+# (1 x 2^24), and the triangular sum up to ~0.7 s (2 vCPUs)
 MAX_KACWARD_FACTORS = 1 << 24
+# factors per block of a double product: 256 KiB of float64, which fits in L2
+_BLOCK = 1 << 15
 
 
-def _folded_grid(parity: str, length: int) -> tuple[np.ndarray, np.ndarray]:
+def _refuse_past_ceiling(rows: int, cols: int, what: str) -> None:
+    if rows * cols > MAX_KACWARD_FACTORS:
+        raise CapacityError(f"{rows} x {cols} = {rows * cols} {what} factors exceed "
+                            f"the {MAX_KACWARD_FACTORS} ceiling")
+
+
+def _blocked_log_sum(rows: int, cols: int, row_terms, col_terms, fill, reduce,
+                     floor: float) -> float:
+    """Sum of the logs of the rows x cols factors F, a block at a time.  A
+    block is whole rows of at most _BLOCK factors, or one row's run of
+    _BLOCK columns.  For the slices r and c of its rows and columns,
+    row = row_terms(r) and col = col_terms(c) are what the block needs of
+    them (the column runs are the outer loop, so each run's are built
+    once); fill(row, col, out) writes F[r, c] into out, a view of one
+    buffer that every block reuses; and reduce(row, col, log F[r, c]) is
+    the block's share of the sum.  So a product holds a few blocks' worth
+    of arrays at most, whatever its shape.  -inf once a factor is below
+    floor, checked before the block's log is taken, so a vanishing factor
+    raises no RuntimeWarning.  A product that fits in one block is one pass
+    of the loop: bitwise its one-shot expression."""
+    step = max(1, _BLOCK // cols)    # rows per block
+    width = min(cols, _BLOCK)        # columns per block: all of them, or one row's run
+    buffer = np.empty(min(rows * cols, _BLOCK))
+    total = 0.0
+    for c0 in range(0, cols, width):
+        c1 = min(c0 + width, cols)
+        col = col_terms(slice(c0, c1))
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            row = row_terms(slice(r0, r1))
+            block = fill(row, col, buffer[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0))
+            if block.min() < floor:
+                return -math.inf
+            total += reduce(row, col, np.log(block, out=block))
+    return float(total)
+
+
+def _folded_count(parity: str, length: int) -> int:
+    """How many angles of angle_grid(parity, length) are distinct under
+    theta -> 2 pi - theta."""
+    return length // 2 + 1 if parity == "integer" else (length + 1) // 2
+
+
+def _folded_grid(parity: str, length: int, start: int = 0,
+                 stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The angles of angle_grid(parity, length) that are distinct under
     theta -> 2 pi - theta, with their multiplicities: 2 for each, 1 for the
     self-reflected 0 (on the integer grid) and pi (on the integer grid of
     even length and the half grid of odd length).  The multiplicities sum
-    to length."""
-    count = length // 2 + 1 if parity == "integer" else (length + 1) // 2
-    weights = np.full(count, 2.0)
-    if parity == "integer":
+    to length.  Only those from start to stop (all by default) are built.
+    Both arrays are read-only, as the cache below shares them."""
+    count = _folded_count(parity, length)
+    stop = count if stop is None else stop
+    weights = np.full(stop - start, 2.0)
+    if parity == "integer" and start == 0:
         weights[0] = 1.0
-    if (parity == "integer") == (length % 2 == 0):
+    if (parity == "integer") == (length % 2 == 0) and stop == count:
         weights[-1] = 1.0
-    return angle_grid(parity, length)[:count], weights
+    angles = _grid_angles(parity, length, np.arange(start, stop))
+    angles.flags.writeable = weights.flags.writeable = False
+    return angles, weights
+
+
+# the folded grids of sides up to 4096 (at most 32 KiB each, 2 MiB in all)
+# are kept: building the two grids of a small product cost as much as its
+# sum, and the four products of one torus share them
+_CACHED_SIDE = 4096
+_cached_folded_grid = functools.lru_cache(maxsize=64)(_folded_grid)
+
+
+def _folded_terms(parity: str, length: int, term):
+    """The terms of one side of a parity product, as a function of a slice
+    of the folded grid of angle_grid(parity, length): term(cos angle) and
+    the multiplicities there.  A side up to _CACHED_SIDE takes its grid
+    from the cache and its terms once, whole; a longer one builds only the
+    part a block asks for."""
+    if length <= _CACHED_SIDE:
+        angles, weights = _cached_folded_grid(parity, length)
+        whole = term(np.cos(angles))
+        return lambda part: (whole[part], weights[part])
+
+    def part_terms(part):
+        angles, weights = _folded_grid(parity, length, part.start, part.stop)
+        return term(np.cos(angles)), weights
+
+    return part_terms
 
 
 def _kacward_log_product(m: int, n: int, x: float, y: float,
                          parity_v: str, parity_h: str) -> float:
     """log of the double product of kacward_products in the fugacities
     x, y; -inf when a factor vanishes (below 1e-300).  Only the factors on
-    the folded grids are formed; their logs are summed as
-    w_theta . log F . w_phi."""
+    the folded grids are formed, a block at a time; their logs are summed
+    as w_theta . log F . w_phi."""
     LatticeSpec(m, n)   # rejects sides < 1
-    if m * n > MAX_KACWARD_FACTORS:
-        raise CapacityError(
-            f"{m} x {n} = {m * n} Kac-Ward factors exceed the {MAX_KACWARD_FACTORS} ceiling")
-    theta, w_theta = _folded_grid(parity_v, m)
-    phi, w_phi = _folded_grid(parity_h, n)
-    factors = (((1.0 + x * x) * (1.0 + y * y) - 2.0 * y * (1.0 - x * x) * np.cos(theta))[:, None]
-               - 2.0 * x * (1.0 - y * y) * np.cos(phi))
-    if float(factors.min()) < 1e-300:
-        return -math.inf
-    return float(w_theta @ np.log(factors, out=factors) @ w_phi)
+    _refuse_past_ceiling(m, n, "Kac-Ward")
+    a, b = (1.0 + x * x) * (1.0 + y * y), 2.0 * y * (1.0 - x * x)
+    d = 2.0 * x * (1.0 - y * y)
+    return _blocked_log_sum(_folded_count(parity_v, m), _folded_count(parity_h, n),
+                            _folded_terms(parity_v, m, lambda cos_theta: a - b * cos_theta),
+                            _folded_terms(parity_h, n, lambda cos_phi: d * cos_phi),
+                            lambda row, col, out: np.subtract(row[0][:, None], col[0], out=out),
+                            lambda row, col, logs: row[1] @ logs @ col[1], 1e-300)
 
 
 def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
@@ -211,20 +305,33 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
         if n % 2 == 1:
             return 0.0
         m, n, z1, z2 = n, m, z2, z1
+    _refuse_past_ceiling(m // 2, n, "dimer-product")
     z = max(z1, z2)
     if z == 0.0:
         return 0.0
-    k = np.arange(1, m // 2 + 1)[:, None]
-    j = np.arange(1, n + 1)[None, :]
-    cos_j = np.cos(np.pi * j / (n + 1))
-    if n % 2:
-        cos_j[0, n // 2] = 0.0   # j = (n+1)/2, where the float cosine is 6e-17
-    terms = (z1 / z * np.cos(np.pi * k / (m + 1))) ** 2 + (z2 / z * cos_j) ** 2
-    if float(terms.min()) < sys.float_info.min:
-        # no matching, or a factor whose squares both underflowed
-        log_count = -math.inf
-    else:
-        log_count = float((math.log(2.0) + math.log(z) + 0.5 * np.log(terms)).sum())
+    log_2z = math.log(2.0) + math.log(z)
+
+    def row_terms(part):
+        k = np.arange(part.start + 1, part.stop + 1)
+        return (z1 / z * np.cos(np.pi * k / (m + 1))) ** 2
+
+    def col_terms(part):
+        cos_j = np.cos(np.pi * np.arange(part.start + 1, part.stop + 1) / (n + 1))
+        if n % 2 and part.start <= n // 2 < part.stop:
+            cos_j[n // 2 - part.start] = 0.0   # j = (n+1)/2, where the float cosine is 6e-17
+        return (z2 / z * cos_j) ** 2
+
+    def log_factors(row, col, logs):
+        # log 2z + log(terms) / 2, summed
+        logs *= 0.5
+        logs += log_2z
+        return logs.sum()
+
+    # a term below the normal range: no matching, or a factor whose squares
+    # both underflowed
+    log_count = _blocked_log_sum(m // 2, n, row_terms, col_terms,
+                                 lambda row, col, out: np.add(row[:, None], col, out=out),
+                                 log_factors, sys.float_info.min)
     return _dimer_count(log_count, m, n, MatchingWeights(z1, z2))
 
 
@@ -249,18 +356,36 @@ def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:
             raise DomainError("triangular couplings must be non-negative")
     if c.k_h == 0.0 and c.k_v == 0.0 and kd == 0.0:
         return math.log(2.0)
-    w1 = angle_grid("integer", m)[:, None]
-    w2 = angle_grid("integer", n)[None, :]
+    _refuse_past_ceiling(m, n, "triangular")
     kh, kv = c.k_h, c.k_v
     t = [math.exp(-4.0 * k) for k in (kh, kv, kd)]
     u = [-math.expm1(-4.0 * k) for k in (kh, kv, kd)]   # 1 - t, no cancelling at tiny k
     s1 = 0.5 * u[0] * math.exp(-2.0 * (kv + kd))
     s2 = 0.5 * u[1] * math.exp(-2.0 * (kh + kd))
     s3 = 0.5 * u[2] * math.exp(-2.0 * (kh + kv))
-    bracket = (0.125 * ((1.0 + t[0]) * (1.0 + t[1]) * (1.0 + t[2]) + u[0] * u[1] * u[2])
-               - s1 * np.cos(w1) - s2 * np.cos(w2) - s3 * np.cos(w1 + w2))
-    if float(bracket.min()) <= 0.0:
-        raise DomainError("a grid point hits a vanishing factor (critical manifold)")
-    return finite(math.log(2.0) + kh + kv + kd + float(np.log(bracket).sum()) / (2.0 * m * n),
-                  "ln Z per site")
+    const = 0.125 * ((1.0 + t[0]) * (1.0 + t[1]) * (1.0 + t[2]) + u[0] * u[1] * u[2])
 
+    def row_terms(part):
+        w1 = _grid_angles("integer", m, np.arange(part.start, part.stop))
+        return w1, const - s1 * np.cos(w1)
+
+    def col_terms(part):
+        w2 = _grid_angles("integer", n, np.arange(part.start, part.stop))
+        return w2, s2 * np.cos(w2)
+
+    def bracket(row, col, out):
+        (w1, row_term), (w2, col_term) = row, col
+        np.subtract(row_term[:, None], col_term, out=out)
+        # cos(w1 + w2) is no row term plus column term: a second, temporary block
+        diagonal = np.add(w1[:, None], w2)
+        np.cos(diagonal, out=diagonal)
+        diagonal *= s3
+        out -= diagonal
+        return out
+
+    # the least positive float as the floor refuses exactly a bracket <= 0
+    log_sum = _blocked_log_sum(m, n, row_terms, col_terms, bracket,
+                               lambda row, col, logs: logs.sum(), math.ulp(0.0))
+    if log_sum == -math.inf:
+        raise DomainError("a grid point hits a vanishing factor (critical manifold)")
+    return finite(math.log(2.0) + kh + kv + kd + log_sum / (2.0 * m * n), "ln Z per site")

@@ -469,6 +469,11 @@ def test_free_energy_refuses_a_coupling_its_method_does_not_read(capsys, method,
     # counts below the normal float range of grids that have a matching
     ("--rows", "3", "--cols", "4", "--z2", "1e-14", "--method", "pfaffian"),
     ("--bc", "torus", "--rows", "2", "--cols", "3", "--z2", "1e13"),
+    # 9 z1^2 z2^8 = 9e-296, whose partial counts fall below the normal range:
+    # enumerate printed 4.0000000000000011e-296
+    *(("--rows", rows, "--cols", cols, "--z1", z1, "--z2", z2, "--method", method)
+      for rows, cols, z1, z2 in (("4", "5", "1e-200", "1e13"), ("5", "4", "1e13", "1e-200"))
+      for method in ("product", "pfaffian", "enumerate")),
 ])
 def test_dimers_refusals(capsys, argv):
     _refused(*_run(capsys, "dimers", *argv))
@@ -481,6 +486,13 @@ def test_dimers_enumerate_past_the_work_ceiling_exit_code(capsys, rows, cols):
     start = time.perf_counter()
     _refused(*_run(capsys, "dimers", "--method", "enumerate", "--rows", rows, "--cols", cols),
              want_code=3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_dimers_product_past_its_factor_ceiling_exit_code(capsys):
+    # 1e5 x 2e5 terms: numpy raised a MemoryError with a traceback
+    start = time.perf_counter()
+    _refused(*_run(capsys, "dimers", "--rows", "200000", "--cols", "200000"), want_code=3)
     assert time.perf_counter() - start < 1.0
 
 

@@ -232,6 +232,12 @@ _REFUSALS = {
     "hafnian size": (lambda: hafnian(np.ones((14, 14))), CapacityError, "dimension 12"),
     "hafnian asymmetric": (lambda: hafnian([[0.0, 1.0], [2.0, 0.0]]), DomainError,
                            "symmetric"),
+    # two normal pairings that cancel to 2^-52 of 1e-300, a subnormal
+    "hafnian cancelled": (lambda: hafnian([[0.0, 1e-300, -1e-300, 0.0],
+                                           [1e-300, 0.0, 0.0, 1.0],
+                                           [-1e-300, 0.0, 0.0, 1.0 + 2.0 ** -52],
+                                           [0.0, 1.0, 1.0 + 2.0 ** -52, 0.0]]),
+                          DomainError, "below the normal float range"),
     "pfaffian oblong": (lambda: pfaffian(np.zeros((2, 4))), DomainError, "square matrix"),
     "pfaffian scalar": (lambda: pfaffian(1.0), DomainError, "square matrix"),
     "pfaffian odd": (lambda: pfaffian(np.zeros((3, 3))), DomainError, "even dimension"),

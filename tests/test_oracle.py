@@ -6,13 +6,13 @@ machinery the production path uses."""
 import itertools
 import math
 import time
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import peak_bytes
 from isingexact import oracle
 from isingexact.core import CapacityError, DomainError, LatticeSpec, ReducedCouplings
 from isingexact.pfaffian import dimer_count_free as dimer_count_free_pf
@@ -186,12 +186,7 @@ def test_density_of_states_peak_memory():
     # alone would take 8 MiB
     g = build_lattice_graph(LatticeSpec(4, 5), ReducedCouplings(k_h=0.31, k_v=0.57))
     structure = _edge_structure(g.edges)
-    tracemalloc.start()
-    try:
-        _density_of_states(20, structure)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = peak_bytes(lambda: _density_of_states(20, structure))
     assert peak < 4 << 20
 
 
@@ -387,6 +382,34 @@ def test_matching_dp_past_the_float_range_is_a_domain_error():
     # z1^4 alone overflows; the count is refused rather than inf
     with pytest.raises(DomainError, match="float range"):
         count_matchings_dp(4, 4, MatchingWeights(1e200, 1.0))
+
+
+@pytest.mark.parametrize("count", [count_matchings_dp, count_matchings],
+                         ids=["row transfer", "backtracker"])
+def test_matching_counts_refuse_a_partial_count_below_the_float_range(count):
+    # 4 x 5 at (z1, z2) = (1e-200, 1e13) counts 9 z1^2 z2^8 = 9e-296, a
+    # normal float, but labeling weights and partial products on the way are
+    # not: the row transfer gave 4.0e-296 and the backtracker 9.0138e-296.
+    # 4 x 2 at 1e-100 (count 5e-400) gave 0, though every labeling weight is
+    # normal; 2 x 1 has a subnormal weight
+    for m, n, w in ((4, 5, MatchingWeights(1e-200, 1e13)), (5, 4, MatchingWeights(1e13, 1e-200)),
+                    (4, 2, MatchingWeights(1e-100, 1e-100)), (2, 1, MatchingWeights(1e-310, 1.0))):
+        with pytest.raises(DomainError, match="below the normal float range"):
+            count(m, n, w)
+    # a zero weight keeps its exact 0, and a count whose partial counts stay
+    # normal is answered
+    assert count(2, 3, MatchingWeights(0.0, 1.0)) == 0.0
+    assert count(3, 2, MatchingWeights(1.0, 0.0)) == 0.0
+    assert count(4, 4, MatchingWeights(1e-40, 1.0)) == 1.0
+
+
+def test_matching_dp_checks_rows_once_its_bound_passes_below_the_float_range():
+    # the least labeling weight is 1/4, so after ~510 rows the bound of the
+    # partial counts is below the range: each such row is checked, and the
+    # bound reset from the partial counts, with the count unchanged
+    w = MatchingWeights(0.5, 1.0)
+    assert count_matchings_dp(1000, 2, w) == pytest.approx(dimer_count_free_product(1000, 2, w),
+                                                           rel=1e-12)
 
 
 @pytest.mark.parametrize("m,n", [(967_555, 2), (2, 967_555)])

@@ -1,15 +1,18 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import peak_bytes
 from isingexact.core import (CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings,
-                             angle_grid)
+                             _dimer_count, angle_grid)
 from isingexact.oracle import MatchingWeights, build_lattice_graph, count_matchings, enumerate_partition_graph
 from isingexact.spectral import (
+    MAX_KACWARD_FACTORS,
     GridParity,
     _folded_grid,
     _kacward_log_product,
@@ -111,24 +114,71 @@ def test_kacward_refuses_oversized_products_before_allocating():
         kacward_products(4097, 4096, 0.3, 0.3, GridParity())
 
 
+@pytest.mark.parametrize("call", [
+    lambda: dimer_count_free(200000, 200000),
+    lambda: dimer_count_free(2, 10 ** 9),
+    lambda: triangular_log_z_per_site(200000, 200000, ReducedCouplings(0.3, 0.5, 0.2)),
+    lambda: kaufman_partition(2, 10 ** 12, 0.3, 0.4),
+    lambda: gamma_spectrum((1 << 18) + 1, 0.3, 0.4),
+], ids=["dimer square", "dimer strip", "triangular", "kaufman", "gamma_spectrum"])
+def test_oversized_products_are_refused_before_allocating(call):
+    # one-shot, the dimer strip asked numpy for 8 GB per array, and the
+    # Kaufman spectrum for 16 TB
+    def refused():
+        with pytest.raises(CapacityError, match="ceiling"):
+            call()
+
+    peak, _ = peak_bytes(refused)
+    assert peak < 64 << 10
+
+
+def test_widest_gamma_spectrum_is_accepted():
+    # 2^18 columns, 128 times a 2048-wide torus; the Kac-Ward product of
+    # MAX_KACWARD_FACTORS factors is test_widest_product_matches_the_unfolded_one
+    assert math.isfinite(kaufman_partition(2, 1 << 18, 0.3, 0.4))
+
+
 def reference_kacward_log_product(m, n, x, y, parity_v, parity_h):
     """The unfolded double product: the log of every one of the m x n
-    factors, summed.  Also returns the sum of the logs' magnitudes, the
-    scale of the sum's rounding error."""
+    factors, summed, a chunk of at most 2^20 factors at a time, so that a
+    1 x 2^24 product fits in memory.  Also returns the sum of the logs'
+    magnitudes, the scale of the sum's rounding error."""
     theta = angle_grid(parity_v, m)[:, None]
-    phi = angle_grid(parity_h, n)[None, :]
-    factors = ((1.0 + x * x) * (1.0 + y * y)
-               - 2.0 * y * (1.0 - x * x) * np.cos(theta)
+    phi = angle_grid(parity_h, n)
+    row = (1.0 + x * x) * (1.0 + y * y) - 2.0 * y * (1.0 - x * x) * np.cos(theta)
+    width = max(1, (1 << 20) // m)
+    total = scale = 0.0
+    for c0 in range(0, n, width):
+        factors = row - 2.0 * x * (1.0 - y * y) * np.cos(phi[c0:c0 + width])
+        if float(factors.min()) < 1e-300:
+            return -math.inf, math.inf
+        logs = np.log(factors)
+        total += float(logs.sum())
+        scale += float(np.abs(logs).sum())
+    return total, scale
+
+
+def one_shot_kacward_log_product(m, n, x, y, parity_v, parity_h):
+    """The folded product with its whole factor grid at once, as
+    w_theta . log F . w_phi: a product that fits in one block must be
+    this, bitwise."""
+    theta, w_theta = _folded_grid(parity_v, m)
+    phi, w_phi = _folded_grid(parity_h, n)
+    factors = (((1.0 + x * x) * (1.0 + y * y) - 2.0 * y * (1.0 - x * x) * np.cos(theta))[:, None]
                - 2.0 * x * (1.0 - y * y) * np.cos(phi))
     if float(factors.min()) < 1e-300:
-        return -math.inf, math.inf
-    logs = np.log(factors)
-    return float(logs.sum()), float(np.abs(logs).sum())
+        return -math.inf
+    return float(w_theta @ np.log(factors, out=factors) @ w_phi)
 
 
 PARITY_PAIRS = [(a, b) for a in ("integer", "half") for b in ("integer", "half")]
 FOLD_COUPLINGS = (1e-300, 0.05, 0.3, K_CRIT, 0.9, 5.0, 400.0)
-FOLD_SHAPES = [(m, n) for m in range(1, 10) for n in range(1, 10)] + [(16, 33), (2048, 2048)]
+# past one block of 2^15 folded factors: 2047 x 2048 (a ragged last block
+# of rows) and 3 x 65536 (each row in runs of columns, the integer grid's
+# last run a single column); and extreme aspect ratios
+FOLD_SHAPES = ([(m, n) for m in range(1, 10) for n in range(1, 10)]
+               + [(16, 33), (2048, 2048), (2047, 2048), (4096, 9), (9, 4096), (1, 4096),
+                  (4096, 1), (3, 65536)])
 
 
 @pytest.mark.parametrize("m,n", FOLD_SHAPES)
@@ -149,6 +199,69 @@ def test_folded_product_matches_the_unfolded_one(m, n):
                 # tolerance is relative to sum |ln F|, which is |ln P| itself
                 # wherever the terms do not cancel
                 assert abs(got - want) <= 1e-13 * scale, (kh, kv, parity_v, parity_h)
+
+
+@pytest.mark.parametrize("parity_v,parity_h", PARITY_PAIRS)
+def test_widest_product_matches_the_unfolded_one(parity_v, parity_h):
+    # 1 x 2^24, the ceiling: 2^23 + 1 (integer grid) or 2^23 folded factors
+    # in blocks of one row's run of 2^15 columns, the integer grid's last
+    # block a single column
+    assert MAX_KACWARD_FACTORS == 1 << 24
+    x, y = math.tanh(0.3), math.tanh(0.9)
+    want, scale = reference_kacward_log_product(1, 1 << 24, x, y, parity_v, parity_h)
+    # each run of columns builds its own part of the grids: 320 MiB of whole
+    # grids came down to a few blocks, ~1.6 MiB
+    peak, got = peak_bytes(lambda: _kacward_log_product(1, 1 << 24, x, y, parity_v, parity_h))
+    assert peak < 3 << 20
+    assert abs(got - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _kacward_log_product(1 << 24, 1, math.tanh(0.3), math.tanh(0.9), "half", "integer"),
+    # z = 1/golden ratio keeps the strip's count near 1
+    lambda: dimer_count_free(2, 1 << 24, MatchingWeights(0.6180339887, 0.6180339887)),
+    lambda: triangular_log_z_per_site(1 << 24, 1, ReducedCouplings(0.3, 0.5, 0.2)),
+], ids=["kacward", "dimer", "triangular"])
+def test_products_at_extreme_aspect_ratios_hold_a_few_blocks(call):
+    # 1.5 to 1.8 MiB: the block, and block-sized parts of the grids
+    peak, got = peak_bytes(call)
+    assert peak < 3 << 20
+    assert math.isfinite(got) and got != 0.0
+
+
+@pytest.mark.parametrize("parity", ["integer", "half"])
+def test_folded_grid_parts_are_the_whole_grid_sliced(parity):
+    # a block builds its part of a grid longer than the cached side alone
+    for length in (1, 2, 3, 7, 8, 2048, 2049, 5000, 5001):
+        angles, weights = _folded_grid(parity, length)
+        count = len(angles)
+        for start, stop in ((0, count), (0, 1), (count - 1, count), (count // 3, count // 2 + 1)):
+            part_angles, part_weights = _folded_grid(parity, length, start, stop)
+            assert np.array_equal(part_angles, angles[start:stop])
+            assert np.array_equal(part_weights, weights[start:stop])
+
+
+@pytest.mark.parametrize("m", range(1, 65))
+def test_single_block_product_is_the_one_shot_expression(m):
+    # all 49 coupling pairs up to 8 x 8, and past it one pair per shape,
+    # cycling through the 49
+    pairs = list(itertools.product(FOLD_COUPLINGS, FOLD_COUPLINGS))
+    for n in range(1, 65):
+        for kh, kv in (pairs if max(m, n) <= 8 else [pairs[(64 * m + n) % len(pairs)]]):
+            x, y = math.tanh(kh), math.tanh(kv)
+            for parity_v, parity_h in PARITY_PAIRS:
+                assert _kacward_log_product(m, n, x, y, parity_v, parity_h) == \
+                    one_shot_kacward_log_product(m, n, x, y, parity_v, parity_h), (n, kh, kv)
+
+
+def test_kacward_product_peak_allocation():
+    # the one-shot 2048 x 2048 product allocated its 1025 x 1024 folded grid
+    # at once, 8.4 MiB; blocked, it holds one block of 2^15 factors
+    x = math.tanh(0.3)
+    peak, got = peak_bytes(lambda: _kacward_log_product(2048, 2048, x, x, "integer", "half"))
+    assert peak < 1 << 20
+    want, scale = reference_kacward_log_product(2048, 2048, x, x, "integer", "half")
+    assert abs(got - want) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("m,n", FOLD_SHAPES)
@@ -219,6 +332,50 @@ def test_dimer_product_midpoint_cosine_of_an_odd_side_is_zero():
     assert dimer_count_free(3, 4, MatchingWeights(1.0, 1e-14)) == pytest.approx(4e-28, rel=1e-14)
 
 
+def one_shot_dimer_log_count(m, n, z1, z2):
+    """ln of the free dimer product of an even m with its whole m/2 x n
+    grid of terms at once: a product that fits in one block must be this,
+    bitwise.  -inf once a term is below the normal float range."""
+    z = max(z1, z2)
+    k = np.arange(1, m // 2 + 1)[:, None]
+    j = np.arange(1, n + 1)[None, :]
+    cos_j = np.cos(np.pi * j / (n + 1))
+    if n % 2:
+        cos_j[0, n // 2] = 0.0
+    terms = (z1 / z * np.cos(np.pi * k / (m + 1))) ** 2 + (z2 / z * cos_j) ** 2
+    if float(terms.min()) < sys.float_info.min:
+        return -math.inf
+    return float((math.log(2.0) + math.log(z) + 0.5 * np.log(terms)).sum())
+
+
+@pytest.mark.parametrize("z1,z2", [(1.0, 1.0), (0.6, 1.2), (1.3, 0.7), (1.0, 1e-14), (0.0, 1.0)])
+def test_single_block_dimer_product_is_the_one_shot_sum(z1, z2):
+    for m in range(1, 33):
+        for n in range(1, 41):
+            if m % 2 and n % 2:
+                continue
+            # the product reorients an odd m
+            a, b, w1, w2 = (m, n, z1, z2) if m % 2 == 0 else (n, m, z2, z1)
+            try:
+                want = _dimer_count(one_shot_dimer_log_count(a, b, w1, w2), a, b,
+                                    MatchingWeights(w1, w2))
+            except DomainError:
+                with pytest.raises(DomainError):
+                    dimer_count_free(m, n, MatchingWeights(z1, z2))
+                continue
+            assert dimer_count_free(m, n, MatchingWeights(z1, z2)) == want, (m, n)
+
+
+def test_dimer_product_peak_allocation():
+    # 512 x 512 is 256 x 512 terms, four blocks (2.0 MiB one-shot); z = 0.558
+    # keeps the count (e^-188.6) in the float range
+    w = MatchingWeights(0.558, 0.558)
+    peak, got = peak_bytes(lambda: dimer_count_free(512, 512, w))
+    assert peak < 1 << 20
+    assert math.log(got) == pytest.approx(one_shot_dimer_log_count(512, 512, 0.558, 0.558),
+                                          rel=1e-13)
+
+
 # ------------------------------------------------------- triangular lattice
 
 def reference_triangular_log_z_per_site(m, n, kh, kv, kd):
@@ -233,12 +390,23 @@ def reference_triangular_log_z_per_site(m, n, kh, kv, kd):
     return math.log(2.0) + float(np.log(bracket).sum()) / (2.0 * m * n)
 
 
-@pytest.mark.parametrize("m,n", [(4, 4), (5, 7), (16, 16)])
+# 256 x 200 is two blocks of rows, the last ragged; 3 x 40000 is six
+# blocks, each row in two runs of columns
+@pytest.mark.parametrize("m,n", [(4, 4), (5, 7), (16, 16), (256, 200), (3, 40000)])
 @pytest.mark.parametrize("kh,kv,kd", [(0.3, 0.5, 0.2), (0.05, 0.9, 0.4), (1.2, 0.7, 0.0),
                                       (2.0, 3.0, 1.0), (1e-3, 2e-3, 0.0)])
 def test_triangular_double_sum_matches_the_direct_bracket(m, n, kh, kv, kd):
     assert triangular_log_z_per_site(m, n, ReducedCouplings(kh, kv, kd)) == pytest.approx(
         reference_triangular_log_z_per_site(m, n, kh, kv, kd), rel=1e-13, abs=0.0)
+
+
+def test_triangular_double_sum_peak_allocation():
+    # 256 x 256 is two blocks; the one-shot bracket peaked at 1.5 MiB
+    c = ReducedCouplings(0.3, 0.5, 0.2)
+    peak, got = peak_bytes(lambda: triangular_log_z_per_site(256, 256, c))
+    assert peak < 1 << 20
+    assert got == pytest.approx(reference_triangular_log_z_per_site(256, 256, 0.3, 0.5, 0.2),
+                                rel=1e-13, abs=0.0)
 
 
 def test_triangular_double_sum_at_large_coupling():
