@@ -92,8 +92,6 @@ def recursive_open(p: ChainParams) -> float:
     """
     if p.closed:
         raise DomainError("recursive_open expects an open chain")
-    if p.n_spins < 2:
-        raise DomainError("the recursion needs at least two spins")
     s, k, h = p.n_spins, p.k, p.h
     # ln((1 +- w_J)/2) = -ln(1 + e^{-+2k}),  ln(1 +- w_h) = ln 2 - ln(1 + e^{-+2h})
     j_plus, j_minus = -np.logaddexp(0.0, -2.0 * k), -np.logaddexp(0.0, 2.0 * k)
@@ -126,8 +124,6 @@ def induction_closed(p: ChainParams) -> float:
     shifted by its largest component each step, as z was renormalized."""
     if not p.closed:
         raise DomainError("induction_closed expects a closed chain")
-    if p.n_spins < 2:
-        raise DomainError("induction needs at least two spins")
     k, h = p.k, p.h
     # row i of M: e^{x1[i]} at column cols1[i], e^{x2[i]} at column cols2[i]
     x1 = np.array([k + h, -(3.0 * k + h), k + h, k - h])

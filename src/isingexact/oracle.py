@@ -277,9 +277,10 @@ def build_lattice_graph(spec: LatticeSpec, c: ReducedCouplings) -> WeightedGraph
     cell grid and site mn + cell is the star center of cell (i,j), attached
     with the three edge-class couplings (k_h, k_v, k_d) to the cells (i,j),
     (i,j+1), (i+1,j+1).
-    Torus wraps use modular neighbors; a side of length 2 therefore carries
-    doubled bonds and a side of length 1 carries self-loops, matching the
-    bond-count conventions of the closed-form products.
+    Torus and ring wraps use modular neighbors; a side of length 2 therefore
+    carries doubled bonds and a side of length 1 (a ring of one spin too)
+    carries self-loops, matching the bond-count conventions of the
+    closed-form products.
     """
     m, n = spec.rows, spec.cols
     wrap = spec.boundary == "torus"
@@ -289,7 +290,7 @@ def build_lattice_graph(spec: LatticeSpec, c: ReducedCouplings) -> WeightedGraph
         edges = []
         for j in range(n - 1):
             edges.append((j, j + 1, c.k_h))
-        if wrap_h and n > 1:
+        if wrap_h:
             edges.append((n - 1, 0, c.k_h))
         return WeightedGraph(n, tuple(edges))
 

@@ -17,9 +17,11 @@ instead of being guessed.
 The counting routes never form their matrices: `_column_sweep` eliminates
 a column block matrix one front of about three columns at a time (Wimmer's
 banded case), and it shares the one elimination loop, `_eliminate`, with
-pfaffian().  Only the last front sees the column wrap: the free grid is
-its close with wrap 0, and each torus route makes one sweep per row-wrap
-sign s1 and closes its last front twice, once per column-wrap sign s2.
+pfaffian(): partial pivoting with delayed pivots, where a node whose
+column peaks at a node the front cannot eliminate waits for the next
+front.  Only the last front sees the column wrap: the free grid is its
+close with wrap 0, and each torus route makes one sweep per row-wrap sign
+s1 and closes its last front twice, once per column-wrap sign s2.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .spectral import _kacward_log_product
 
 MAX_DIM = 4096
 _BLOCK = 32   # elimination steps whose trailing updates are applied at once
-_THRESHOLD = 0.1   # smallest accepted pivot, relative to its column's largest entry
 _MAX_SWEEP_WORK = 64 * 256 * 768 ** 2   # columns * b * front^2 of the 64 x 64 Ising torus
 
 # The four torus matrices: wrap signs (s1, s2) and weight in the
@@ -82,14 +83,14 @@ def _eliminate(a: np.ndarray, eligible: int, scale: float) -> Tuple[int, float, 
     the others in their order.  sign 0: an eligible column is below
     1e-12 * scale, so a is singular.
 
-    Step k pairs the node at k with the eligible node of largest entry in
-    its column, moved to k+1 (each interchange flips the sign), if that
-    entry reaches _THRESHOLD of the column's largest; else the node is
-    delayed behind the eligible ones (threshold pivoting with delayed
-    pivots, Duff & Reid, ACM TOMS 9:302 (1983)).  With every node eligible
-    this is plain partial pivoting.  Rank-2 updates are deferred: the two
-    columns of a step are rebuilt from the stored matrix plus the pending
-    updates, which are applied every _BLOCK steps as one matrix product."""
+    Step k pairs the node at k with the node of largest entry in its
+    column, moved to k+1 (each interchange flips the sign), if that node is
+    eligible; else the node at k is delayed behind the eligible ones
+    (partial pivoting with delayed pivots, Duff & Reid, ACM TOMS 9:302
+    (1983)).  With every node eligible no node is delayed.  Rank-2 updates
+    are deferred: the two columns of a step are rebuilt from the stored
+    matrix plus the pending updates, which are applied every _BLOCK steps
+    as one matrix product."""
     n = a.shape[0]
     sign = 1
     log_mag = 0.0
@@ -103,13 +104,10 @@ def _eliminate(a: np.ndarray, eligible: int, scale: float) -> Tuple[int, float, 
     while k < end:
         # live column k: stored entries plus the updates still pending
         col = a[k + 1:, k] + left[k + 1:, :c] @ right[k, :c]
-        mags = np.abs(col)
-        top = mags.max()
-        if top <= 1e-12 * scale:
+        i = int(np.abs(col).argmax())
+        if abs(col[i]) <= 1e-12 * scale:
             return (0, -math.inf, k)
-        partners = end - k - 1   # eligible nodes after k
-        i = int(mags[:partners].argmax()) if partners else 0
-        if not partners or mags[i] < _THRESHOLD * top:
+        if i >= end - k - 1:   # the largest entry is not an eligible node's
             end -= 1
             if end != k:
                 _interchange(a, left, right, k, end)
@@ -152,8 +150,8 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
     Pivots are judged against the largest entry of A, so a last front of
     roundoff is singular, as in pfaffian()."""
     b = len(d)
-    # work ~ columns * eliminated nodes * front^2; the bound also keeps the
-    # front below ~2700 nodes (58 MB)
+    # work ~ columns * eliminated nodes * front^2; the largest front it lets
+    # through is 3b = 2124 nodes (36 MB), a 708 x 3 dimer torus's
     if n * b * (3 * b) ** 2 > _MAX_SWEEP_WORK:
         raise CapacityError(f"{n} columns of {b} nodes exceed the Pfaffian sweep ceiling")
     singular = [(0, -math.inf)] * len(wraps)
@@ -378,8 +376,7 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     magnitudes, each weighted by its coefficient above, the Pfaffian's sign
     and -1 for an odd site count.
     """
-    if m < 2 or n < 2:
-        raise DomainError("torus needs both sides >= 2")
+    LatticeSpec(m, n)   # rejects sides < 1
     if not (k_h > 0 and k_v > 0):
         raise DomainError("couplings must be positive")
     if m > n:

@@ -19,7 +19,8 @@ K_GRID = (0.05, 0.3, 0.8, 1.5)
 H_GRID = (0.0, 0.1, 0.7, -0.4)
 
 
-@pytest.mark.parametrize("n", range(2, 21))
+# a ring of one spin carries its self-bond, as a side-1 torus does
+@pytest.mark.parametrize("n", range(1, 21))
 def test_closed_chain_against_oracle(n):
     for k, h in itertools.product(K_GRID, H_GRID):
         want = _oracle_chain(n, k, h, closed=True)
@@ -28,7 +29,7 @@ def test_closed_chain_against_oracle(n):
         assert induction_closed(p) == pytest.approx(want, abs=1e-11)
 
 
-@pytest.mark.parametrize("n", range(2, 21))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_open_chain_against_oracle(n):
     for k, h in itertools.product(K_GRID, H_GRID):
         want = _oracle_chain(n, k, h, closed=False)
@@ -37,7 +38,7 @@ def test_open_chain_against_oracle(n):
 
 
 def test_transfer_and_induction_agree_closely():
-    for n in (2, 5, 13, 20):
+    for n in (1, 2, 5, 13, 20):
         for k, h in itertools.product(K_GRID, H_GRID):
             p = ChainParams(n_spins=n, k=k, h=h, closed=True)
             assert transfer_closed(p) == pytest.approx(induction_closed(p), abs=1e-12)

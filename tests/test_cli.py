@@ -434,6 +434,30 @@ def test_compare_skips_the_oracle_past_its_ceiling(capsys):
     assert doc["max_pairwise_delta"] < 1e-10
 
 
+def test_compare_on_a_long_two_row_torus_at_a_strong_coupling(capsys):
+    # the Pfaffian's sweep delays ~200 pivots, and its determinant
+    # cross-check passes
+    code, out, err = _run(capsys, "compare", "--rows", "99", "--cols", "2",
+                          "--kh", "0.3", "--kv", "400")
+    assert code == 0
+    assert err.startswith("compare: skipping oracle") and err.count("\n") == 1
+    doc = json.loads(out)
+    assert list(doc["log_z"]) == ["transfer", "kaufman", "pfaffian", "kacward"]
+    assert doc["max_pairwise_delta"] < 1e-10 * abs(doc["log_z"]["kacward"])
+
+
+def test_compare_runs_every_route_on_every_small_torus(capsys):
+    # sides of 1 included: the oracle and all four closed routes take them
+    for rows, cols in itertools.product(range(1, 6), repeat=2):
+        for kh, kv in ((0.3, 0.3), (0.9, 0.2), (0.2, 1.3), (2.0, 0.3), (K_CRIT, K_CRIT)):
+            code, out, err = _run(capsys, "compare", "--rows", str(rows), "--cols", str(cols),
+                                  "--kh", repr(kh), "--kv", repr(kv))
+            assert code == 0 and err == ""
+            doc = json.loads(out)
+            assert list(doc["log_z"]) == ["oracle", "transfer", "kaufman", "pfaffian", "kacward"]
+            assert doc["max_pairwise_delta"] <= 1e-10 * abs(doc["log_z"]["oracle"])
+
+
 def test_compare_on_the_free_grid_has_too_few_methods(capsys):
     code, out, err = _run(capsys, "compare", "--bc", "free", "--rows", "3", "--cols", "3",
                           "--kh", "0.3", "--kv", "0.3")

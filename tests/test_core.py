@@ -158,9 +158,10 @@ def test_lattice_spec_validation():
     lambda s: build_transfer(s, 0.3, 0.4),
     lambda s: log_z_torus(3, s, 0.3, 0.4),
     lambda s: kaufman_partition(s, 3, 0.4, 0.3),
+    lambda s: ising_pfaffian_torus(s, 3, 0.3, 0.4),
 ], ids=["gamma_spectrum", "triangular_log_z_per_site", "dimer_count_free_product",
         "dimer_count_free_pf", "dimer_count_torus", "count_matchings", "count_matchings_dp",
-        "build_transfer", "log_z_torus", "kaufman_partition"])
+        "build_transfer", "log_z_torus", "kaufman_partition", "ising_pfaffian_torus"])
 def test_sides_below_one_are_domain_errors(call, side):
     # the other side is odd, so an odd site count cannot answer 0 first
     with pytest.raises(DomainError, match="rows and cols must be positive"):
@@ -200,12 +201,8 @@ _REFUSALS = {
                              DomainError, "expects a closed chain"),
     "recursive_open closed": (lambda: recursive_open(ChainParams(3, 0.3, 0.1, closed=True)),
                               DomainError, "expects an open chain"),
-    "recursive_open one spin": (lambda: recursive_open(ChainParams(1, 0.3, 0.1, closed=False)),
-                                DomainError, "at least two spins"),
     "induction_closed open": (lambda: induction_closed(ChainParams(3, 0.3, 0.1, closed=False)),
                               DomainError, "expects a closed chain"),
-    "induction_closed one spin": (lambda: induction_closed(ChainParams(1, 0.3, 0.1)),
-                                  DomainError, "at least two spins"),
     "MethodResult": (lambda: MethodResult(math.inf, "oracle"), DomainError,
                      "log_z must be finite"),
     "WeightedGraph sites": (lambda: WeightedGraph(0, ()), DomainError, "at least one site"),
@@ -249,8 +246,6 @@ _REFUSALS = {
                   DomainError, "odd site count"),
     "dimer size": (lambda: build_dimer_matrix(LatticeSpec(2, 2049), MatchingWeights()),
                    CapacityError, "too large"),
-    "ising_pfaffian_torus side": (lambda: ising_pfaffian_torus(1, 4, 0.3, 0.3), DomainError,
-                                  "both sides >= 2"),
     "ising_pfaffian_torus coupling": (lambda: ising_pfaffian_torus(4, 4, -0.3, 0.3),
                                       DomainError, "couplings must be positive"),
     "gamma_spectrum k_t": (lambda: gamma_spectrum(3, 0.0, 0.3), DomainError,

@@ -353,7 +353,8 @@ def _oracle_torus(m, n, kh, kv):
     return enumerate_partition_graph(g)
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (3, 5)])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 5), (3, 1), (2, 2), (2, 3), (3, 3),
+                                 (3, 4), (4, 4), (3, 5)])
 @pytest.mark.parametrize("kh,kv", [(0.3, 0.3), (0.3, 0.6), (0.9, 0.2)])
 def test_ising_pfaffian_against_oracle(m, n, kh, kv):
     assert ising_pfaffian_torus(m, n, kh, kv) == pytest.approx(
@@ -495,6 +496,20 @@ def test_ising_pfaffian_transpose(m, n, kh, kv):
     got = ising_pfaffian_torus(m, n, kh, kv)
     assert ising_pfaffian_torus(n, m, kv, kh) == pytest.approx(got, rel=1e-13)
     assert got == pytest.approx(kacward_log_z(m, n, kh, kv), rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [47, 48, 64, 99])
+@pytest.mark.parametrize("k_long", [2.0, 18.0, 80.0, 400.0])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_long_two_row_torus_with_a_strong_long_side(n, k_long, transpose):
+    # many delayed pivots; entries grow along the sweep unless every
+    # pivot is its column's largest entry
+    m, kh, kv = 2, k_long, 0.3
+    if transpose:
+        m, n, kh, kv = n, m, kv, kh
+    got = ising_pfaffian_torus(m, n, kh, kv)
+    assert got == pytest.approx(kacward_log_z(m, n, kh, kv), rel=1e-12)
+    assert got == pytest.approx(kaufman_partition(m, n, kv, kh), rel=1e-12)
 
 
 @pytest.mark.parametrize("kh,kv", [(K_CRIT, K_CRIT), (0.3, 0.6)])
