@@ -116,6 +116,26 @@ def _log_2sinh_abs(x: np.ndarray) -> np.ndarray:
         return ax + np.log(-np.expm1(-2.0 * ax))
 
 
+def _bracket(t, one_minus_t_sq) -> tuple[float, tuple[float, float, float]]:
+    """The critical bracket of the square and triangular lattices,
+
+        g^2 + S_1 sin^2(w_1/2) + S_2 sin^2(w_2/2) + S_3 sin^2(w_3/2),
+        g = 1 - t_1 t_2 - t_2 t_3 - t_3 t_1,   S_i = 4 t_j t_k (1 - t_i^2),
+
+    as (g^2, (S_1, S_2, S_3)), from t and the 1 - t_i^2 the caller takes
+    without cancelling.  Each term is non-negative for 0 <= t <= 1, so the
+    bracket never cancels: it vanishes only where g does, at w = 0, and near
+    there it keeps the digits the cosine form A - sum B_i cos w_i loses.
+    tanh K = e^{-2K*} (the duality sinh 2K sinh 2K* = 1), so one polynomial
+    serves both the fugacities t = (tanh K_h, tanh K_v, 1) of the Kac-Ward
+    product and the t = e^{-2K} of the triangular sum and integral, where
+    it is their bracket in units of e^{2(K_1 + K_2 + K_3)}/4."""
+    t1, t2, t3 = t
+    u1, u2, u3 = one_minus_t_sq
+    return ((1.0 - t1 * t2 - t2 * t3 - t3 * t1) ** 2,
+            (4.0 * t2 * t3 * u1, 4.0 * t3 * t1 * u2, 4.0 * t1 * t2 * u3))
+
+
 def dual_coupling(k: float) -> float:
     """Map a coupling to its dual: sinh(2k) * sinh(2k*) = 1.
 

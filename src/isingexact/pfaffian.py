@@ -335,12 +335,13 @@ def ising_torus_logdet(m: int, n: int, z1: float, z2: float,
                        s1: float, s2: float) -> float:
     """Closed-form log determinant of a cluster matrix:
 
-        det = prod_{t1} prod_{t2} [(1+z1^2)(1+z2^2) - 2 z1 (1-z2^2) cos t1
-                                   - 2 z2 (1-z1^2) cos t2]
+        det = prod_{t1} prod_{t2} [(1 - z2 z1 - z1 - z2)^2
+                                   + 4 z1 (1-z2^2) sin^2(t1/2) + 4 z2 (1-z1^2) sin^2(t2/2)]
 
     with t on the integer grid 2 pi r / L for wrap sign +1 and the
     half-integer grid pi (2r+1) / L for wrap sign -1.  This is the Kac-Ward
-    double product with x = z2, y = z1; -inf when a factor vanishes."""
+    double product with x = z2, y = z1, in its sum-of-squares form; -inf
+    when a factor vanishes."""
     return _kacward_log_product(m, n, z2, z1, "integer" if s1 > 0 else "half",
                                 "integer" if s2 > 0 else "half")
 

@@ -8,11 +8,14 @@ Four families of exact products:
 * the triangular-torus double sum (per-site log Z proxy).
 
 All products are accumulated in log space; raw products overflow already
-around 40 x 40.  A parity-product factor depends on its two angles only
-through their cosines, and each grid is closed under theta -> -theta, so the
-Kac-Ward route takes the log of each distinct factor once, about
-(m/2 + 1)(n/2 + 1) of them, and weights it by its multiplicity; no product
-over phi is done in closed form, which would turn it into the gamma route.
+around 40 x 40.  The Kac-Ward factor and the triangular bracket are
+core._bracket's critical bracket, a squared gap plus sin^2 terms with
+non-negative slopes, so neither cancels near its critical manifold.  A
+parity-product factor depends on its two angles only through sin^2 of their
+halves, and each grid is closed under theta -> -theta, so the Kac-Ward
+route takes the log of each distinct factor once, about (m/2 + 1)(n/2 + 1)
+of them, and weights it by its multiplicity; no product over phi is done in
+closed form, which would turn it into the gamma route.
 
 The three double products (Kac-Ward, free dimers, triangular) share one
 blocked loop, _blocked_log_sum: it forms at most _BLOCK factors at a time
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, ReducedCouplings,
-                   _dimer_count, _grid_angles, _log_2sinh_abs, angle_grid, dual_coupling, finite,
-                   log_cosh, log_sum)
+                   _bracket, _dimer_count, _grid_angles, _log_2sinh_abs, angle_grid,
+                   dual_coupling, finite, log_cosh, log_sum)
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,18 @@ def kacward_products(m: int, n: int, k_h: float, k_v: float,
     """log of the double product over the chosen parity grids of
 
         (1+x^2)(1+y^2) - 2y(1-x^2) cos theta - 2x(1-y^2) cos phi
+          = (1 - xy - y - x)^2 + 4y(1-x^2) sin^2(theta/2) + 4x(1-y^2) sin^2(phi/2)
 
     with x = tanh k_h, y = tanh k_v, theta on the row-direction grid
     (parity_v, size m) and phi on the column-direction grid (parity_h,
-    size n).  Each factor is non-negative; it vanishes only at the critical
-    manifold on the integer/integer grid, where the log is -inf rather than
-    an exception.  The factors at theta and -theta (and at phi and -phi)
-    are equal, so the logs of the (floor(m/2) + 1) x (floor(n/2) + 1)
-    distinct factors at most are taken once and summed with the
-    multiplicities of their angles.
+    size n).  Each factor is taken in the second form, core._bracket's at
+    t = (x, y, 1): a sum of non-negative terms, so near the critical
+    manifold, where the gap is small, it keeps its digits.  A factor below
+    1e-300 (at theta = phi = 0 on the integer/integer grid, where the
+    float gap is 0) makes the log -inf rather than an exception.  The
+    factors at theta and -theta (and at phi and -phi) are equal, so the
+    logs of the (floor(m/2) + 1) x (floor(n/2) + 1) distinct factors at
+    most are taken once and summed with the multiplicities of their angles.
     """
     if not (k_h > 0 and k_v > 0):
         raise DomainError("couplings must be positive")
@@ -228,18 +234,18 @@ _cached_folded_grid = functools.lru_cache(maxsize=64)(_folded_grid)
 
 def _folded_terms(parity: str, length: int, term):
     """The terms of one side of a parity product, as a function of a slice
-    of the folded grid of angle_grid(parity, length): term(cos angle) and
-    the multiplicities there.  A side up to _CACHED_SIDE takes its grid
+    of the folded grid of angle_grid(parity, length): term(sin^2(angle/2))
+    and the multiplicities there.  A side up to _CACHED_SIDE takes its grid
     from the cache and its terms once, whole; a longer one builds only the
     part a block asks for."""
     if length <= _CACHED_SIDE:
         angles, weights = _cached_folded_grid(parity, length)
-        whole = term(np.cos(angles))
+        whole = term(np.sin(0.5 * angles) ** 2)
         return lambda part: (whole[part], weights[part])
 
     def part_terms(part):
         angles, weights = _folded_grid(parity, length, part.start, part.stop)
-        return term(np.cos(angles)), weights
+        return term(np.sin(0.5 * angles) ** 2), weights
 
     return part_terms
 
@@ -248,17 +254,17 @@ def _kacward_log_product(m: int, n: int, x: float, y: float,
                          parity_v: str, parity_h: str) -> float:
     """log of the double product of kacward_products in the fugacities
     x, y; -inf when a factor vanishes (below 1e-300).  Only the factors on
-    the folded grids are formed, a block at a time; their logs are summed
-    as w_theta . log F . w_phi."""
+    the folded grids are formed, a block at a time; each block's logs are
+    summed as sum(w_theta * (log F . w_phi)), so the rows of a tall block
+    add pairwise."""
     LatticeSpec(m, n)   # rejects sides < 1
     _refuse_past_ceiling(m, n, "Kac-Ward")
-    a, b = (1.0 + x * x) * (1.0 + y * y), 2.0 * y * (1.0 - x * x)
-    d = 2.0 * x * (1.0 - y * y)
+    gap, (s_theta, s_phi, _) = _bracket((x, y, 1.0), (1.0 - x * x, 1.0 - y * y, 0.0))
     return _blocked_log_sum(_folded_count(parity_v, m), _folded_count(parity_h, n),
-                            _folded_terms(parity_v, m, lambda cos_theta: a - b * cos_theta),
-                            _folded_terms(parity_h, n, lambda cos_phi: d * cos_phi),
-                            lambda row, col, out: np.subtract(row[0][:, None], col[0], out=out),
-                            lambda row, col, logs: row[1] @ logs @ col[1], 1e-300)
+                            _folded_terms(parity_v, m, lambda sin_sq: gap + s_theta * sin_sq),
+                            _folded_terms(parity_h, n, lambda sin_sq: s_phi * sin_sq),
+                            lambda row, col, out: np.add(row[0][:, None], col[0], out=out),
+                            lambda row, col, logs: np.sum(row[1] * (logs @ col[1])), 1e-300)
 
 
 def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
@@ -271,9 +277,9 @@ def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
     ln(2 sinh 2k_h) + ln(2 sinh 2k_v) - ln 4 so that large couplings do not
     overflow.  The integer/integer product is the square of the signed sinh
     term of the spectral four-product, so its square root must re-enter with
-    that temperature-dependent sign; at the critical manifold the product
-    vanishes and the term drops out.  core.log_sum adds the four half-logs
-    with weights (s, 1, 1, 1).
+    that temperature-dependent sign; near the critical manifold the product
+    carries the square of a small gap and the term drops out.  core.log_sum
+    adds the four half-logs with weights (s, 1, 1, 1).
     """
     parities = [GridParity("integer", "integer"), GridParity("integer", "half"),
                 GridParity("half", "integer"), GridParity("half", "half")]
@@ -345,9 +351,15 @@ def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:
     on the integer grid w1 = 2 pi k/m, w2 = 2 pi l/n, with (H, H', H3) =
     (k_h, k_v, k_d).  k_d = 0 reduces term by term to the square-lattice
     double sum; the value converges to the thermodynamic integral as the
-    grid refines.  The bracket is taken in units of e^{2(H+H'+H3)}, with
-    cosh 2k and sinh 2k as e^{2k} (1 +- t) / 2, t = e^{-4k}, so large
-    couplings do not overflow.
+    grid refines.  The bracket is core._bracket's, in units of
+    e^{2(H+H'+H3)}/4 with t = e^{-2k}:
+
+        g^2 + S_1 sin^2(w1/2) + S_2 sin^2(w2/2) + S_3 sin^2((w1 + w2)/2),
+
+    a sum of non-negative terms, so it keeps its digits near the critical
+    manifold and no coupling overflows it; ln Z per site is
+    H + H' + H3 + (1/2mn) sum ln(bracket).  A bracket that rounds to 0 (g
+    exactly 0 in floats, at w1 = w2 = 0) is a DomainError.
     """
     LatticeSpec(m, n, "triangular")   # rejects sides < 1
     kd = c.k_d if c.k_d is not None else 0.0
@@ -358,34 +370,32 @@ def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:
         return math.log(2.0)
     _refuse_past_ceiling(m, n, "triangular")
     kh, kv = c.k_h, c.k_v
-    t = [math.exp(-4.0 * k) for k in (kh, kv, kd)]
-    u = [-math.expm1(-4.0 * k) for k in (kh, kv, kd)]   # 1 - t, no cancelling at tiny k
-    s1 = 0.5 * u[0] * math.exp(-2.0 * (kv + kd))
-    s2 = 0.5 * u[1] * math.exp(-2.0 * (kh + kd))
-    s3 = 0.5 * u[2] * math.exp(-2.0 * (kh + kv))
-    const = 0.125 * ((1.0 + t[0]) * (1.0 + t[1]) * (1.0 + t[2]) + u[0] * u[1] * u[2])
+    gap, (s1, s2, s3) = _bracket([math.exp(-2.0 * k) for k in (kh, kv, kd)],
+                                 [-math.expm1(-4.0 * k) for k in (kh, kv, kd)])
 
+    # each side's terms carry its half angles, w/2
     def row_terms(part):
-        w1 = _grid_angles("integer", m, np.arange(part.start, part.stop))
-        return w1, const - s1 * np.cos(w1)
+        half_w1 = 0.5 * _grid_angles("integer", m, np.arange(part.start, part.stop))
+        return half_w1, gap + s1 * np.sin(half_w1) ** 2
 
     def col_terms(part):
-        w2 = _grid_angles("integer", n, np.arange(part.start, part.stop))
-        return w2, s2 * np.cos(w2)
+        half_w2 = 0.5 * _grid_angles("integer", n, np.arange(part.start, part.stop))
+        return half_w2, s2 * np.sin(half_w2) ** 2
 
     def bracket(row, col, out):
-        (w1, row_term), (w2, col_term) = row, col
-        np.subtract(row_term[:, None], col_term, out=out)
-        # cos(w1 + w2) is no row term plus column term: a second, temporary block
-        diagonal = np.add(w1[:, None], w2)
-        np.cos(diagonal, out=diagonal)
+        (half_w1, row_term), (half_w2, col_term) = row, col
+        np.add(row_term[:, None], col_term, out=out)
+        # sin^2((w1 + w2)/2) is no row term plus column term: a second, temporary block
+        diagonal = np.add(half_w1[:, None], half_w2)
+        np.sin(diagonal, out=diagonal)
+        diagonal *= diagonal
         diagonal *= s3
-        out -= diagonal
+        out += diagonal
         return out
 
-    # the least positive float as the floor refuses exactly a bracket <= 0
+    # the least positive float as the floor refuses exactly a bracket of 0
     log_sum = _blocked_log_sum(m, n, row_terms, col_terms, bracket,
                                lambda row, col, logs: logs.sum(), math.ulp(0.0))
     if log_sum == -math.inf:
         raise DomainError("a grid point hits a vanishing factor (critical manifold)")
-    return finite(math.log(2.0) + kh + kv + kd + log_sum / (2.0 * m * n), "ln Z per site")
+    return finite(kh + kv + kd + log_sum / (2.0 * m * n), "ln Z per site")

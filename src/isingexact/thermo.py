@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, DomainError, angle_grid, finite, log_cosh
+from .core import CapacityError, DomainError, _bracket, angle_grid, finite, log_cosh
 
 MAX_POINTS = 4096   # quadrature nodes on the one remaining axis
 
@@ -132,19 +132,17 @@ def triangular_free_energy(k1: float, k2: float, k3: float,
     symmetric in the three couplings; the rule runs over the angle of the
     weakest.  With s2 cos w2 + s3 cos(w1 + w2) = R cos(w2 + phi),
     R^2 = s2^2 + s3^2 + 2 s2 s3 cos w1, the w2 integral is closed with
-    A = c - s1 cos w1 and B = R.  In units of e^{2(k1+k2+k3)}/4, with
-    t = e^{-2k}, c - s1 - s2 - s3 = (1 - t1 t2 - t2 t3 - t3 t1)^2.
+    A = c - s1 cos w1 and B = R.  In units of e^{2(k1+k2+k3)}/4 the bracket
+    is core._bracket's, gap + sum 2 s_i sin^2(w_i/2), with t = e^{-2k}.
     """
     if k1 < 0 or k2 < 0 or k3 < 0:
         raise DomainError("couplings must be non-negative")
     if k1 == 0 and k2 == 0 and k3 == 0:
         return math.log(2.0)
     k1, k2, k3 = sorted((k1, k2, k3))
-    t1, t2, t3 = math.exp(-2.0 * k1), math.exp(-2.0 * k2), math.exp(-2.0 * k3)
-    s1 = -2.0 * t2 * t3 * math.expm1(-4.0 * k1)
-    s2 = -2.0 * t3 * t1 * math.expm1(-4.0 * k2)
-    s3 = -2.0 * t1 * t2 * math.expm1(-4.0 * k3)
-    gap = (1.0 - t1 * t2 - t2 * t3 - t3 * t1) ** 2
+    gap, slopes = _bracket([math.exp(-2.0 * k) for k in (k1, k2, k3)],
+                           [-math.expm1(-4.0 * k) for k in (k1, k2, k3)])
+    s1, s2, s3 = (0.5 * s for s in slopes)
     sin2 = np.sin(_half_angles(q)) ** 2
     r = np.sqrt((s2 + s3) ** 2 - 4.0 * s2 * s3 * sin2)
     # A - R = gap + 2 s1 sin^2(w1/2) + (s2 + s3 - R), the last term rationalized

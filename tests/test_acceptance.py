@@ -74,7 +74,7 @@ def _oracle_torus(m, n, kh, kv):
 
 
 def test_criterion_1_cross_method_exactness():
-    iso = (0.2, 0.44068679, 0.9)
+    iso = (0.2, 0.44068679, 0.9, K_CRIT * (1.0 - 1e-6), K_CRIT * (1.0 + 1e-6))
     couplings = [(k, k) for k in iso] + list(itertools.combinations(iso, 2))
     shapes = [(m, n) for m in range(2, 5) for n in range(m, 13) if m * n <= 24]
     with _Gate(1, "cross-method log Z agreement", budget_s=60):

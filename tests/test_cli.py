@@ -63,6 +63,16 @@ def test_compare_subcommand(capsys):
     assert doc["max_pairwise_delta"] < 1e-8
 
 
+def test_compare_just_off_the_critical_point(capsys):
+    # the Kac-Ward factor in its cosine form cancelled here: 1.6e-8 apart
+    k = repr(K_CRIT * (1.0 + 1e-9))
+    code, out, _ = _run(capsys, "compare", "--rows", "4", "--cols", "6", "--kh", k, "--kv", k)
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc["log_z"]) == {"oracle", "transfer", "kaufman", "pfaffian", "kacward"}
+    assert doc["max_pairwise_delta"] <= 1e-13
+
+
 def test_dimers_all_methods(capsys):
     # 3 x 3 has an odd site count: no perfect matching, by every method
     for side, want in (("2", 2), ("3", 0)):

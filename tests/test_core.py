@@ -256,8 +256,10 @@ _REFUSALS = {
                          "couplings must be positive"),
     "triangular sign": (lambda: triangular_log_z_per_site(
         3, 3, ReducedCouplings(-0.3, 0.3, 0.2)), DomainError, "non-negative"),
+    # the gap of the bracket at w = 0 rounds to exactly 0 one ulp above K_CRIT
     "triangular critical": (lambda: triangular_log_z_per_site(
-        4, 4, ReducedCouplings(K_CRIT, K_CRIT, 0.0)), DomainError, "vanishing factor"),
+        4, 4, ReducedCouplings(math.nextafter(K_CRIT, 1.0), math.nextafter(K_CRIT, 1.0), 0.0)),
+                            DomainError, "vanishing factor"),
     "star_to_triangle": (lambda: star_to_triangle(0.0, 0.3, 0.3), DomainError,
                          "star couplings must be positive"),
     "modulus_k sign": (lambda: modulus_k(-0.1, 0.3, 0.3), DomainError, "non-negative"),

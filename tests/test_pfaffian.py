@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_kacward_product_against_mpmath
 from isingexact.core import CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings
 from isingexact.oracle import (
     MatchingWeights,
@@ -383,10 +384,15 @@ def test_closed_form_determinant_is_the_kacward_product(m, n, kh, kv):
 
 
 def test_closed_form_determinant_vanishes_at_criticality():
+    # at the float K_CRIT the determinant is tiny, not zero; it vanishes
+    # where the float gap 1 - z2 z1 - z1 - z2 does, as at (z1, z2) = (1, 0)
+    # or at the couplings (0.4, 0.4838591725683765)
     z = math.tanh(K_CRIT)
     for m, n in [(2, 2), (3, 4), (5, 7)]:
-        assert ising_torus_logdet(m, n, z, z, 1.0, 1.0) == -math.inf
-        assert kacward_products(m, n, K_CRIT, K_CRIT, GridParity()) == -math.inf
+        assert_kacward_product_against_mpmath(ising_torus_logdet(m, n, z, z, 1.0, 1.0),
+                                              m, n, z, z, "integer", "integer")
+        assert ising_torus_logdet(m, n, 1.0, 0.0, 1.0, 1.0) == -math.inf
+        assert kacward_products(m, n, 0.4, 0.4838591725683765, GridParity()) == -math.inf
 
 
 @pytest.mark.parametrize("kh,kv", [(K_CRIT, K_CRIT), (0.3, 0.6)])

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import peak_bytes
+from conftest import assert_kacward_product_against_mpmath, mp_kacward_log_product, peak_bytes
 from isingexact.core import (CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings,
-                             _dimer_count, angle_grid)
+                             _dimer_count, angle_grid, dual_coupling)
 from isingexact.oracle import MatchingWeights, build_lattice_graph, count_matchings, enumerate_partition_graph
 from isingexact.spectral import (
     MAX_KACWARD_FACTORS,
@@ -93,10 +93,20 @@ def test_kaufman_large_lattice_finite():
 
 # ---------------------------------------------------------------- kac-ward
 
+# couplings where the gap 1 - x - y - xy of x = tanh k_h, y = tanh k_v rounds
+# to exactly 0: no such pair lies within 40 ulps of (K_CRIT, K_CRIT)
+ZERO_GAP_COUPLINGS = (0.4, 0.4838591725683765)
+
+
 def test_parity_products_nonnegative_and_zero_flag():
     assert math.isfinite(kacward_products(4, 4, 0.3, 0.3, GridParity("half", "half")))
-    # the integer/integer product vanishes exactly on the critical manifold
-    assert kacward_products(4, 4, K_CRIT, K_CRIT,
+    # at the float K_CRIT the integer/integer product is tiny, not zero
+    x = math.tanh(K_CRIT)
+    assert_kacward_product_against_mpmath(
+        kacward_products(4, 4, K_CRIT, K_CRIT, GridParity("integer", "integer")),
+        4, 4, x, x, "integer", "integer")
+    # it vanishes exactly where the float gap does
+    assert kacward_products(4, 4, *ZERO_GAP_COUPLINGS,
                             GridParity("integer", "integer")) == -math.inf
 
 
@@ -105,6 +115,41 @@ def test_parity_products_nonnegative_and_zero_flag():
 def test_kacward_against_oracle(m, n, kh, kv):
     assert kacward_log_z(m, n, kh, kv) == pytest.approx(
         _oracle_torus(m, n, kh, kv), rel=1e-10)
+
+
+def _mp_kacward_log_z(m, n, kh, kv):
+    """kacward_log_z's four parity products at 50 digits, on the float
+    couplings."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        kh, kv = mpmath.mpf(kh), mpmath.mpf(kv)
+        x, y = mpmath.tanh(kh), mpmath.tanh(kv)
+        signs = (mpmath.sign(mpmath.sinh(2 * kh) * mpmath.sinh(2 * kv) - 1), 1, 1, 1)
+        total = mpmath.fsum(sign * mpmath.exp(mp_kacward_log_product(m, n, x, y, *parities)[0] / 2)
+                            for sign, parities in zip(signs, PARITY_PAIRS))
+        return float(m * n * mpmath.log(2 * mpmath.cosh(kh) * mpmath.cosh(kv))
+                     + mpmath.log(total / 2))
+
+
+# K_c(1 +- 10^-k), k = 1 ... 15, and the anisotropic critical line
+# k_h = k_v* (1 +- 10^-6)
+NEAR_CRITICAL_COUPLINGS = (
+    [(K_CRIT * (1.0 + sign * 10.0 ** -k),) * 2 for k in range(1, 16) for sign in (1, -1)]
+    + [(dual_coupling(kv) * (1.0 + sign * 1e-6), kv) for kv in (1.0, 2.0, 3.0, 5.0)
+       for sign in (1, -1)])
+
+
+@pytest.mark.parametrize("m,n", [(8, 8), (4, 6), (6, 10)])
+def test_every_torus_route_near_criticality(m, n):
+    # the Kac-Ward factor in its cosine form cancelled here: the route was
+    # up to 7.6e-10 off, and the Pfaffian's determinant check against it
+    # failed from K_c(1 +- 1e-5) on
+    for kh, kv in NEAR_CRITICAL_COUPLINGS:
+        want = _mp_kacward_log_z(m, n, kh, kv)
+        routes = (kacward_log_z(m, n, kh, kv), kaufman_partition(m, n, kv, kh),
+                  log_z_torus(m, n, kh, kv), ising_pfaffian_torus(m, n, kh, kv))
+        for got in routes:
+            assert abs(got - want) <= 1e-15 * abs(want), (kh, kv, routes, want)
 
 
 def test_kacward_refuses_oversized_products_before_allocating():
@@ -138,18 +183,27 @@ def test_widest_gamma_spectrum_is_accepted():
     assert math.isfinite(kaufman_partition(2, 1 << 18, 0.3, 0.4))
 
 
+def _kacward_factor_terms(x, y, theta, phi):
+    """The factor (1 - xy - y - x)^2 + 4y(1 - x^2) sin^2(theta/2)
+    + 4x(1 - y^2) sin^2(phi/2) as its theta part and its phi part.  The gap
+    is summed in core._bracket's order: near the critical manifold any two
+    orders differ by its rounding, which
+    conftest.assert_kacward_product_against_mpmath bounds."""
+    return ((1.0 - x * y - y - x) ** 2 + 4.0 * y * (1.0 - x * x) * np.sin(0.5 * theta) ** 2,
+            4.0 * x * (1.0 - y * y) * np.sin(0.5 * phi) ** 2)
+
+
 def reference_kacward_log_product(m, n, x, y, parity_v, parity_h):
     """The unfolded double product: the log of every one of the m x n
     factors, summed, a chunk of at most 2^20 factors at a time, so that a
     1 x 2^24 product fits in memory.  Also returns the sum of the logs'
     magnitudes, the scale of the sum's rounding error."""
-    theta = angle_grid(parity_v, m)[:, None]
-    phi = angle_grid(parity_h, n)
-    row = (1.0 + x * x) * (1.0 + y * y) - 2.0 * y * (1.0 - x * x) * np.cos(theta)
+    row, col = _kacward_factor_terms(x, y, angle_grid(parity_v, m)[:, None],
+                                     angle_grid(parity_h, n))
     width = max(1, (1 << 20) // m)
     total = scale = 0.0
     for c0 in range(0, n, width):
-        factors = row - 2.0 * x * (1.0 - y * y) * np.cos(phi[c0:c0 + width])
+        factors = row + col[c0:c0 + width]
         if float(factors.min()) < 1e-300:
             return -math.inf, math.inf
         logs = np.log(factors)
@@ -160,25 +214,26 @@ def reference_kacward_log_product(m, n, x, y, parity_v, parity_h):
 
 def one_shot_kacward_log_product(m, n, x, y, parity_v, parity_h):
     """The folded product with its whole factor grid at once, as
-    w_theta . log F . w_phi: a product that fits in one block must be
-    this, bitwise."""
+    sum(w_theta * (log F . w_phi)): a product that fits in one block must
+    be this, bitwise."""
     theta, w_theta = _folded_grid(parity_v, m)
     phi, w_phi = _folded_grid(parity_h, n)
-    factors = (((1.0 + x * x) * (1.0 + y * y) - 2.0 * y * (1.0 - x * x) * np.cos(theta))[:, None]
-               - 2.0 * x * (1.0 - y * y) * np.cos(phi))
+    row, col = _kacward_factor_terms(x, y, theta, phi)
+    factors = row[:, None] + col
     if float(factors.min()) < 1e-300:
         return -math.inf
-    return float(w_theta @ np.log(factors, out=factors) @ w_phi)
+    return float(np.sum(w_theta * (np.log(factors, out=factors) @ w_phi)))
 
 
 PARITY_PAIRS = [(a, b) for a in ("integer", "half") for b in ("integer", "half")]
 FOLD_COUPLINGS = (1e-300, 0.05, 0.3, K_CRIT, 0.9, 5.0, 400.0)
 # past one block of 2^15 folded factors: 2047 x 2048 (a ragged last block
-# of rows) and 3 x 65536 (each row in runs of columns, the integer grid's
-# last run a single column); and extreme aspect ratios
+# of rows), 3 x 65536 (each row in runs of columns, the integer grid's last
+# run a single column) and 65536 x 3 (blocks of 16384 rows of two factors,
+# summed pairwise); and extreme aspect ratios
 FOLD_SHAPES = ([(m, n) for m in range(1, 10) for n in range(1, 10)]
                + [(16, 33), (2048, 2048), (2047, 2048), (4096, 9), (9, 4096), (1, 4096),
-                  (4096, 1), (3, 65536)])
+                  (4096, 1), (3, 65536), (65536, 3)])
 
 
 @pytest.mark.parametrize("m,n", FOLD_SHAPES)
@@ -266,9 +321,23 @@ def test_kacward_product_peak_allocation():
 
 @pytest.mark.parametrize("m,n", FOLD_SHAPES)
 def test_folded_product_vanishes_at_criticality(m, n):
+    # the fugacities (x, y) = (0, 1) are on the critical manifold, and their
+    # gap is exactly 0: every factor at theta = 0 vanishes, and no other
+    for parity_v, parity_h in PARITY_PAIRS:
+        got = _kacward_log_product(m, n, 0.0, 1.0, parity_v, parity_h)
+        want, scale = reference_kacward_log_product(m, n, 0.0, 1.0, parity_v, parity_h)
+        if parity_v == "integer":
+            assert got == want == -math.inf
+        else:
+            assert abs(got - want) <= 1e-13 * scale
+    # at the float K_CRIT the gap is ~2e-16, not 0: the product keeps its
+    # true magnitude
     x = math.tanh(K_CRIT)
-    assert _kacward_log_product(m, n, x, x, "integer", "integer") == -math.inf
-    assert reference_kacward_log_product(m, n, x, x, "integer", "integer")[0] == -math.inf
+    got = _kacward_log_product(m, n, x, x, "integer", "integer")
+    want, scale = reference_kacward_log_product(m, n, x, x, "integer", "integer")
+    assert abs(got - want) <= 1e-13 * scale
+    if m * n <= 100:
+        assert_kacward_product_against_mpmath(got, m, n, x, x, "integer", "integer")
 
 
 @pytest.mark.parametrize("parity", ["integer", "half"])
@@ -407,6 +476,36 @@ def test_triangular_double_sum_peak_allocation():
     assert peak < 1 << 20
     assert got == pytest.approx(reference_triangular_log_z_per_site(256, 256, 0.3, 0.5, 0.2),
                                 rel=1e-13, abs=0.0)
+
+
+def _mp_triangular_log_z_per_site(m, n, kh, kv, kd):
+    """The double sum at 50 digits, with cosh and sinh as written."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        k = [mpmath.mpf(v) for v in (kh, kv, kd)]
+        c, s = [mpmath.cosh(2 * v) for v in k], [mpmath.sinh(2 * v) for v in k]
+        total = mpmath.fsum(
+            mpmath.log(c[0] * c[1] * c[2] + s[0] * s[1] * s[2] - s[0] * mpmath.cos(w1)
+                       - s[1] * mpmath.cos(w2) - s[2] * mpmath.cos(w1 + w2))
+            for w1 in (2 * mpmath.pi * a / m for a in range(m))
+            for w2 in (2 * mpmath.pi * b / n for b in range(n)))
+        return float(mpmath.log(2) + total / (2 * m * n))
+
+
+@pytest.mark.parametrize("critical", [(math.log(3.0) / 4.0,) * 3, (K_CRIT, K_CRIT, 0.0)],
+                         ids=["triangular", "square"])
+def test_triangular_double_sum_near_its_critical_manifolds(critical):
+    # in the cosine form the bracket cancelled here: at 10^-7 the sum was
+    # 4.6e-4 (triangular) and 1.1e-3 (square) off; from 10^-8 on it was a
+    # DomainError or up to 2.2 relative off.  From 10^-8 on, the error is
+    # the bracket's own condition number, ~10^-16 / g^2
+    for k in range(1, 14):
+        for sign in (1, -1):
+            ks = [v * (1.0 + sign * 10.0 ** -k) for v in critical]
+            got = triangular_log_z_per_site(6, 6, ReducedCouplings(*ks))
+            if k <= 7:
+                want = _mp_triangular_log_z_per_site(6, 6, *ks)
+                assert abs(got - want) <= 1e-9 * abs(want), (k, sign, got, want)
 
 
 def test_triangular_double_sum_at_large_coupling():
