@@ -22,12 +22,24 @@ column peaks at a node the front cannot eliminate waits for the next
 front.  Only the last front sees the column wrap: the free grid is its
 close with wrap 0, and each torus route makes one sweep per row-wrap sign
 s1 and closes its last front twice, once per column-wrap sign s2.
+
+Every column is the same block, so the sweep first eliminates each
+translation-invariant block once and raises its factor to a power: the
+column-local nodes, which no other column touches (an Ising cluster's R
+and L nodes), and then, on a torus, the odd columns by cyclic reduction
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 627 (1970)), which
+halves the column count while it is even and >= 4.  Both follow the
+pivot rule: the local step keeps the nodes it delays in the column, and a
+level steps aside when its front would delay a pivot, so every pair they
+eliminate is the one the rule picks; the front loop sweeps what is left.
+The free grid has only the first, which finds no local node in a dimer
+column.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,30 +153,82 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
                   wraps: Sequence[float]) -> List[Tuple[int, float]]:
     """Pf(A) as (sign, log magnitude) of A = I_n (x) D + H (x) C - H^T (x) C^T
     for each wrap in `wraps`, H the n x n shift with the wrap in its
-    (n-1, 0) corner (0: the free grid), without forming A.  Column 0 is the
-    separator the wrap couples to; the front [delayed nodes, column j,
-    column j+1, separator] eliminates the first two groups, whose couplings
-    are all in it.  The wrap enters only the last front, so columns
-    1 .. n-2 are swept once and a copy of the last front is closed for each
-    wrap; one column (H = [[wrap]]) is closed as D + wrap (C - C^T).
-    Pivots are judged against the largest entry of A, so a last front of
-    roundoff is singular, as in pfaffian()."""
+    (n-1, 0) corner (0: the free grid), without forming A.
+
+    Every column is the same block, so two reductions eliminate one
+    representative and raise its factor to a power.  First
+    `_local_nodes` eliminates the column-local nodes, those with no entry
+    in C or C^T, from one D: Pf(D_local)^n, and each column keeps its
+    delayed local nodes and its coupled ones (an Ising cluster column
+    shrinks from 4m to about 2m nodes).  It steps aside when it can
+    eliminate no node.  Then, on a torus whose wraps are all +-1 and while
+    n is even and >= 4, `_halve` eliminates the odd columns by cyclic
+    reduction: one front [odd column, right neighbor, left neighbor]
+    gives Pf^(n/2) and the n/2-column torus with the same wrap.  When that
+    front would delay a pivot, two adjacent columns are merged into one of
+    2b nodes, at most once per sweep and only if the merged torus can
+    itself be halved, and the level is retried; a refused retry undoes the
+    merge.  Either step also steps aside at a singular column, so every
+    pair it eliminates is the one the pivot rule picks in the full matrix,
+    and the work ceiling is judged before either.  A free sweep (wrap 0)
+    runs only the first.
+
+    What is left is swept one front at a time.  Column 0 is the separator
+    the wrap couples to; the front [delayed nodes, column j, column j+1,
+    separator] eliminates the first two groups, whose couplings are all in
+    it.  The wrap enters only the last front, so columns 1 .. n-2 are
+    swept once and a copy of the last front is closed for each wrap; one
+    column (H = [[wrap]]) is closed as D + wrap (C - C^T).  Pivots are
+    judged against the largest entry of A, so a last front of roundoff is
+    singular, as in pfaffian()."""
     b = len(d)
-    # work ~ columns * eliminated nodes * front^2; the largest front it lets
-    # through is 3b = 2124 nodes (36 MB), a 708 x 3 dimer torus's
+    # work ~ columns * eliminated nodes * front^2, judged on the unreduced
+    # sweep so the reductions refuse exactly the inputs a plain sweep
+    # would; the largest front it lets through is 3b = 2124 nodes (36 MB),
+    # a 708 x 3 dimer torus's.  A merged column's front, 6b, is smaller on
+    # every route, as each sweeps along its longer side
     if n * b * (3 * b) ** 2 > _MAX_SWEEP_WORK:
         raise CapacityError(f"{n} columns of {b} nodes exceed the Pfaffian sweep ceiling")
     singular = [(0, -math.inf)] * len(wraps)
     scale = float(max(np.abs(d).max(), np.abs(c).max()))
     if scale == 0.0:
         return singular
+    sign, log_mag = 1, 0.0
+    local = _local_nodes(d, c, n, scale)
+    if local is not None:
+        sign, log_mag, d, c = local
+    merged = False
+    while all(wrap * wrap == 1.0 for wrap in wraps) and n >= 4 and n % 2 == 0:
+        level = _halve(d, c, scale)
+        if level is None and not merged and n % 4 == 0 and n >= 8:
+            # a node that peaks at the next column pairs with it inside the
+            # merged column
+            merged = True
+            z = np.zeros_like(c)
+            pair = np.block([[d, c], [-c.T, d]]), np.block([[z, z], [c, z]])
+            level = _halve(*pair, scale)
+            if level is not None:
+                d, c, n = *pair, n // 2
+        if level is None:
+            break
+        # the odd columns move ahead of the even ones: sum_t (t + 1) block
+        # interchanges of len(d) nodes each
+        half = n // 2
+        step_sign, step_log, d, c = level
+        sign *= step_sign ** half * (-1) ** (len(d) * half * (half + 1) // 2 % 2)
+        log_mag += half * step_log
+        n = half
+    b = len(d)
     if n == 1:
-        return [_eliminate(d + wrap * (c - c.T), b, scale)[:2] for wrap in wraps]
+        closes = []
+        for wrap in wraps:
+            last_sign, last_log, _ = _eliminate(d + wrap * (c - c.T), b, scale)
+            closes.append((sign * last_sign, log_mag + last_log))
+        return closes
     # the front is kept in the order [delayed, column j, separator]; moving
     # a column past the separator is b * b interchanges
     flip = -1 if b % 2 else 1
-    sign = flip
-    log_mag = 0.0
+    sign *= flip
     f = np.block([[d, -c.T], [c, d]])   # column 1, then the separator
     for j in range(1, n - 1):
         h = len(f) - b   # the delayed nodes and column j
@@ -195,6 +259,56 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
         last_sign, last_log, _ = _eliminate(g, len(g), scale)
         closes.append((sign * last_sign, log_mag + last_log))
     return closes
+
+
+def _local_nodes(d: np.ndarray, c: np.ndarray, n: int,
+                 scale: float) -> Optional[Tuple[int, float, np.ndarray, np.ndarray]]:
+    """Eliminate the column-local nodes (no entry in C or C^T) of all n
+    columns at once: (sign, log magnitude, D', C') with Pf(A) = sign *
+    e^log_mag * Pf(A'), A' the sweep of the nodes left in each column, the
+    delayed local nodes and then the coupled ones, with the Schur
+    complement D' and C' the C on them (zero on the delayed nodes).  None
+    when no local node can be eliminated or one D meets a singular
+    column."""
+    local = ~(c.any(axis=0) | c.any(axis=1))
+    k = int(local.sum())
+    b = len(d)
+    if k == 0 or (k == b and b % 2):
+        # no local node, or an uncoupled column of odd size, whose last node
+        # has no partner: the front loop finds A singular
+        return None
+    order = np.concatenate([np.flatnonzero(local), np.flatnonzero(~local)])
+    g = d[np.ix_(order, order)]
+    sign, log_mag, rest = _eliminate(g, k, scale)
+    if sign == 0 or rest == 0:
+        return None
+    # each column's nodes go to `order` (the interchanges of the
+    # elimination are in its sign), then every column's eliminated nodes
+    # ahead of all the others: n (n-1) / 2 interchanges of rest x (b - rest)
+    inversions = int(np.cumsum(~local)[local].sum())
+    parity = (n * inversions + rest * (b - rest) * (n * (n - 1) // 2)) % 2
+    kept = np.zeros((b - rest, b - rest))
+    kept[k - rest:, k - rest:] = c[np.ix_(~local, ~local)]
+    return (sign ** n * (-1) ** parity, n * log_mag, g[rest:, rest:].copy(), kept)
+
+
+def _halve(d: np.ndarray, c: np.ndarray,
+           scale: float) -> Optional[Tuple[int, float, np.ndarray, np.ndarray]]:
+    """One level of cyclic reduction of a torus with wrap +-1: (sign, log
+    magnitude, D', C') from eliminating one odd column in the front
+    [odd column, right neighbor, left neighbor], with Pf(D) = sign *
+    e^log_mag and D' = D + T_rr + T_ll, C' = T_lr from the Schur complement
+    T on its neighbors; the wrap's square is 1, so the wrapping odd column
+    gives the same D' and carries the wrap onto C'.  None when the
+    elimination would delay a pivot or meets a singular column."""
+    b = len(d)
+    z = np.zeros_like(d)
+    g = np.block([[d, c, -c.T], [-c.T, z, z], [c, z, z]])
+    sign, log_mag, rest = _eliminate(g, b, scale)
+    if sign == 0 or rest != b:
+        return None
+    t = g[b:, b:]
+    return sign, log_mag, d + t[:b, :b] + t[b:, b:], t[b:, :b].copy()
 
 
 def _torus_closes(blocks: Callable[[float], Tuple[np.ndarray, np.ndarray]],

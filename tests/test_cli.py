@@ -456,6 +456,16 @@ def test_compare_on_a_long_two_row_torus_at_a_strong_coupling(capsys):
     assert doc["max_pairwise_delta"] < 1e-10 * abs(doc["log_z"]["kacward"])
 
 
+def test_compare_on_a_long_torus(capsys):
+    # the Pfaffian sweep reduces the 1024 columns by cyclic reduction
+    code, out, _ = _run(capsys, "compare", "--rows", "16", "--cols", "1024",
+                        "--kh", "0.3", "--kv", "0.6")
+    assert code == 0
+    doc = json.loads(out)
+    assert {"kaufman", "pfaffian", "kacward"} <= set(doc["log_z"])
+    assert doc["max_pairwise_delta"] <= 1e-12 * abs(doc["log_z"]["kacward"])
+
+
 def test_compare_runs_every_route_on_every_small_torus(capsys):
     # sides of 1 included: the oracle and all four closed routes take them
     for rows, cols in itertools.product(range(1, 6), repeat=2):

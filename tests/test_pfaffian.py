@@ -22,6 +22,7 @@ from isingexact.pfaffian import (
     _dimer_blocks,
     _ising_blocks,
     _TORUS_TERMS,
+    TORUS_VARIANTS,
     build_dimer_matrix,
     dimer_count_free,
     dimer_count_torus,
@@ -431,7 +432,8 @@ def _assert_same_pfaffian(got, want):
 _SWEEP_COUPLINGS = [1e-300, 1e-8, 0.3, K_CRIT, 1.2, 2.0, 5.0, 10.0, 18.0, 80.0, 400.0]
 
 
-@pytest.mark.parametrize("m,n", [(3, 5), (5, 3), (5, 7), (2, 12), (12, 2), (6, 6)])
+@pytest.mark.parametrize("m,n", [(3, 5), (5, 3), (5, 7), (2, 12), (12, 2), (6, 6),
+                                 (2, 8), (3, 8), (4, 8), (2, 16)])
 @pytest.mark.parametrize("k", _SWEEP_COUPLINGS)
 def test_sweep_matches_dense_cluster_pfaffian(m, n, k):
     # 6 x 6 at K = 2 and 3 x 5 at K = 5 break a sweep whose pivots need only
@@ -445,8 +447,9 @@ def test_sweep_matches_dense_cluster_pfaffian(m, n, k):
                                   pfaffian(_ising_block_matrix(m, n, z1, z2, s1, s2)))
 
 
-@pytest.mark.parametrize("m,n", [(2, 12), (12, 2), (4, 7), (6, 5), (3, 4), (4, 1), (1, 6), (2, 2)])
-@pytest.mark.parametrize("z1,z2", [(1.0, 1.0), (1.7, 0.4), (0.2, 3.0), (1e-8, 1.0)])
+@pytest.mark.parametrize("m,n", [(2, 12), (12, 2), (4, 7), (6, 5), (3, 4), (4, 1), (1, 6), (2, 2),
+                                 (2, 8), (4, 8), (2, 16)])
+@pytest.mark.parametrize("z1,z2", [(1.0, 1.0), (1.7, 0.4), (0.2, 3.0), (1e-8, 1.0), (0.7, 0.0)])
 def test_sweep_matches_dense_dimer_pfaffian(m, n, z1, z2):
     w = MatchingWeights(z1, z2)
     spec = LatticeSpec(m, n)
@@ -459,6 +462,61 @@ def test_sweep_matches_dense_dimer_pfaffian(m, n, z1, z2):
         assert np.array_equal(_block_matrix(d, c, n, wrap), want)
         got, = _column_sweep(d, c, n, (wrap,))
         _assert_same_pfaffian(got, pfaffian(want))
+
+
+def _delaying_local_column():
+    """Blocks (D, C) of 4 nodes whose local nodes 0 and 1 each peak at a
+    coupled node (2 and 3), so the local step delays both."""
+    d = np.zeros((4, 4))
+    d[0, 1], d[0, 2], d[1, 3], d[2, 3] = 0.1, 1.0, 1.0, 0.5
+    c = np.zeros((4, 4))
+    c[2, 3] = 0.7
+    return d - d.T, c
+
+
+def _ising_sweep(m, k, s1=1.0):
+    return _ising_blocks(m, math.tanh(0.6 * k), math.tanh(k), s1)
+
+
+# (blocks, columns, wraps, [(step, nodes in, nodes out or None if refused)])
+_SWEEP_BRANCHES = {
+    "no local nodes": (_dimer_blocks(2, MatchingWeights(1.0, 1.0), -1.0), 8, (1.0, -1.0),
+                       [("local", 2, None), ("halve", 2, 2), ("halve", 2, 2)]),
+    "local elimination refused": (_delaying_local_column(), 4, (1.0, -1.0),
+                                  [("local", 4, None), ("halve", 4, 4)]),
+    "level refused": (_ising_sweep(2, 18.0), 4, (1.0, -1.0),
+                      [("local", 8, 6), ("halve", 6, None)]),
+    "merge": (_dimer_blocks(2, MatchingWeights(0.2, 3.0), 1.0), 8, (1.0, -1.0),
+              [("local", 2, None), ("halve", 2, None), ("halve", 4, 4)]),
+    "merge refused": (_ising_sweep(2, 2.0), 8, (1.0, -1.0),
+                      [("local", 8, 6), ("halve", 6, None), ("halve", 12, None)]),
+    "reduction down to one close front": (_ising_sweep(2, 0.3), 16, (1.0, -1.0),
+                                          [("local", 8, 6)] + [("halve", 6, 6)] * 3),
+    "free sweep": (_ising_sweep(2, 0.3), 16, (0.0,), [("local", 8, 6)]),
+}
+
+
+@pytest.mark.parametrize("branch", list(_SWEEP_BRANCHES))
+def test_sweep_reductions_take_each_branch(branch, monkeypatch):
+    # the sweep steps through its reductions as listed, and each close is
+    # the dense Pfaffian of its matrix
+    (d, c), n, wraps, want_steps = _SWEEP_BRANCHES[branch]
+    module = importlib.import_module("isingexact.pfaffian")
+    steps = []
+
+    def spy(name, step):
+        def traced(d, *args):
+            out = step(d, *args)
+            steps.append((name, len(d), None if out is None else len(out[2])))
+            return out
+        return traced
+
+    monkeypatch.setattr(module, "_local_nodes", spy("local", module._local_nodes))
+    monkeypatch.setattr(module, "_halve", spy("halve", module._halve))
+    closes = _column_sweep(d, c, n, wraps)
+    assert steps == want_steps
+    for wrap, got in zip(wraps, closes):
+        _assert_same_pfaffian(got, pfaffian(_block_matrix(d, c, n, wrap)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -482,7 +540,8 @@ def test_sweep_singular_at_criticality(m, n):
     _assert_same_pfaffian(minus, pfaffian(_ising_block_matrix(m, n, z, z, 1.0, -1.0)))
 
 
-@pytest.mark.parametrize("m,n", [(3, 5), (5, 3), (2, 12), (6, 6), (2, 2), (3, 1)])
+@pytest.mark.parametrize("m,n", [(3, 5), (5, 3), (2, 12), (6, 6), (2, 2), (3, 1),
+                                 (2, 8), (3, 8), (4, 8), (2, 16)])
 @pytest.mark.parametrize("k", [1e-8, 0.3, K_CRIT, 2.0, 18.0, 400.0])
 def test_both_closes_of_one_sweep(m, n, k):
     # one sweep per s1 closed for s2 = +1 and -1 equals the dense Pfaffian of
@@ -525,6 +584,29 @@ def test_torus_past_the_dense_ceiling(kh, kv):
     got = ising_pfaffian_torus(64, 64, kh, kv)
     assert got == pytest.approx(kaufman_partition(64, 64, kv, kh), rel=1e-9)
     assert got == pytest.approx(kacward_log_z(64, 64, kh, kv), rel=1e-9)
+
+
+@pytest.mark.parametrize("m,n", [(16, 1024), (4, 1024), (8, 512)])
+@pytest.mark.parametrize("kh,kv", [(K_CRIT, K_CRIT), (0.3, 0.6), (18.0, 0.3)])
+def test_long_torus_against_spectral_routes(m, n, kh, kv):
+    # cyclic reduction halves the columns down to a few; at (18, 0.3) its
+    # first level is refused and the front loop sweeps every column
+    got = ising_pfaffian_torus(m, n, kh, kv)
+    assert got == pytest.approx(kaufman_partition(m, n, kv, kh), rel=1e-12)
+    assert got == pytest.approx(kacward_log_z(m, n, kh, kv), rel=1e-12)
+
+
+@pytest.mark.parametrize("w", [MatchingWeights(1.1, 0.7), MatchingWeights(0.6, 1.2)])
+def test_long_torus_dimer_count_against_dense_pfaffians(w):
+    # 256 columns of 4 sites, halved down to 2 with a merge on the s1 = +1
+    # sweep; the four dense Pfaffians have dimension 1024
+    spec = LatticeSpec(4, 256, "square", "torus")
+    terms = [pfaffian(build_dimer_matrix(spec, w, variant)) for variant in TORUS_VARIANTS]
+    top = max(log_mag for _, log_mag in terms)
+    want = top + math.log(math.fsum(weight * sign * math.exp(log_mag - top)
+                                    for (_, _, weight), (sign, log_mag)
+                                    in zip(_TORUS_TERMS.values(), terms)))
+    assert math.log(dimer_count_torus(4, 256, w)) == pytest.approx(want, rel=1e-12)
 
 
 def test_sweep_capacity_is_refused_up_front():
