@@ -38,6 +38,7 @@ column.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, SelfCheckError,
                    _dimer_count, exp_finite, finite, log_cosh, log_sum)
-from .spectral import _kacward_log_product
+from .spectral import _kacward_log_products
 
 MAX_DIM = 4096
 _BLOCK = 32   # elimination steps whose trailing updates are applied at once
@@ -456,8 +457,15 @@ def ising_torus_logdet(m: int, n: int, z1: float, z2: float,
     half-integer grid pi (2r+1) / L for wrap sign -1.  This is the Kac-Ward
     double product with x = z2, y = z1, in its sum-of-squares form; -inf
     when a factor vanishes."""
-    return _kacward_log_product(m, n, z2, z1, "integer" if s1 > 0 else "half",
-                                "integer" if s2 > 0 else "half")
+    return _torus_logdets(m, n, z1, z2)["integer" if s1 > 0 else "half",
+                                        "integer" if s2 > 0 else "half"]
+
+
+# the last torus's four determinants are kept, so the four variants of one
+# ising_pfaffian_torus call take them from one call of the Kac-Ward kernel
+@functools.lru_cache(maxsize=1)
+def _torus_logdets(m: int, n: int, z1: float, z2: float) -> dict:
+    return _kacward_log_products(m, n, z2, z1)
 
 
 def _ising_blocks(m: int, z1: float, z2: float, s1: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -487,7 +495,8 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     where the A_i are the four cluster matrices with wrap-sign choices
     (+,+), (+,-), (-,+), (-,-) and bond fugacities z = tanh k.  Each
     Pfaffian is cross-checked against the closed-form determinant of the
-    same matrix; a miss is a SelfCheckError.  core.log_sum adds the four log
+    same matrix, all four from one Kac-Ward kernel call; a miss is a
+    SelfCheckError.  core.log_sum adds the four log
     magnitudes, each weighted by its coefficient above, the Pfaffian's sign
     and -1 for an odd site count.
     """

@@ -13,9 +13,16 @@ core._bracket's critical bracket, a squared gap plus sin^2 terms with
 non-negative slopes, so neither cancels near its critical manifold.  A
 parity-product factor depends on its two angles only through sin^2 of their
 halves, and each grid is closed under theta -> -theta, so the Kac-Ward
-route takes the log of each distinct factor once, about (m/2 + 1)(n/2 + 1)
-of them, and weights it by its multiplicity; no product over phi is done in
-closed form, which would turn it into the gamma route.
+route forms each distinct factor once, about (m/2 + 1)(n/2 + 1) of them,
+and weights it by its multiplicity.  The factors of up to 8 adjacent
+angles phi_j of one multiplicity make a run, whose product
+prod_j (r + c_j) = sum_p e_p r^p has coefficients e_p >= 0: one matrix
+product of the row terms' powers [1 r ... r^8] by the runs' coefficients
+gives every run's product without cancellation, and one log serves the
+run.  All four parity products of a torus take one such pass.  A run is
+expanded from its own factors, not from an identity over the whole phi
+grid, so every factor still enters and the route shares nothing with the
+gamma spectrum, which is that identity.
 
 The three double products (Kac-Ward, free dimers, triangular) share one
 blocked loop, _blocked_log_sum: it forms at most _BLOCK factors at a time
@@ -31,6 +38,7 @@ before it allocates.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -144,19 +152,24 @@ def kacward_products(m: int, n: int, k_h: float, k_v: float,
     1e-300 (at theta = phi = 0 on the integer/integer grid, where the
     float gap is 0) makes the log -inf rather than an exception.  The
     factors at theta and -theta (and at phi and -phi) are equal, so the
-    logs of the (floor(m/2) + 1) x (floor(n/2) + 1) distinct factors at
-    most are taken once and summed with the multiplicities of their angles.
+    (floor(m/2) + 1) x (floor(n/2) + 1) distinct factors at most are formed
+    once and weighted with the multiplicities of their angles, their logs
+    taken a run of up to 8 at a time (_kacward_log_products).
     """
-    if not (k_h > 0 and k_v > 0):
-        raise DomainError("couplings must be positive")
+    _check_couplings(k_h, k_v)
     return _kacward_log_product(m, n, math.tanh(k_h), math.tanh(k_v),
                                 gp.parity_v, gp.parity_h)
 
 
+def _check_couplings(k_h: float, k_v: float) -> None:
+    if not (k_h > 0 and k_v > 0):
+        raise DomainError("couplings must be positive")
+
+
 # factors of one double product (Kac-Ward, free dimers, triangular sum), a
 # 4096 x 4096 grid.  The blocks bound the memory, so this bounds the work:
-# at the ceiling a Kac-Ward product takes 0.02 s (4096 x 4096) to 0.25 s
-# (1 x 2^24), and the triangular sum up to ~0.7 s (2 vCPUs)
+# at the ceiling the four Kac-Ward products take 0.01 s (4096 x 4096) and
+# one takes 0.3 s (1 x 2^24), and the triangular sum up to ~0.7 s (2 vCPUs)
 MAX_KACWARD_FACTORS = 1 << 24
 # factors per block of a double product: 256 KiB of float64, which fits in L2
 _BLOCK = 1 << 15
@@ -169,7 +182,7 @@ def _refuse_past_ceiling(rows: int, cols: int, what: str) -> None:
 
 
 def _blocked_log_sum(rows: int, cols: int, row_terms, col_terms, fill, reduce,
-                     floor: float) -> float:
+                     floor: float | None):
     """Sum of the logs of the rows x cols factors F, a block at a time.  A
     block is whole rows of at most _BLOCK factors, or one row's run of
     _BLOCK columns.  For the slices r and c of its rows and columns,
@@ -177,11 +190,12 @@ def _blocked_log_sum(rows: int, cols: int, row_terms, col_terms, fill, reduce,
     them (the column runs are the outer loop, so each run's are built
     once); fill(row, col, out) writes F[r, c] into out, a view of one
     buffer that every block reuses; and reduce(row, col, log F[r, c]) is
-    the block's share of the sum.  So a product holds a few blocks' worth
-    of arrays at most, whatever its shape.  -inf once a factor is below
-    floor, checked before the block's log is taken, so a vanishing factor
-    raises no RuntimeWarning.  A product that fits in one block is one pass
-    of the loop: bitwise its one-shot expression."""
+    the block's share of the sum, a float or an array.  So a product holds
+    a few blocks' worth of arrays at most, whatever its shape.  -inf once a
+    factor is below floor, checked before the block's log is taken, so a
+    vanishing factor raises no RuntimeWarning; a floor of None is no check.
+    A product that fits in one block is one pass of the loop: bitwise its
+    one-shot expression."""
     step = max(1, _BLOCK // cols)    # rows per block
     width = min(cols, _BLOCK)        # columns per block: all of them, or one row's run
     buffer = np.empty(min(rows * cols, _BLOCK))
@@ -193,10 +207,10 @@ def _blocked_log_sum(rows: int, cols: int, row_terms, col_terms, fill, reduce,
             r1 = min(r0 + step, rows)
             row = row_terms(slice(r0, r1))
             block = fill(row, col, buffer[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0))
-            if block.min() < floor:
+            if floor is not None and block.min() < floor:
                 return -math.inf
             total += reduce(row, col, np.log(block, out=block))
-    return float(total)
+    return total
 
 
 def _folded_count(parity: str, length: int) -> int:
@@ -211,8 +225,7 @@ def _folded_grid(parity: str, length: int, start: int = 0,
     theta -> 2 pi - theta, with their multiplicities: 2 for each, 1 for the
     self-reflected 0 (on the integer grid) and pi (on the integer grid of
     even length and the half grid of odd length).  The multiplicities sum
-    to length.  Only those from start to stop (all by default) are built.
-    Both arrays are read-only, as the cache below shares them."""
+    to length.  Only those from start to stop (all by default) are built."""
     count = _folded_count(parity, length)
     stop = count if stop is None else stop
     weights = np.full(stop - start, 2.0)
@@ -220,51 +233,210 @@ def _folded_grid(parity: str, length: int, start: int = 0,
         weights[0] = 1.0
     if (parity == "integer") == (length % 2 == 0) and stop == count:
         weights[-1] = 1.0
-    angles = _grid_angles(parity, length, np.arange(start, stop))
-    angles.flags.writeable = weights.flags.writeable = False
-    return angles, weights
+    return _grid_angles(parity, length, np.arange(start, stop)), weights
 
 
-# the folded grids of sides up to 4096 (at most 32 KiB each, 2 MiB in all)
-# are kept: building the two grids of a small product cost as much as its
-# sum, and the four products of one torus share them
+def _grid_sin_sq(parity: str, length: int, start: int, stop: int):
+    """sin^2(angle/2) of the folded grid of angle_grid(parity, length) from
+    start to stop, and the multiplicities there."""
+    angles, weights = _folded_grid(parity, length, start, stop)
+    return np.sin(0.5 * angles) ** 2, weights
+
+
+def _read_only(arrays: tuple) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+# the folded grids of sides up to 4096 (at most 48 KiB each) and the stacked
+# rows and runs built from them are kept: building them cost a small
+# product as much as its sum, and the products of one torus share them
 _CACHED_SIDE = 4096
-_cached_folded_grid = functools.lru_cache(maxsize=64)(_folded_grid)
+_cached_grid_sin_sq = functools.lru_cache(maxsize=64)(
+    lambda parity, length: _read_only(_grid_sin_sq(parity, length, 0,
+                                                   _folded_count(parity, length))))
 
 
-def _folded_terms(parity: str, length: int, term):
-    """The terms of one side of a parity product, as a function of a slice
-    of the folded grid of angle_grid(parity, length): term(sin^2(angle/2))
-    and the multiplicities there.  A side up to _CACHED_SIDE takes its grid
-    from the cache and its terms once, whole; a longer one builds only the
+def _grid_terms(parity: str, length: int):
+    """The count of the folded grid of angle_grid(parity, length) and its
+    (sin^2, multiplicities) as a function of a slice of it: a side up to
+    _CACHED_SIDE slices them from the cache, a longer one builds only the
     part a block asks for."""
+    count = _folded_count(parity, length)
     if length <= _CACHED_SIDE:
-        angles, weights = _cached_folded_grid(parity, length)
-        whole = term(np.sin(0.5 * angles) ** 2)
-        return lambda part: (whole[part], weights[part])
+        sin_sq, weights = _cached_grid_sin_sq(parity, length)
+        return count, lambda part: (sin_sq[part], weights[part])
+    return count, lambda part: _grid_sin_sq(parity, length, part.start, part.stop)
 
-    def part_terms(part):
-        angles, weights = _folded_grid(parity, length, part.start, part.stop)
-        return term(np.sin(0.5 * angles) ** 2), weights
 
-    return part_terms
+# angles per run of the Kac-Ward kernel.  A run's product of at most 8
+# factors, each <= 12 (g^2 <= 4, S_i <= 4) and >= _LEAST_RUN_FACTOR, is a
+# normal float: 12^8 < 2^29 and 2^-1000 > 2^-1022
+_RUN = 8
+_LEAST_RUN_FACTOR = 2.0 ** -125
+_PARITIES = ("integer", "half")
+_PAIRS = tuple(itertools.product(_PARITIES, repeat=2))
+
+
+def _run_coefficients(terms: np.ndarray) -> np.ndarray:
+    """The coefficients e_p of prod_j (r + c_j) = sum_p e_p r^p for each
+    column c of terms (_RUN x runs, NaN past a run's end), e_p in row p:
+    the place of r^p in _powers.  Every c_j is >= 0, so every e_p is a sum
+    of non-negative products, and nothing cancels."""
+    steps = ~np.isnan(terms)
+    factors = np.where(steps, terms, 1.0)   # past a run's end: times 1
+    coefficients = np.zeros((_RUN + 1, terms.shape[1]))
+    coefficients[0] = 1.0
+    for k in range(_RUN):
+        # times (r + c): e_p -> c e_p + e_{p-1}; the degree is at most k
+        shifted = coefficients[:k + 1] * steps[k]
+        coefficients[:k + 2] *= factors[k]
+        coefficients[1:k + 2] += shifted
+    return coefficients
+
+
+@functools.lru_cache(maxsize=64)
+def _stacked_rows(length: int) -> tuple:
+    """sin^2(angle/2) of the folded grids of angle_grid(p, length), p in
+    _PARITIES, laid end to end, and their multiplicities as a matrix with
+    one row per grid, zero off its own angles."""
+    grids = [_cached_grid_sin_sq(parity, length) for parity in _PARITIES]
+    weights = np.zeros((len(grids), sum(len(sin_sq) for sin_sq, _ in grids)))
+    offset = 0
+    for i, (sin_sq, multiplicities) in enumerate(grids):
+        weights[i, offset:offset + len(sin_sq)] = multiplicities
+        offset += len(sin_sq)
+    return _read_only((np.concatenate([sin_sq for sin_sq, _ in grids]), weights))
+
+
+@functools.lru_cache(maxsize=64)
+def _stacked_runs(length: int) -> tuple:
+    """The runs of the folded grids of angle_grid(p, length), p in
+    _PARITIES, laid end to end.  A grid's runs, in its order: each
+    multiplicity-1 end (0 on the integer grid, and pi where the grid is
+    folded onto it) alone, and the multiplicity-2 angles between them in
+    runs of _RUN, the last one short.  Returns the _run_coefficients of
+    each run's sin^2(angle/2), a column each, the degree of each
+    coefficient in them, and the runs' multiplicities as a matrix with one
+    row per grid, zero off its own runs."""
+    coefficients, degrees, weights = [], [], []
+    for i, parity in enumerate(_PARITIES):
+        sin_sq, multiplicities = _cached_grid_sin_sq(parity, length)
+        count = len(sin_sq)
+        head = 1 if parity == "integer" else 0
+        tail = 1 if (parity == "integer") == (length % 2 == 0) and count > head else 0
+        first = np.concatenate([[0] * head, np.arange(head, count - tail, _RUN),
+                                [count - 1] * tail]).astype(int)
+        last = np.append(first[1:], count)
+        # the places past a run's end point at a NaN after the grid
+        index = first + np.arange(_RUN)[:, None]
+        terms = np.append(sin_sq, np.nan)[np.where(index < last, index, count)]
+        coefficients.append(_run_coefficients(terms))
+        # e_p of a run of length L is of degree L - p
+        degrees.append(np.maximum(last - first - np.arange(_RUN + 1)[:, None], 0))
+        weights.append(np.zeros((len(_PARITIES), len(first))))
+        weights[-1][i] = multiplicities[first]
+    return _read_only((np.concatenate(coefficients, axis=1), np.concatenate(degrees, axis=1),
+                       np.concatenate(weights, axis=1)))
+
+
+def _powers(r: np.ndarray) -> np.ndarray:
+    """[1 r ... r^8] of each r, in the rows, each power the last times r."""
+    powers = np.empty((_RUN + 1, len(r)))
+    powers[0] = 1.0
+    powers[1] = r
+    for p in range(2, _RUN + 1):
+        np.multiply(powers[p - 1], r, out=powers[p])
+    return powers
+
+
+def _run_pass(m: int, n: int, terms) -> np.ndarray:
+    """The logs of the four parity products of an m x n torus with sides up
+    to _CACHED_SIDE, P[v, h] with v and h the indices of the row and column
+    parities in _PARITIES, in one blocked pass whose rows are both row
+    grids' folded angles end to end and whose columns are both column
+    grids' runs.  terms = (gap, s_theta, s_phi): a row's term is
+    r = gap + s_theta sin^2(theta/2), a column's c = s_phi sin^2(phi/2).  A
+    block is the _powers of its rows times its runs' coefficients, one
+    matrix product whose entries are the runs' products prod_j (r + c_j),
+    so its log is one log per run.  Its share is W_r (log block) W_run^T,
+    with the multiplicities of each grid's rows and runs in that grid's row
+    of W_r and W_run."""
+    gap, s_theta, s_phi = terms
+    sin_sq, row_weights = _stacked_rows(m)
+    # the runs' coefficients are those of sin^2, and e_k(s c) = s^k e_k(c)
+    coefficients, degrees, run_weights = _stacked_runs(n)
+    coefficients = coefficients * (s_phi ** np.arange(_RUN + 1))[degrees]
+    return _blocked_log_sum(len(sin_sq), coefficients.shape[1],
+                            lambda part: (_powers(gap + s_theta * sin_sq[part]),
+                                          row_weights[:, part]),
+                            lambda part: (coefficients[:, part], run_weights[:, part]),
+                            lambda row, col, out: np.matmul(row[0].T, col[0], out=out),
+                            lambda row, col, logs: (row[1] @ logs) @ col[1].T, None)
+
+
+def _factor_pass(m: int, n: int, terms, parity_v: str, parity_h: str) -> float:
+    """The log of one parity product a block of factors r + c at a time,
+    summed as sum(w_theta * (log F . w_phi)) so the rows of a tall block add
+    pairwise; -inf once a factor is below 1e-300."""
+    gap, s_theta, s_phi = terms
+    rows, row_part = _grid_terms(parity_v, m)
+    cols, col_part = _grid_terms(parity_h, n)
+
+    def row_terms(part: slice):
+        sin_sq, weights = row_part(part)
+        return gap + s_theta * sin_sq, weights
+
+    def col_terms(part: slice):
+        sin_sq, weights = col_part(part)
+        return s_phi * sin_sq, weights
+
+    return float(_blocked_log_sum(rows, cols, row_terms, col_terms,
+                                  lambda row, col, out: np.add(row[0][:, None], col[0], out=out),
+                                  lambda row, col, logs: np.sum(row[1] * (logs @ col[1])),
+                                  1e-300))
+
+
+def _kacward_log_products(m: int, n: int, x: float, y: float, pairs=_PAIRS) -> dict:
+    """The logs of the double products of kacward_products in the
+    fugacities x, y on the (parity_v, parity_h) grid pairs, by pair; -inf
+    where a factor vanishes (below 1e-300).  Only the factors on the folded
+    grids are formed.  Both terms of a factor grow along the folded grids,
+    so a product's least factor is its first row term plus its first column
+    term, and it decides before any log is taken.  Where all four least
+    factors are at least _LEAST_RUN_FACTOR and both sides are cached, one
+    _run_pass makes all four products, whichever are asked for.  Else each
+    product asked for is -inf below 1e-300 and a _factor_pass otherwise:
+    below _LEAST_RUN_FACTOR a run's product could leave the normal range,
+    and past _CACHED_SIDE a run pass would rebuild its runs' coefficients
+    on every call, which costs more than the runs save when the other side
+    is short (1 x 2^24: 1.9 s for the four products, against 1.4 s)."""
+    LatticeSpec(m, n)   # rejects sides < 1
+    _refuse_past_ceiling(m, n, "Kac-Ward")
+    gap, (s_theta, s_phi, _) = _bracket((x, y, 1.0), (1.0 - x * x, 1.0 - y * y, 0.0))
+    terms = gap, s_theta, s_phi
+    least = {(parity_v, parity_h): (gap + s_theta * _least_sin_sq(parity_v, m))
+             + s_phi * _least_sin_sq(parity_h, n) for parity_v, parity_h in _PAIRS}
+    if max(m, n) <= _CACHED_SIDE and min(least.values()) >= _LEAST_RUN_FACTOR:
+        logs = _run_pass(m, n, terms)
+        return {pair: float(logs[_PARITIES.index(pair[0]), _PARITIES.index(pair[1])])
+                for pair in pairs}
+    return {pair: -math.inf if least[pair] < 1e-300 else _factor_pass(m, n, terms, *pair)
+            for pair in pairs}
+
+
+def _least_sin_sq(parity: str, length: int) -> float:
+    """sin^2(angle/2) of the first angle of the folded grid, its least, as
+    a product's blocks take it."""
+    return float(_grid_terms(parity, length)[1](slice(0, 1))[0][0])
 
 
 def _kacward_log_product(m: int, n: int, x: float, y: float,
                          parity_v: str, parity_h: str) -> float:
     """log of the double product of kacward_products in the fugacities
-    x, y; -inf when a factor vanishes (below 1e-300).  Only the factors on
-    the folded grids are formed, a block at a time; each block's logs are
-    summed as sum(w_theta * (log F . w_phi)), so the rows of a tall block
-    add pairwise."""
-    LatticeSpec(m, n)   # rejects sides < 1
-    _refuse_past_ceiling(m, n, "Kac-Ward")
-    gap, (s_theta, s_phi, _) = _bracket((x, y, 1.0), (1.0 - x * x, 1.0 - y * y, 0.0))
-    return _blocked_log_sum(_folded_count(parity_v, m), _folded_count(parity_h, n),
-                            _folded_terms(parity_v, m, lambda sin_sq: gap + s_theta * sin_sq),
-                            _folded_terms(parity_h, n, lambda sin_sq: s_phi * sin_sq),
-                            lambda row, col, out: np.add(row[0][:, None], col[0], out=out),
-                            lambda row, col, logs: np.sum(row[1] * (logs @ col[1])), 1e-300)
+    x, y on the grids parity_v, parity_h."""
+    return _kacward_log_products(m, n, x, y, [(parity_v, parity_h)])[parity_v, parity_h]
 
 
 def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
@@ -279,12 +451,13 @@ def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
     term of the spectral four-product, so its square root must re-enter with
     that temperature-dependent sign; near the critical manifold the product
     carries the square of a small gap and the term drops out.  core.log_sum
-    adds the four half-logs with weights (s, 1, 1, 1).
+    adds the four half-logs with weights (s, 1, 1, 1).  The four products
+    are one call of the kernel.
     """
-    parities = [GridParity("integer", "integer"), GridParity("integer", "half"),
-                GridParity("half", "integer"), GridParity("half", "half")]
     s1 = float(_log_2sinh_abs(2.0 * k_h) + _log_2sinh_abs(2.0 * k_v)) - 2.0 * math.log(2.0)
-    half_logs = [0.5 * kacward_products(m, n, k_h, k_v, gp) for gp in parities]
+    _check_couplings(k_h, k_v)
+    half_logs = [0.5 * log_p
+                 for log_p in _kacward_log_products(m, n, math.tanh(k_h), math.tanh(k_v)).values()]
     pref = m * n * (math.log(2.0) + log_cosh(k_h) + log_cosh(k_v))
     return finite(-math.log(2.0) + pref
                   + log_sum(half_logs, (np.sign(s1), 1.0, 1.0, 1.0), "the parity-product sum"),
@@ -335,9 +508,9 @@ def dimer_count_free(m: int, n: int, w: MatchingWeights = MatchingWeights()) -> 
 
     # a term below the normal range: no matching, or a factor whose squares
     # both underflowed
-    log_count = _blocked_log_sum(m // 2, n, row_terms, col_terms,
-                                 lambda row, col, out: np.add(row[:, None], col, out=out),
-                                 log_factors, sys.float_info.min)
+    log_count = float(_blocked_log_sum(m // 2, n, row_terms, col_terms,
+                                       lambda row, col, out: np.add(row[:, None], col, out=out),
+                                       log_factors, sys.float_info.min))
     return _dimer_count(log_count, m, n, MatchingWeights(z1, z2))
 
 
@@ -394,8 +567,8 @@ def triangular_log_z_per_site(m: int, n: int, c: ReducedCouplings) -> float:
         return out
 
     # the least positive float as the floor refuses exactly a bracket of 0
-    log_sum = _blocked_log_sum(m, n, row_terms, col_terms, bracket,
-                               lambda row, col, logs: logs.sum(), math.ulp(0.0))
+    log_sum = float(_blocked_log_sum(m, n, row_terms, col_terms, bracket,
+                                     lambda row, col, logs: logs.sum(), math.ulp(0.0)))
     if log_sum == -math.inf:
         raise DomainError("a grid point hits a vanishing factor (critical manifold)")
     return finite(kh + kv + kd + log_sum / (2.0 * m * n), "ln Z per site")

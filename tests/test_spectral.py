@@ -11,11 +11,13 @@ from conftest import assert_kacward_product_against_mpmath, mp_kacward_log_produ
 from isingexact.core import (CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings,
                              _dimer_count, angle_grid, dual_coupling)
 from isingexact.oracle import MatchingWeights, build_lattice_graph, count_matchings, enumerate_partition_graph
+import isingexact.spectral as spectral
 from isingexact.spectral import (
     MAX_KACWARD_FACTORS,
     GridParity,
     _folded_grid,
     _kacward_log_product,
+    _stacked_runs,
     dimer_count_free,
     gamma_spectrum,
     kacward_log_z,
@@ -26,7 +28,7 @@ from isingexact.spectral import (
 from isingexact.pfaffian import (dimer_count_free as dimer_count_free_pf, ising_pfaffian_torus,
                                  ising_torus_logdet)
 from isingexact.thermo import onsager_free_energy, triangular_free_energy
-from isingexact.transfer2d import log_z_torus
+from isingexact.transfer2d import MAX_COLS, log_z_torus
 
 
 def _oracle_torus(m, n, kh, kv):
@@ -139,7 +141,9 @@ NEAR_CRITICAL_COUPLINGS = (
        for sign in (1, -1)])
 
 
-@pytest.mark.parametrize("m,n", [(8, 8), (4, 6), (6, 10)])
+# 34 x 34 and 20 x 40 are past the transfer route's widths, and their
+# Kac-Ward products take full runs of 8 angles
+@pytest.mark.parametrize("m,n", [(8, 8), (4, 6), (6, 10), (34, 34), (20, 40)])
 def test_every_torus_route_near_criticality(m, n):
     # the Kac-Ward factor in its cosine form cancelled here: the route was
     # up to 7.6e-10 off, and the Pfaffian's determinant check against it
@@ -147,7 +151,9 @@ def test_every_torus_route_near_criticality(m, n):
     for kh, kv in NEAR_CRITICAL_COUPLINGS:
         want = _mp_kacward_log_z(m, n, kh, kv)
         routes = (kacward_log_z(m, n, kh, kv), kaufman_partition(m, n, kv, kh),
-                  log_z_torus(m, n, kh, kv), ising_pfaffian_torus(m, n, kh, kv))
+                  ising_pfaffian_torus(m, n, kh, kv))
+        if min(m, n) <= MAX_COLS:
+            routes += (log_z_torus(m, n, kh, kv),)
         for got in routes:
             assert abs(got - want) <= 1e-15 * abs(want), (kh, kv, routes, want)
 
@@ -212,17 +218,70 @@ def reference_kacward_log_product(m, n, x, y, parity_v, parity_h):
     return total, scale
 
 
+def _reference_runs(sin_sq, weights):
+    """The runs of one folded grid, from its multiplicities alone: each
+    multiplicity-1 angle a run of its own, the multiplicity-2 angles
+    between them in runs of 8, the last one short."""
+    runs = []
+    for value, weight in zip(sin_sq, weights):
+        if weight == 2.0 and runs and runs[-1][1] == 2.0 and len(runs[-1][0]) < 8:
+            runs[-1][0].append(float(value))
+        else:
+            runs.append(([float(value)], float(weight)))
+    return runs
+
+
+def _expanded(values):
+    """The coefficients of prod_j (r + c_j) over values, ascending in r."""
+    coefficients = [1.0] + [0.0] * 8
+    for c in values:
+        coefficients = [c * coefficients[0]] + [c * coefficients[p] + coefficients[p - 1]
+                                                for p in range(1, 9)]
+    return coefficients
+
+
 def one_shot_kacward_log_product(m, n, x, y, parity_v, parity_h):
-    """The folded product with its whole factor grid at once, as
-    sum(w_theta * (log F . w_phi)): a product that fits in one block must
-    be this, bitwise."""
-    theta, w_theta = _folded_grid(parity_v, m)
-    phi, w_phi = _folded_grid(parity_h, n)
-    row, col = _kacward_factor_terms(x, y, theta, phi)
-    factors = row[:, None] + col
-    if float(factors.min()) < 1e-300:
+    """The folded product with its whole grids at once: a product that fits
+    in one block must be this, bitwise.  When the least factor (the first)
+    of each of the four products is at least 2^-125, the rows are both
+    folded row grids end to end, the columns the runs of both folded column
+    grids, each run's product prod_j (r + s_phi sin^2(phi_j/2)) is
+    [1 r ... r^8] times the coefficients of its sin^2 terms scaled by
+    powers of s_phi, one matrix product, and the block's logs are summed
+    with the rows' and runs' multiplicities.  Else the product is
+    sum(w_theta * (log F . w_phi)) over its factors F."""
+    grids = {(parity, length): _folded_grid(parity, length)
+             for parity in ("integer", "half") for length in (m, n)}
+    sin_sq = {key: (np.sin(0.5 * angles) ** 2, weights) for key, (angles, weights) in grids.items()}
+    gap, s_theta, s_phi = (1.0 - x * y - y - x) ** 2, 4.0 * y * (1.0 - x * x), 4.0 * x * (1.0 - y * y)
+    least = {(v, h): (gap + s_theta * sin_sq[v, m][0][0]) + s_phi * sin_sq[h, n][0][0]
+             for v, h in PARITY_PAIRS}
+    if least[parity_v, parity_h] < 1e-300:
         return -math.inf
-    return float(np.sum(w_theta * (np.log(factors, out=factors) @ w_phi)))
+    if min(least.values()) < 2.0 ** -125:
+        theta, w_theta = grids[parity_v, m]
+        phi, w_phi = grids[parity_h, n]
+        row, col = _kacward_factor_terms(x, y, theta, phi)
+        factors = row[:, None] + col
+        return float(np.sum(w_theta * (np.log(factors, out=factors) @ w_phi)))
+    r = gap + s_theta * np.concatenate([sin_sq["integer", m][0], sin_sq["half", m][0]])
+    row_weights = np.zeros((2, len(r)))
+    row_weights[0, :len(sin_sq["integer", m][1])] = sin_sq["integer", m][1]
+    row_weights[1, len(sin_sq["integer", m][1]):] = sin_sq["half", m][1]
+    powers = np.empty((9, len(r)))
+    powers[0], powers[1] = 1.0, r
+    for p in range(2, 9):
+        powers[p] = powers[p - 1] * r
+    scale = s_phi ** np.arange(9)
+    columns, run_weights = [], []
+    for i, parity in enumerate(("integer", "half")):
+        for values, weight in _reference_runs(*sin_sq[parity, n]):
+            coefficients = _expanded(values)
+            columns.append([coefficients[p] * scale[max(len(values) - p, 0)] for p in range(9)])
+            run_weights.append([weight, 0.0] if i == 0 else [0.0, weight])
+    logs = np.log(np.matmul(powers.T, np.ascontiguousarray(np.array(columns).T)))
+    total = (row_weights @ logs) @ np.ascontiguousarray(np.array(run_weights).T).T
+    return float(total[("integer", "half").index(parity_v), ("integer", "half").index(parity_h)])
 
 
 PARITY_PAIRS = [(a, b) for a in ("integer", "half") for b in ("integer", "half")]
@@ -307,6 +366,102 @@ def test_single_block_product_is_the_one_shot_expression(m):
             for parity_v, parity_h in PARITY_PAIRS:
                 assert _kacward_log_product(m, n, x, y, parity_v, parity_h) == \
                     one_shot_kacward_log_product(m, n, x, y, parity_v, parity_h), (n, kh, kv)
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments and result of each call of spectral.<name>."""
+    calls, function = [], getattr(spectral, name)
+
+    def spy(*args):
+        calls.append((args, function(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spectral, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("m,n", FOLD_SHAPES)
+def test_kacward_log_z_products_are_the_single_products(m, n, monkeypatch):
+    # kacward_log_z takes its four products from one call of the kernel;
+    # each must be bitwise the product kacward_products selects alone
+    calls = _spy(monkeypatch, "_kacward_log_products")
+    pairs = (itertools.product(FOLD_COUPLINGS, FOLD_COUPLINGS) if m * n < 10 ** 4
+             else zip(FOLD_COUPLINGS, FOLD_COUPLINGS))
+    for kh, kv in pairs:
+        calls.clear()
+        kacward_log_z(m, n, kh, kv)
+        assert len(calls) == 1
+        products = calls[0][1]
+        for parity_v, parity_h in PARITY_PAIRS:
+            assert kacward_products(m, n, kh, kv, GridParity(parity_v, parity_h)) == \
+                products[parity_v, parity_h], (kh, kv, parity_v, parity_h)
+
+
+# (length, multiplicity) of each run of the folded grid of n columns: only
+# the multiplicity-1 ends, full runs of 8, and a short last run
+RUN_LAYOUTS = {
+    ("integer", 1): [(1, 1)], ("half", 1): [(1, 1)],
+    ("integer", 2): [(1, 1), (1, 1)], ("half", 2): [(1, 2)],
+    ("integer", 3): [(1, 1), (1, 2)], ("half", 3): [(1, 2), (1, 1)],
+    ("integer", 17): [(1, 1), (8, 2)], ("half", 17): [(8, 2), (1, 1)],
+    ("integer", 18): [(1, 1), (8, 2), (1, 1)], ("half", 18): [(8, 2), (1, 2)],
+    ("integer", 33): [(1, 1), (8, 2), (8, 2)], ("half", 33): [(8, 2), (8, 2), (1, 1)],
+}
+
+
+@pytest.mark.parametrize("parity,n", RUN_LAYOUTS)
+def test_runs_cover_the_folded_grid(parity, n):
+    # the integer grid's runs come first, each grid's multiplicities in its row
+    grid = ("integer", "half").index(parity)
+    coefficients, degrees, weights = _stacked_runs(n)
+    own = weights[grid] > 0
+    coefficients, degrees = coefficients[:, own], degrees[:, own]
+    # a run of length L has e_0 = 1 at degree L in its terms
+    assert list(zip(degrees[0].tolist(), weights[grid, own].tolist())) == RUN_LAYOUTS[parity, n]
+    # each run's coefficients are its product, expanded: at r in [0, 8]
+    angles, _ = _folded_grid(parity, n)
+    terms = np.sin(0.5 * angles) ** 2
+    r = np.linspace(0.0, 8.0, 9)
+    first = 0
+    for run, length in enumerate(degrees[0]):
+        want = np.prod(r[:, None] + terms[first:first + length], axis=1)
+        got = np.polynomial.polynomial.polyval(r, coefficients[:, run])
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        first += length
+    assert first == len(angles)
+    # and the products on them, both alone and in one pass of the four
+    for m in (1, 2, 7, 18):
+        for kh, kv in ((0.3, 0.9), (K_CRIT, K_CRIT), (5.0, 0.05)):
+            x, y = math.tanh(kh), math.tanh(kv)
+            for parity_v in ("integer", "half"):
+                want, scale = reference_kacward_log_product(m, n, x, y, parity_v, parity)
+                got = _kacward_log_product(m, n, x, y, parity_v, parity)
+                assert abs(got - want) <= 1e-13 * scale, (m, kh, kv, parity_v)
+
+
+@pytest.mark.parametrize("m,n", [(4, 4), (7, 9), (16, 33)])
+def test_products_below_the_run_floor_take_factors(m, n, monkeypatch):
+    # at (k_h, k_v) = (1e-25, 20), x = 1e-25 and y = 1.0: the float gap is
+    # (1e-25)^2 = 1e-50 < 2^-125 and the column terms are 0, so the least
+    # factor of the products on the integer row grid is the gap, and a run
+    # of 8 such factors would underflow: each product takes its factors
+    x, y = math.tanh(1e-25), math.tanh(20.0)
+    assert (x, y) == (1e-25, 1.0)
+    factors, runs = _spy(monkeypatch, "_factor_pass"), _spy(monkeypatch, "_run_pass")
+    for parity_v, parity_h in PARITY_PAIRS:
+        factors.clear()
+        got = _kacward_log_product(m, n, x, y, parity_v, parity_h)
+        assert len(factors) == 1
+        want, scale = reference_kacward_log_product(m, n, x, y, parity_v, parity_h)
+        assert abs(got - want) <= 1e-13 * scale, (parity_v, parity_h)
+    assert not runs
+
+
+def test_kacward_log_z_peak_allocation():
+    # its 2049 x 9 powers (147 KiB), one block, and the runs' coefficients
+    peak, got = peak_bytes(lambda: kacward_log_z(2048, 2048, 0.3, 0.3))
+    assert peak < 1 << 20
+    assert math.isfinite(got)
 
 
 def test_kacward_product_peak_allocation():
