@@ -11,29 +11,41 @@ bits, a bond is (anti)parallel according to the XOR of its two bits, and
 bonds sharing a coupling value are grouped so that only the *number* of
 antiparallel bonds per group matters.  A field h is one more group: bonds of
 strength h from every site to a ghost spin (site N).  Summing the ghost over
-both signs gives 2 Z(h), so ln Z is the ghost graph's ln Z - ln 2.  Every
-configuration still gets its own key in a density of states over the group
-counts, but most of the per-bond work is done once:
+both signs gives 2 Z(h), so ln Z is the ghost graph's ln Z - ln 2.  The
+density of states (DOS) over the group counts is counted through a vertex
+separator, the idea behind nested dissection (George 1973):
 
-* the sites split into a low half (the first min(N - 1, 14) sites) and a
-  high half, which always holds the top spin.  One table over the low
-  states holds the weighted counts of the bonds inside the low half; one
-  scalar per high state holds those of the bonds inside the high half;
-* bonds crossing the split are grouped into layers whose low endpoints are
-  distinct, so a whole layer is a single popcount of the low state XOR-ed
-  with the high partners' spins;
-* flipping every spin keeps every bond count, so in every build only
-  states with the top spin down are enumerated and the density is doubled;
-* a chunk of ~2^16 states (a few high states by every low state) is
-  keyed in the narrowest unsigned type that holds every bin index (uint16
-  up to 65 536 bins, uint32 past that), in key, XOR and popcount buffers
-  allocated once per build and filled in place, so a build's working set
-  stays in L2 cache.
+* a plan (S, A, B) is a set S of sites whose removal leaves two sides, A
+  and B, with no bond between them.  Flipping every spin keeps every bond
+  count, so S's last spin is fixed down and the density is doubled;
+* given S's spins, each side's keys live in the side's own count space: its
+  own bonds and its bonds to S, with S's own bonds riding with A.  A side's
+  keys for a chunk of S states are its keys with every S spin down plus one
+  change table per S spin, doubled over the chunk's spins: one add per key.
+  Consecutive chunks differ in one S spin (Gray code);
+* each side is histogrammed per S state, and the sides meet in one matrix
+  product over S's states and one bincount into the flat DOS.  Every count
+  is an integer below 2^27, so float64 keeps it exact;
+* the planner tries, from every site, an S of one or two BFS layers, with A
+  the layers between them; a site bonded to every other site (the field's
+  ghost) is always in S.  It takes the cheapest such separator when its cost
+  (2^(|S| - 1) (2^|A| + 2^|B|) keys, the histogram bins and the product's
+  multiply-adds) beats the split's 2^(N - 1) keys, and the split otherwise,
+  or when the split is at most one chunk (2^16 keys);
+* the low/high split is the same engine with A the first min(N - 1, 14)
+  sites, S the rest (the top spin among them) and B empty: A's rows then
+  share one histogram.
+
+On the 24-site tori of criterion 1 a separator counts 34 816 (2 x 12),
+69 632 (3 x 8) and 264 192 (4 x 6) keys against the split's 8 388 608, and
+a build takes 1-2 ms where the split takes 20-25 ms (2-vCPU x86-64).  A
+chunk holds at most 2^16 int64 keys per side, and a build's allocations peak
+at 0.6-1.3 MiB on those tori and at ~2 MiB for a split of 24 sites or more.
 
 The partition function is then a max-shifted log-sum-exp over the occupied
 bins, each bin's energy read off its group counts.  The density of states
 is structural (independent of the coupling values), so it is cached per
-graph shape.
+graph shape, with its groups in one canonical order.
 
 The matching row transfer builds the Pell(width) ways to label the cells of
 one row once (covered from above, starting a dimer down, or half of a dimer
@@ -47,7 +59,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,11 +67,18 @@ from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, Red
                    finite, log_sum)
 
 MAX_ENUM_SITES = 26
-# sites in the low half of the DOS split (low states are held as uint16)
+# sites in the low half of the DOS split, and the most on either side of a
+# separator plan: a side's tables hold at most 2^14 int64 keys each
 _LOW_BITS = 14
-# log2 of the configurations handled per numpy chunk: 2^16 narrow keys and
-# their scratch buffers stay in L2 cache, reused by every chunk of a build
+# log2 of the keys per numpy chunk of a side: 2^16 int64 keys and their
+# histogram rows stay in L2 cache, in buffers reused by every chunk of a
+# build.  A build of at most one chunk of split keys is not planned
 _CHUNK_BITS = 16
+# a separator's join of its two sides: at most this many (A bin, B bin)
+# pairs, and the cost of one multiply-add of its product against one key
+# (~3 ns a key, 2-vCPU x86-64)
+_JOIN_BINS = 1 << 16
+_MAC_COST = 1 / 8
 
 # structural density-of-states cache: key -> flat int64 array, oldest first.
 # Past _DOS_CACHE_BYTES the oldest entries are evicted (a criterion-1 entry
@@ -104,96 +123,251 @@ def _group_edges(edges) -> List[Tuple[float, int, Tuple[Tuple[int, int], ...]]]:
     return [(k, c, tuple(pairs)) for (k, c), pairs in sorted(grouped.items())]
 
 
-def _bond_counts(states: np.ndarray, offset: int, width: int,
-                 edge_groups: Sequence[Tuple[Tuple[int, int], ...]],
-                 strides: Sequence[int]) -> np.ndarray:
-    """Partial keys of `states`, the bit patterns of sites offset..offset+width-1:
-    stride-weighted antiparallel counts of the bonds with both ends inside
-    that window."""
-    key = np.zeros(states.shape, dtype=np.int64)
-    for stride, edges in zip(strides, edge_groups):
-        acc = np.zeros(states.shape, dtype=np.int64)
-        for a, b in edges:
-            if offset <= min(a, b) and max(a, b) < offset + width:
-                acc += ((states >> (a - offset)) ^ (states >> (b - offset))) & 1
-        key += stride * acc
-    return key
+# a plan (S, A, B) of a DOS build: sites S whose removal leaves A and B with
+# no bond between them
+_Plan = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
 
-def _cross_layers(n_low: int, edges) -> List[List[Tuple[int, int]]]:
-    """Split the (low, high) bonds crossing the split into layers in which no
-    two bonds share a low endpoint."""
-    layers: List[List[Tuple[int, int]]] = []
-    for a, b in edges:
-        a, b = min(a, b), max(a, b)
-        if not a < n_low <= b:
-            continue
-        for layer in layers:
-            if all(a != x for x, _ in layer):
-                layer.append((a, b))
-                break
-        else:
-            layers.append([(a, b)])
-    return layers
+def _split_plan(num_sites: int) -> _Plan:
+    """The low/high split as a plan: A the first min(N - 1, _LOW_BITS)
+    sites, S the rest (the top spin among them), B empty."""
+    n_low = min(num_sites - 1, _LOW_BITS)
+    return tuple(range(n_low, num_sites)), tuple(range(n_low)), ()
+
+
+def _separator(num_sites: int,
+               edge_groups: Sequence[Tuple[Tuple[int, int], ...]]) -> Optional[Tuple[float, _Plan]]:
+    """(cost, plan) of the cheapest separator made of one or two BFS layers
+    from some site, or None when there is none to try.
+
+    Sites bonded to every other site (the field's ghost) are always in S, and
+    the BFS runs around them.  With root r and layers L_d, L_e (d < e; L_0 is
+    empty, so d = 0 is a single layer), S is L_d and L_e, A the layers
+    between them and B the rest: a bond joins sites at most one layer apart,
+    so none joins A to B.  A plan's cost counts its keys 2^(|S| - 1)
+    (2^|A| + 2^|B|), its histogram bins per S state, the multiply-adds of
+    the product that joins the two sides, and the join's bins.  Each side
+    holds at most _LOW_BITS sites, S at most _CHUNK_BITS + 1, and the join
+    at most _JOIN_BINS bins."""
+    n = num_sites
+    ends = [(a, b, g) for g, pairs in enumerate(edge_groups) for a, b in pairs if a != b]
+    if not ends:
+        return None
+    a, b, group = np.array(ends).T
+    adj = np.zeros((n, n), dtype=bool)
+    adj[a, b] = adj[b, a] = True
+    universal = adj.sum(axis=1) == n - 1
+    roots = np.flatnonzero(~universal)
+    if not len(roots):
+        return None
+    # BFS around U from every root at once: layer[r, u] = 1 + the distance
+    # from root r to site u, `top` past its reach and -1 in U
+    step = adj & ~universal & ~universal[:, None]
+    np.fill_diagonal(step, True)
+    step = step.astype(np.float64)
+    reach = np.eye(n)[roots]
+    layer = np.where(reach > 0, 1, 0)
+    for depth in range(2, n + 1):
+        reach = (reach @ step > 0).astype(np.float64)
+        grown = (reach > 0) & (layer == 0)
+        if not grown.any():
+            break
+        layer[grown] = depth
+    top = int(layer.max()) + 1
+    layer[layer == 0] = top
+    layer[:, universal] = -1
+    size = top + 1
+    # each bond by the layers (lo, hi) of its ends, an end in U taking the
+    # other end's, and (top, 0) inside U.  A's count space holds the bonds
+    # with lo >= d and hi <= e: those with hi <= e less those with lo < d,
+    # as lo < d <= e puts hi <= lo + 1 <= e
+    la, lb = layer[:, a], layer[:, b]
+    lo = np.minimum(np.where(la < 0, top, la), np.where(lb < 0, top, lb))
+    hi = np.maximum(la, lb).clip(0)
+    groups, cells = len(edge_groups), len(roots) * size
+    cell = (group * len(roots) + np.arange(len(roots))[:, None]) * size
+    ends_at = lambda layers: np.bincount((cell + layers).ravel(), minlength=groups * cells)
+    below_hi = ends_at(hi).reshape(groups, len(roots), size).cumsum(axis=2)
+    below_lo = ends_at(lo).reshape(groups, len(roots), size).cumsum(axis=2)
+    # every (d, e) with d < e, per root
+    d, e = np.triu_indices(size, 1)
+    in_a = below_hi[:, :, e] - below_lo[:, :, d - 1] * (d > 0)
+    bonds = np.bincount(group, minlength=groups)[:, None, None]
+    bins_a = np.prod(in_a + 1.0, axis=0)
+    bins_b = np.prod(bonds - in_a + 1.0, axis=0)
+    # sites per layer, then |S|, |A| and |B|
+    count = np.bincount((np.arange(len(roots))[:, None] * size + layer[:, roots]).ravel(),
+                        minlength=cells).reshape(len(roots), size)
+    below = count.cumsum(axis=1)
+    n_a = below[:, e - 1] - below[:, d]
+    n_s = count[:, d] + count[:, e] + universal.sum()
+    n_b = n - n_s - n_a
+    pow2 = 2.0 ** np.arange(-1, n + 1)
+    join = bins_a * bins_b
+    cost = (pow2[n_a + 1] + pow2[n_b + 1] + bins_a + bins_b + join * _MAC_COST) * pow2[n_s] + join
+    cost[(n_s < 1) | (n_s > _CHUNK_BITS + 1) | (n_a > _LOW_BITS) | (n_b > _LOW_BITS)
+         | (join > _JOIN_BINS)] = np.inf
+    r, pair = np.unravel_index(np.argmin(cost), cost.shape)
+    if not math.isfinite(cost[r, pair]):
+        return None
+    d, e = d[pair], e[pair]
+    row = layer[r]
+    sites = lambda where: tuple(int(u) for u in np.flatnonzero(where))
+    return float(cost[r, pair]), (sites((row < 0) | (row == d) | (row == e)),
+                                  sites((row > d) & (row < e)),
+                                  sites((row >= 0) & ((row < d) | (row > e))))
+
+
+def _plan(num_sites: int, edge_groups: Sequence[Tuple[Tuple[int, int], ...]]) -> _Plan:
+    """The plan of a DOS build: the planner's separator when its cost beats
+    the split's 2^(N - 1) keys, else the split.  A build of at most one
+    chunk of split keys is not planned."""
+    if num_sites - 1 > _CHUNK_BITS:
+        best = _separator(num_sites, edge_groups)
+        if best is not None and best[0] < 2.0 ** (num_sites - 1):
+            return best[1]
+    return _split_plan(num_sites)
+
+
+def _linear(weights: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """out[x] = sum_i weights[i] * (bit i of x) for every x < 2^len(weights),
+    by doubling: the states with bit i up are those below 2^i plus weights[i]."""
+    out[0] = 0
+    for i, w in enumerate(weights):
+        np.add(out[:1 << i], w, out=out[1 << i:2 << i])
+    return out
+
+
+def _parities(n_bits: int, bonds) -> np.ndarray:
+    """Weighted antiparallel count of `bonds` [(weight, i, j)] for every
+    pattern of n_bits spins; an end j = -1 is a spin fixed down.  Level i
+    fills the patterns with spin i up and every higher spin down from those
+    below 2^i: each bond to a higher spin turns antiparallel, and each bond
+    to a lower spin flips its parity."""
+    out = np.zeros(1 << n_bits, dtype=np.int64)
+    lower = [[0] * i for i in range(n_bits)]
+    turned = [0] * n_bits
+    for w, i, j in bonds:
+        i, j = max(i, j), min(i, j)
+        turned[i] += w
+        if j >= 0:
+            turned[j] += w
+            lower[i][j] -= 2 * w
+    for i in range(n_bits):
+        up = _linear(lower[i], out[1 << i:2 << i])
+        up += out[:1 << i]
+        up += turned[i]
+    return out
+
+
+class _Side(NamedTuple):
+    """One side of a plan, in its own count space."""
+    bins: int                     # bins of the count space
+    offsets: np.ndarray           # flat DOS index of each bin
+    base: np.ndarray              # key per side state with every S spin down
+    change: list                  # key change per side state as S spin j goes up
+    inner: Optional[np.ndarray]   # key of S's own bonds per S state, on A's side
+
+
+def _side(sites, sep, group_pairs, strides) -> _Side:
+    """The side `sites` of a plan with separator `sep`; group_pairs are the
+    bonds of its count space, strides the flat DOS's.  S's last spin is fixed
+    down."""
+    bit = {site: i for i, site in enumerate(sites)}
+    free = len(sep) - 1
+    s_bit = {site: j if j < free else -1 for j, site in enumerate(sep)}
+    own, inner = [], []
+    to_s = [[0] * len(sites) for _ in range(free)]
+    offsets = np.zeros(1, dtype=np.int64)
+    stride = 1
+    for pairs, dos_stride in zip(group_pairs, strides):
+        for a, b in pairs:
+            if a in s_bit and b in s_bit:
+                inner.append((stride, s_bit[a], s_bit[b]))
+            elif a in s_bit or b in s_bit:
+                s, x = (a, b) if a in s_bit else (b, a)
+                # antiparallel while S spin s is down iff x is up
+                own.append((stride, bit[x], -1))
+                if s_bit[s] >= 0:
+                    to_s[s_bit[s]][bit[x]] += stride
+            else:
+                own.append((stride, bit[a], bit[b]))
+        offsets = np.add.outer(np.arange(len(pairs) + 1) * dos_stride, offsets).ravel()
+        stride *= len(pairs) + 1
+    change: list = [0] * free
+    for j, weights in enumerate(to_s):
+        if any(weights):
+            # S spin j up flips the parity of each of its bonds to the side
+            change[j] = _linear([-2 * w for w in weights],
+                                np.empty(1 << len(sites), dtype=np.int64)) + sum(weights)
+    return _Side(stride, offsets, _parities(len(sites), own), change,
+                 _parities(free, inner) if inner else None)
+
+
+def _count_through(num_sites: int, edge_groups: Sequence[Tuple[Tuple[int, int], ...]],
+                   plan: _Plan) -> np.ndarray:
+    """The density of states counted through `plan` (S, A, B).
+
+    S's last spin is fixed down (spin flip) and its other 2^(|S| - 1) states
+    go in chunks of 2^low: a chunk's keys on a side are its first row doubled
+    over the chunk's low S spins, and consecutive chunks differ in one high S
+    spin (Gray code).  Each side histograms its keys per S state in its own
+    count space, and the sides meet in one matrix product over S's states,
+    exact in float64 as every count is below 2^27.  With B empty, A's rows
+    share one histogram: the low/high split."""
+    sep, side_a, side_b = plan
+    strides = [1]
+    for g in edge_groups:
+        strides.append(strides[-1] * (len(g) + 1))
+    in_b = set(side_b)
+    # a self-loop is never antiparallel and counts nowhere; a bond with an end
+    # in B counts on B's side, every other one (S's own too) on A's
+    on_a = [[(a, b) for a, b in g if a != b and a not in in_b and b not in in_b]
+            for g in edge_groups]
+    on_b = [[(a, b) for a, b in g if a != b and (a in in_b or b in in_b)] for g in edge_groups]
+    halves = [(side_a, on_a), (side_b, on_b)] if side_b else [(side_a, on_a)]
+    sides = [_side(sites, sep, pairs, strides) for sites, pairs in halves]
+    # a chunk holds at most 2^_CHUNK_BITS keys, and histogram bins, a side
+    span = max(max(len(side.base), side.bins if side_b else 1) for side in sides)
+    free = len(sep) - 1
+    low = min(free, max(_CHUNK_BITS - (span - 1).bit_length(), 0))
+    rows = 1 << low if side_b else 1
+    for side in sides:
+        for j in range(low if side_b else 0):
+            # each S state of a chunk keeps a histogram row of its own
+            side.change[j] = side.change[j] + (side.bins << j)
+    tops = [side.base.copy() for side in sides]
+    keys = [np.empty((1 << low, len(side.base)), dtype=np.int64) for side in sides]
+    joined = np.zeros([side.bins for side in sides])
+    for chunk in range(1 << (free - low)):
+        gray = chunk ^ (chunk >> 1)
+        if chunk:
+            j = low + (chunk & -chunk).bit_length() - 1
+            step = np.add if gray >> (j - low) & 1 else np.subtract
+            for top, side in zip(tops, sides):
+                step(top, side.change[j], out=top)
+        hists = []
+        for key, top, side in zip(keys, tops, sides):
+            key[0] = top
+            for j in range(low):
+                np.add(key[:1 << j], side.change[j], out=key[1 << j:2 << j])
+            if side.inner is not None:
+                key += side.inner[gray << low:(gray + 1) << low, None]
+            hists.append(np.bincount(key.ravel(), minlength=rows * side.bins)
+                         .reshape(rows, side.bins).astype(np.float64))
+        joined += hists[0].T @ hists[1] if side_b else hists[0][0]
+    index = sides[0].offsets
+    if side_b:
+        index = np.add.outer(index, sides[1].offsets)
+    dos = np.bincount(index.ravel(), weights=joined.ravel(), minlength=strides[-1])
+    return 2 * dos.astype(np.int64)
 
 
 def _density_of_states(num_sites: int,
                        edge_groups: Sequence[Tuple[Tuple[int, int], ...]]) -> np.ndarray:
     """Joint histogram over the antiparallel-bond count per group, flat
-    with group 0 varying fastest.  Built by the low/high split and spin-flip
-    symmetry described in the module docstring."""
-    strides = [1]
-    for g in edge_groups:
-        strides.append(strides[-1] * (len(g) + 1))
-    total_bins = strides[-1]
-    # the top spin is always high, so spin flip halves every build
-    n_low = min(num_sites - 1, _LOW_BITS)
-    n_high = num_sites - n_low
-
-    lo = np.arange(1 << n_low, dtype=np.int64)
-    key_low = _bond_counts(lo, 0, n_low, edge_groups, strides)
-    # top spin fixed down: 2^(n_high - 1) high states
-    hi = np.arange(1 << (n_high - 1), dtype=np.int64)
-    key_high = _bond_counts(hi, n_low, n_high, edge_groups, strides)
-    lo16 = lo.astype(np.uint16)
-    cross = []
-    for stride, edges in zip(strides, edge_groups):
-        for layer in _cross_layers(n_low, edges):
-            mask = sum(1 << a for a, _ in layer)
-            flip = sum(((hi >> (b - n_low)) & 1) << a for a, b in layer)
-            cross.append((stride, lo16 & np.uint16(mask), flip.astype(np.uint16)))
-
-    # every partial key is at most total_bins - 1, so the narrowest key type
-    # cannot wrap; a chunk of `rows` high states by every low state is one
-    # set of buffers, filled in place.  rows and len(hi) are powers of two,
-    # so every chunk is full
-    key_type = np.uint16 if total_bins <= 1 << 16 else np.uint32
-    key_low = key_low.astype(key_type)
-    key_high = key_high.astype(key_type)
-    rows = min(1 << max(_CHUNK_BITS - n_low, 0), len(hi))
-    key = np.empty((rows, len(lo)), dtype=key_type)
-    xor = np.empty(key.shape, dtype=np.uint16)
-    count = np.empty(key.shape, dtype=np.uint16)
-    product = np.empty(key.shape, dtype=key_type)
-    dos = np.zeros(total_bins, dtype=np.int64)
-    for start in range(0, len(hi), rows):
-        block = slice(start, start + rows)
-        np.add(key_low, key_high[block, None], out=key)
-        for stride, low_bits, flip in cross:
-            np.bitwise_xor(low_bits, flip[block, None], out=xor)
-            # popcount byte by byte (numpy's uint8 popcount is ~3.5x faster
-            # than its uint16 one on x86-64); an entry's byte counts
-            # b0 + 256 b1 become b0 + b1 in place, as
-            # (b0 + 256 b1) * 257 = b0 + 256 (b0 + b1) mod 2^16
-            np.bitwise_count(xor.view(np.uint8), out=count.view(np.uint8))
-            count *= 257
-            count >>= 8
-            if stride == 1:
-                key += count
-            else:
-                key += np.multiply(count, key_type(stride), out=product)
-        dos += np.bincount(key.ravel(), minlength=total_bins)
-    return 2 * dos
+    with group 0 varying fastest, counted through the plan `_plan` picks."""
+    return _count_through(num_sites, edge_groups, _plan(num_sites, edge_groups))
 
 
 def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
@@ -220,6 +394,9 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
     if math.prod(len(pairs) + 1 for _, _, pairs in groups) > (1 << 22):
         return finite(_enumerate_direct(g, h), "ln Z")
 
+    # one canonical group order, by their pairs, keys and stores the DOS, so a
+    # torus at (k_h, k_v) and at (k_v, k_h) shares one
+    groups.sort(key=lambda group: group[2])
     structure = tuple(pairs for _, _, pairs in groups)
     dos = _DOS_CACHE.get((n, structure))
     if dos is None:

@@ -478,6 +478,17 @@ def test_compare_runs_every_route_on_every_small_torus(capsys):
             assert doc["max_pairwise_delta"] <= 1e-10 * abs(doc["log_z"]["oracle"])
 
 
+@pytest.mark.parametrize("rows,cols", [(2, 13), (13, 2)])
+def test_compare_lists_every_route_at_the_oracle_ceiling(capsys, rows, cols):
+    # 26 sites, the oracle's ceiling: its DOS is counted through a separator
+    code, out, err = _run(capsys, "compare", "--rows", str(rows), "--cols", str(cols),
+                          "--kh", "0.3", "--kv", "0.6")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert list(doc["log_z"]) == ["oracle", "transfer", "kaufman", "pfaffian", "kacward"]
+    assert doc["max_pairwise_delta"] <= 1e-12 * abs(doc["log_z"]["oracle"])
+
+
 def test_compare_on_the_free_grid_has_too_few_methods(capsys):
     code, out, err = _run(capsys, "compare", "--bc", "free", "--rows", "3", "--cols", "3",
                           "--kh", "0.3", "--kv", "0.3")

@@ -26,9 +26,13 @@ from isingexact.oracle import (
     count_matchings_graph,
     enumerate_partition_graph,
     hafnian,
+    _count_through,
     _density_of_states,
     _enumerate_direct,
     _group_edges,
+    _plan,
+    _separator,
+    _split_plan,
 )
 
 
@@ -65,6 +69,34 @@ def reference_density_of_states(num_sites, edge_groups):
 
 def _edge_structure(edges):
     return tuple(pairs for _, _, pairs in _group_edges(edges))
+
+
+def split_kernel(num_sites, edge_groups):
+    """The density of states by the low/high split, whatever the plan would be."""
+    return _count_through(num_sites, edge_groups, _split_plan(num_sites))
+
+
+def _torus_structure(m, n, k_h, k_v):
+    g = build_lattice_graph(LatticeSpec(m, n), ReducedCouplings(k_h=k_h, k_v=k_v))
+    return g.num_sites, _edge_structure(g.edges)
+
+
+def _chain_field_structure(n, closed):
+    # the chain's groups and then the field's ghost group, as
+    # enumerate_partition_graph builds them
+    spec = LatticeSpec(1, n, geometry="chain", boundary="torus" if closed else "free")
+    g = build_lattice_graph(spec, ReducedCouplings(k_h=0.4, k_v=0.0))
+    return n + 1, _edge_structure(g.edges) + (tuple((i, n) for i in range(n)),)
+
+
+def _assert_separates(plan, num_sites, edge_groups):
+    """S, A and B partition the sites, S is not empty and no bond joins A to B."""
+    sep, side_a, side_b = plan
+    assert sep and sorted(sep + side_a + side_b) == list(range(num_sites))
+    in_a, in_b = set(side_a), set(side_b)
+    for pairs in edge_groups:
+        for a, b in pairs:
+            assert not ({a, b} & in_a and {a, b} & in_b), (a, b)
 
 
 @st.composite
@@ -119,7 +151,7 @@ def test_density_of_states_matches_per_bond_reference(graph, with_field, low_bit
     with mock.patch.object(oracle, "_LOW_BITS", low_bits), \
             mock.patch.object(oracle, "_CHUNK_BITS",
                               _chunk_bits(rows_per_chunk, sites, low_bits)):
-        dos = _density_of_states(sites, structure)
+        dos = split_kernel(sites, structure)
     ref = reference_density_of_states(sites, structure)
     assert dos.dtype == np.int64
     np.testing.assert_array_equal(dos, ref)
@@ -132,15 +164,16 @@ def test_density_of_states_matches_per_bond_reference(graph, with_field, low_bit
 
 @pytest.mark.parametrize("k_v", [0.31, 0.57])
 def test_density_of_states_twenty_site_torus(k_v):
-    # 20 sites leave six high bits past the default split
+    # 20 sites leave six high bits past the default split (the plan would
+    # take a separator)
     g = build_lattice_graph(LatticeSpec(4, 5), ReducedCouplings(k_h=0.31, k_v=k_v))
     structure = _edge_structure(g.edges)
-    np.testing.assert_array_equal(_density_of_states(20, structure),
+    np.testing.assert_array_equal(split_kernel(20, structure),
                                   reference_density_of_states(20, structure))
 
 
 def _past_the_uint16_keys():
-    # nine groups of three bonds on 16 sites: 4^9 bins, so uint32 keys
+    # nine groups of three bonds on 16 sites: 4^9 bins, past 2^16 keys of a chunk
     rng = np.random.default_rng(11)
     pairs = list(itertools.combinations(range(16), 2))
     picks = rng.choice(len(pairs), size=27, replace=False)
@@ -158,9 +191,10 @@ def _one_high_state():
 
 def _group_across_the_split_in_two_layers():
     # with 4 low sites, group 1 crosses the split by (0, 5), (0, 6) and
-    # (2, 7): (0, 5) and (0, 6) share their low endpoint, so two layers
+    # (2, 7): (0, 5) and (0, 6) share their low endpoint, so the changes of
+    # two high spins both flip a bond at low site 0
     structure = (((0, 1), (4, 5), (3, 7)), ((0, 5), (0, 6), (2, 7), (1, 2)), ((6, 7),))
-    assert len(oracle._cross_layers(4, structure[1])) == 2
+    assert [b for a, b in structure[1] if a == 0] == [5, 6]
     return 8, structure
 
 
@@ -175,19 +209,133 @@ def test_density_of_states_kernel_cases(case, low_bits, rows_per_chunk):
     with mock.patch.object(oracle, "_LOW_BITS", low_bits), \
             mock.patch.object(oracle, "_CHUNK_BITS",
                               _chunk_bits(rows_per_chunk, sites, low_bits)):
-        dos = _density_of_states(sites, structure)
+        dos = split_kernel(sites, structure)
     assert dos.dtype == np.int64
     np.testing.assert_array_equal(dos, reference_density_of_states(sites, structure))
 
 
 def test_density_of_states_peak_memory():
-    # one build on the 4 x 5 torus (two bond groups) lives in a few
-    # cache-sized chunk buffers, ~1.3 MiB in all; int64 keys for 2^20 states
-    # alone would take 8 MiB
+    # one split build on the 4 x 5 torus (two bond groups) lives in a few
+    # cache-sized chunk buffers and key tables of the low half; int64 keys
+    # for 2^20 states alone would take 8 MiB
     g = build_lattice_graph(LatticeSpec(4, 5), ReducedCouplings(k_h=0.31, k_v=0.57))
     structure = _edge_structure(g.edges)
-    peak, _ = peak_bytes(lambda: _density_of_states(20, structure))
+    peak, _ = peak_bytes(lambda: split_kernel(20, structure))
     assert peak < 4 << 20
+
+
+def test_separator_build_peak_memory():
+    # the two-group 4 x 6 torus through its separator: per-S-state histograms
+    # in each side's own count space, in chunks, and the join of the two
+    sites, structure = _torus_structure(4, 6, 0.31, 0.57)
+    assert _plan(sites, structure)[2]
+    peak, dos = peak_bytes(lambda: _density_of_states(sites, structure))
+    assert peak < 4 << 20
+    assert dos.sum() == 2 ** 24
+
+
+def _square_tori():
+    # every square torus of at most 24 sites, both ways round
+    return [(m, n) for m in range(1, 25) for n in range(1, 25) if m * n <= 24]
+
+
+@pytest.mark.parametrize("m,n", _square_tori())
+def test_density_of_states_of_every_torus_matches_the_split(m, n):
+    # one group (two where a side of 2 doubles a bond) and two groups
+    for k_h, k_v in ((0.3, 0.3), (0.3, 0.5)):
+        sites, structure = _torus_structure(m, n, k_h, k_v)
+        np.testing.assert_array_equal(_density_of_states(sites, structure),
+                                      split_kernel(sites, structure))
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_density_of_states_of_every_field_chain_matches_the_split(closed):
+    for n in range(2, 21):
+        sites, structure = _chain_field_structure(n, closed)
+        np.testing.assert_array_equal(_density_of_states(sites, structure),
+                                      split_kernel(sites, structure))
+
+
+@pytest.mark.parametrize("m,n,k_v", [(2, 12, 0.3), (3, 8, 0.3), (3, 8, 0.5), (4, 6, 0.3),
+                                     (4, 6, 0.5)])
+def test_the_largest_crossval_tori_take_a_separator(m, n, k_v):
+    g = build_lattice_graph(LatticeSpec(m, n), ReducedCouplings(k_h=0.3, k_v=k_v))
+    with mock.patch.object(oracle, "_count_through", wraps=_count_through) as count, \
+            mock.patch.object(oracle, "_split_plan", wraps=_split_plan) as split, \
+            mock.patch.dict(oracle._DOS_CACHE, clear=True):
+        enumerate_partition_graph(g)
+    assert count.call_count == 1 and not split.called
+    sites, structure, plan = count.call_args.args
+    sep, side_a, side_b = plan
+    assert side_a and side_b
+    _assert_separates(plan, sites, structure)
+    # 2^(|S| - 1) (2^|A| + 2^|B|) keys, far below the split's 2^23
+    assert 2 ** (len(sep) - 1) * (2 ** len(side_a) + 2 ** len(side_b)) <= 2 ** 19
+
+
+def _field_structure(n, edges):
+    return n + 1, _edge_structure(edges) + (tuple((i, n) for i in range(n)),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=spin_graphs(), with_field=st.booleans())
+@example(graph=_ring(13), with_field=True)
+@example(graph=(1, ((0, 0, 0.3),)), with_field=True)
+def test_separator_engine_matches_per_bond_reference(graph, with_field):
+    n, edges = graph
+    sites, structure = _field_structure(n, edges) if with_field else (n, _edge_structure(edges))
+    # no separator within the planner's bounds (no bond but self-loops, say)
+    # leaves the split
+    best = _separator(sites, structure)
+    plan = _split_plan(sites) if best is None else best[1]
+    _assert_separates(plan, sites, structure)
+    if with_field:
+        assert n in plan[0]
+    np.testing.assert_array_equal(_count_through(sites, structure, plan),
+                                  reference_density_of_states(sites, structure))
+
+
+def test_planner_on_a_disconnected_graph():
+    # two rings of ten sites: one site of the first ring separates it from
+    # the second, which needs no separator of its own
+    edges = [(i, (i + 1) % 10, 0.3) for i in range(10)]
+    edges += [(10 + i, 10 + (i + 1) % 10, 0.3) for i in range(10)]
+    structure = _edge_structure(edges)
+    plan = _plan(20, structure)
+    _assert_separates(plan, 20, structure)
+    sep, side_a, side_b = plan
+    assert 2 ** (len(sep) - 1) * (2 ** len(side_a) + 2 ** len(side_b)) <= 2 ** 12
+    np.testing.assert_array_equal(_density_of_states(20, structure), split_kernel(20, structure))
+
+
+def test_planner_with_self_loops_and_parallel_edges():
+    # a ring of 18 sites with a self-loop on every third site, a doubled bond
+    # and one pair in two groups
+    edges = [(i, (i + 1) % 18, 0.3) for i in range(18)]
+    edges += [(i, i, 0.7) for i in range(0, 18, 3)] + [(4, 5, 0.3), (7, 8, -0.5)]
+    structure = _edge_structure(edges)
+    plan = _plan(18, structure)
+    assert plan[2]
+    _assert_separates(plan, 18, structure)
+    np.testing.assert_array_equal(_density_of_states(18, structure),
+                                  reference_density_of_states(18, structure))
+
+
+@pytest.mark.parametrize("n,closed", [(17, False), (20, True)])
+def test_planner_keeps_the_field_ghost_in_the_separator(n, closed):
+    sites, structure = _chain_field_structure(n, closed)
+    plan = _plan(sites, structure)
+    assert n in plan[0] and plan[2]
+    _assert_separates(plan, sites, structure)
+
+
+def test_complete_graph_takes_the_split():
+    # every site is bonded to every other: S would be every site
+    structure = _edge_structure([(a, b, 0.3) for a, b in itertools.combinations(range(16), 2)])
+    assert _separator(16, structure) is None
+    assert _plan(16, structure) == _split_plan(16)
+    np.testing.assert_array_equal(_density_of_states(16, structure),
+                                  reference_density_of_states(16, structure))
 
 
 def test_single_bond():
@@ -264,6 +412,21 @@ def test_ghost_past_the_split_matches_direct_sum():
             assert enumerate_partition_graph(g, h) == pytest.approx(
                 _enumerate_direct(g, h), rel=1e-12)
         assert len(oracle._DOS_CACHE) == 1
+
+
+def test_one_dos_per_torus_whatever_the_coupling_order():
+    # 3 x 4 at (0.3, 0.5) and at (0.5, 0.3): one canonical group order, so the
+    # second call reads the first one's density of states
+    spec = LatticeSpec(3, 4)
+    first = build_lattice_graph(spec, ReducedCouplings(k_h=0.3, k_v=0.5))
+    swapped = build_lattice_graph(spec, ReducedCouplings(k_h=0.5, k_v=0.3))
+    with mock.patch.dict(oracle._DOS_CACHE, clear=True):
+        enumerate_partition_graph(first)
+        log_z = enumerate_partition_graph(swapped)
+        assert len(oracle._DOS_CACHE) == 1
+        oracle._DOS_CACHE.clear()
+        assert enumerate_partition_graph(swapped) == log_z
+    assert log_z == pytest.approx(naive_log_z(swapped), rel=1e-12)
 
 
 def test_dos_cache_evicts_the_oldest_past_its_byte_bound(monkeypatch):
