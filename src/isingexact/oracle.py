@@ -138,7 +138,7 @@ def _split_plan(num_sites: int) -> _Plan:
 def _separator(num_sites: int,
                edge_groups: Sequence[Tuple[Tuple[int, int], ...]]) -> Optional[Tuple[float, _Plan]]:
     """(cost, plan) of the cheapest separator made of one or two BFS layers
-    from some site, or None when there is none to try.
+    from some site, or None when none is within the bounds below.
 
     Sites bonded to every other site (the field's ghost) are always in S, and
     the BFS runs around them.  With root r and layers L_d, L_e (d < e; L_0 is

@@ -81,12 +81,14 @@ def _torus_structure(m, n, k_h, k_v):
     return g.num_sites, _edge_structure(g.edges)
 
 
+def _field_structure(n, edges):
+    # the graph's groups and then the field's ghost group, site n
+    return n + 1, _edge_structure(edges) + (tuple((i, n) for i in range(n)),)
+
+
 def _chain_field_structure(n, closed):
-    # the chain's groups and then the field's ghost group, as
-    # enumerate_partition_graph builds them
     spec = LatticeSpec(1, n, geometry="chain", boundary="torus" if closed else "free")
-    g = build_lattice_graph(spec, ReducedCouplings(k_h=0.4, k_v=0.0))
-    return n + 1, _edge_structure(g.edges) + (tuple((i, n) for i in range(n)),)
+    return _field_structure(n, build_lattice_graph(spec, ReducedCouplings(k_h=0.4, k_v=0.0)).edges)
 
 
 def _assert_separates(plan, num_sites, edge_groups):
@@ -173,7 +175,8 @@ def test_density_of_states_twenty_site_torus(k_v):
 
 
 def _past_the_uint16_keys():
-    # nine groups of three bonds on 16 sites: 4^9 bins, past 2^16 keys of a chunk
+    # nine groups of three bonds on 16 sites: 4^9 bins, more than the 2^16
+    # keys of a chunk
     rng = np.random.default_rng(11)
     pairs = list(itertools.combinations(range(16), 2))
     picks = rng.choice(len(pairs), size=27, replace=False)
@@ -271,10 +274,6 @@ def test_the_largest_crossval_tori_take_a_separator(m, n, k_v):
     _assert_separates(plan, sites, structure)
     # 2^(|S| - 1) (2^|A| + 2^|B|) keys, far below the split's 2^23
     assert 2 ** (len(sep) - 1) * (2 ** len(side_a) + 2 ** len(side_b)) <= 2 ** 19
-
-
-def _field_structure(n, edges):
-    return n + 1, _edge_structure(edges) + (tuple((i, n) for i in range(n)),)
 
 
 @settings(max_examples=60, deadline=None)
