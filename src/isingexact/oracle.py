@@ -111,7 +111,9 @@ class WeightedGraph:
 
 def _group_edges(edges) -> List[Tuple[float, int, Tuple[Tuple[int, int], ...]]]:
     """Collapse identical parallel edges into multiplicities, then group by
-    (coupling, multiplicity).  Returns [(k, mult, ((a,b), ...)), ...]."""
+    (coupling, multiplicity).  Returns [(k, mult, ((a,b), ...)), ...], each
+    group's pairs sorted; enumerate_partition_graph puts the groups in its
+    one canonical order."""
     mult = Counter()
     for a, b, k in edges:
         if a > b:
@@ -120,7 +122,7 @@ def _group_edges(edges) -> List[Tuple[float, int, Tuple[Tuple[int, int], ...]]]:
     grouped: Dict[Tuple[float, int], List[Tuple[int, int]]] = {}
     for (a, b, k), c in sorted(mult.items()):
         grouped.setdefault((k, c), []).append((a, b))
-    return [(k, c, tuple(pairs)) for (k, c), pairs in sorted(grouped.items())]
+    return [(k, c, tuple(pairs)) for (k, c), pairs in grouped.items()]
 
 
 # a plan (S, A, B) of a DOS build: sites S whose removal leaves A and B with

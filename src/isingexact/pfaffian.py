@@ -8,7 +8,9 @@ build_dimer_matrix()   -- oriented adjacency matrices of the m x n grid for
 dimer_count_free()     -- the free-grid matching count as one Pfaffian
 dimer_count_torus()    -- the four-Pfaffian combination for torus matchings
 ising_pfaffian_torus() -- ln Z of the Ising torus through the 4-site-block
-                          dimer construction
+                          dimer construction, each Pf^2 checked against its
+                          determinant: the four are one call of spectral's
+                          Kac-Ward kernel, which ising_torus_logdet reads too
 
 Pfaffians are evaluated directly with their sign (never as +-sqrt(det)), so
 the temperature-dependent sign pattern of the four-term combination emerges
@@ -38,7 +40,6 @@ column.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -446,6 +447,11 @@ _A0 = np.array([
 ])
 
 
+def _grid(wrap: float) -> str:
+    """The angle grid of wrap sign +1 (any s > 0) or -1."""
+    return "integer" if wrap > 0 else "half"
+
+
 def ising_torus_logdet(m: int, n: int, z1: float, z2: float,
                        s1: float, s2: float) -> float:
     """Closed-form log determinant of a cluster matrix:
@@ -455,17 +461,9 @@ def ising_torus_logdet(m: int, n: int, z1: float, z2: float,
 
     with t on the integer grid 2 pi r / L for wrap sign +1 and the
     half-integer grid pi (2r+1) / L for wrap sign -1.  This is the Kac-Ward
-    double product with x = z2, y = z1, in its sum-of-squares form; -inf
-    when a factor vanishes."""
-    return _torus_logdets(m, n, z1, z2)["integer" if s1 > 0 else "half",
-                                        "integer" if s2 > 0 else "half"]
-
-
-# the last torus's four determinants are kept, so the four variants of one
-# ising_pfaffian_torus call take them from one call of the Kac-Ward kernel
-@functools.lru_cache(maxsize=1)
-def _torus_logdets(m: int, n: int, z1: float, z2: float) -> dict:
-    return _kacward_log_products(m, n, z2, z1)
+    double product with x = z2, y = z1, in its sum-of-squares form, read
+    from the kernel's four; -inf when a factor vanishes."""
+    return _kacward_log_products(m, n, z2, z1)[_grid(s1), _grid(s2)]
 
 
 def _ising_blocks(m: int, z1: float, z2: float, s1: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -495,10 +493,10 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     where the A_i are the four cluster matrices with wrap-sign choices
     (+,+), (+,-), (-,+), (-,-) and bond fugacities z = tanh k.  Each
     Pfaffian is cross-checked against the closed-form determinant of the
-    same matrix, all four from one Kac-Ward kernel call; a miss is a
-    SelfCheckError.  core.log_sum adds the four log
-    magnitudes, each weighted by its coefficient above, the Pfaffian's sign
-    and -1 for an odd site count.
+    same matrix (ising_torus_logdet), all four from one call of the
+    Kac-Ward kernel; a miss is a SelfCheckError.  core.log_sum adds the four
+    log magnitudes, each weighted by its coefficient above, the Pfaffian's
+    sign and -1 for an odd site count.
     """
     LatticeSpec(m, n)   # rejects sides < 1
     if not (k_h > 0 and k_v > 0):
@@ -509,13 +507,13 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     z1 = math.tanh(k_v)   # row-direction bonds couple neighboring rows
     z2 = math.tanh(k_h)
     closes = _torus_closes(lambda s1: _ising_blocks(m, z1, z2, s1), n)
+    log_dets = _kacward_log_products(m, n, z2, z1)
     # an odd site count flips the global Pfaffian sign (site-ordering
     # permutation parity); the relative sign pattern is unchanged
     parity = -1.0 if (m * n) % 2 else 1.0
-    variants = []
-    for (variant, (s1, s2, weight)), (sign, log_mag) in zip(_TORUS_TERMS.items(), closes):
-        log_det = ising_torus_logdet(m, n, z1, z2, s1, s2)
-        variants.append((variant, parity * weight * sign, log_mag, log_det))
+    variants = [(variant, parity * weight * sign, log_mag, log_dets[_grid(s1), _grid(s2)])
+                for (variant, (s1, s2, weight)), (sign, log_mag)
+                in zip(_TORUS_TERMS.items(), closes)]
     top = max(lm for _, w, lm, _ in variants if w != 0)
     for variant, w, log_mag, log_det in variants:
         # near criticality one wrap-sign matrix is almost singular; its

@@ -10,19 +10,26 @@ Four families of exact products:
 All products are accumulated in log space; raw products overflow already
 around 40 x 40.  The Kac-Ward factor and the triangular bracket are
 core._bracket's critical bracket, a squared gap plus sin^2 terms with
-non-negative slopes, so neither cancels near its critical manifold.  A
-parity-product factor depends on its two angles only through sin^2 of their
-halves, and each grid is closed under theta -> -theta, so the Kac-Ward
-route forms each distinct factor once, about (m/2 + 1)(n/2 + 1) of them,
-and weights it by its multiplicity.  The factors of up to 8 adjacent
-angles phi_j of one multiplicity make a run, whose product
+non-negative slopes, so neither cancels near its critical manifold.
+
+The Kac-Ward route has one kernel, _kacward_log_products, which returns
+the four parity products of a torus on every call; kacward_products,
+kacward_log_z and the Pfaffian's self-check each read its dict.  A
+parity-product factor depends on its two angles only through sin^2 of
+their halves, and each grid is closed under theta -> -theta, so the kernel
+forms each distinct factor once, about (m/2 + 1)(n/2 + 1) of them, and
+weights it by its multiplicity.  The factors of up to 8 adjacent angles
+phi_j of one multiplicity make a run, whose product
 prod_j (r + c_j) = sum_p e_p r^p has coefficients e_p >= 0: one matrix
 product of the row terms' powers [1 r ... r^8] by the runs' coefficients
 gives every run's product without cancellation, and one log serves the
-run.  All four parity products of a torus take one such pass.  A run is
-expanded from its own factors, not from an identity over the whole phi
-grid, so every factor still enters and the route shares nothing with the
-gamma spectrum, which is that identity.
+run.  All four products take one such pass, from two tables kept per
+side: the stacked rows and the stacked runs of both parity grids.  A
+product whose least factor could take a run out of the normal range, or
+with a side past those tables, takes its factors a block at a time.  A
+run is expanded from its own factors, not from an identity over the whole
+phi grid, so every factor still enters and the route shares nothing with
+the gamma spectrum, which is that identity.
 
 The three double products (Kac-Ward, free dimers, triangular) share one
 blocked loop, _blocked_log_sum: it forms at most _BLOCK factors at a time
@@ -146,19 +153,15 @@ def kacward_products(m: int, n: int, k_h: float, k_v: float,
 
     with x = tanh k_h, y = tanh k_v, theta on the row-direction grid
     (parity_v, size m) and phi on the column-direction grid (parity_h,
-    size n).  Each factor is taken in the second form, core._bracket's at
-    t = (x, y, 1): a sum of non-negative terms, so near the critical
-    manifold, where the gap is small, it keeps its digits.  A factor below
-    1e-300 (at theta = phi = 0 on the integer/integer grid, where the
-    float gap is 0) makes the log -inf rather than an exception.  The
-    factors at theta and -theta (and at phi and -phi) are equal, so the
-    (floor(m/2) + 1) x (floor(n/2) + 1) distinct factors at most are formed
-    once and weighted with the multiplicities of their angles, their logs
-    taken a run of up to 8 at a time (_kacward_log_products).
+    size n): the gp product of the kernel, _kacward_log_products, which
+    makes all four.  Each factor is taken in the second form,
+    core._bracket's at t = (x, y, 1): a sum of non-negative terms, so near
+    the critical manifold, where the gap is small, it keeps its digits.
+    -inf where a factor is below 1e-300 (at theta = phi = 0 on the
+    integer/integer grid, where the float gap is 0).
     """
     _check_couplings(k_h, k_v)
-    return _kacward_log_product(m, n, math.tanh(k_h), math.tanh(k_v),
-                                gp.parity_v, gp.parity_h)
+    return _kacward_log_products(m, n, math.tanh(k_h), math.tanh(k_v))[gp.parity_v, gp.parity_h]
 
 
 def _check_couplings(k_h: float, k_v: float) -> None:
@@ -168,8 +171,8 @@ def _check_couplings(k_h: float, k_v: float) -> None:
 
 # factors of one double product (Kac-Ward, free dimers, triangular sum), a
 # 4096 x 4096 grid.  The blocks bound the memory, so this bounds the work:
-# at the ceiling the four Kac-Ward products take 0.01 s (4096 x 4096) and
-# one takes 0.3 s (1 x 2^24), and the triangular sum up to ~0.7 s (2 vCPUs)
+# at the ceiling the four Kac-Ward products take 0.01 s (4096 x 4096) or
+# ~0.9 s (1 x 2^24), and the triangular sum up to ~0.7 s (2 vCPUs)
 MAX_KACWARD_FACTORS = 1 << 24
 # factors per block of a double product: 256 KiB of float64, which fits in L2
 _BLOCK = 1 << 15
@@ -236,9 +239,9 @@ def _folded_grid(parity: str, length: int, start: int = 0,
     return _grid_angles(parity, length, np.arange(start, stop)), weights
 
 
-def _grid_sin_sq(parity: str, length: int, start: int, stop: int):
+def _grid_sin_sq(parity: str, length: int, start: int = 0, stop: int | None = None):
     """sin^2(angle/2) of the folded grid of angle_grid(parity, length) from
-    start to stop, and the multiplicities there."""
+    start to stop (all by default), and the multiplicities there."""
     angles, weights = _folded_grid(parity, length, start, stop)
     return np.sin(0.5 * angles) ** 2, weights
 
@@ -249,25 +252,11 @@ def _read_only(arrays: tuple) -> tuple:
     return arrays
 
 
-# the folded grids of sides up to 4096 (at most 48 KiB each) and the stacked
-# rows and runs built from them are kept: building them cost a small
-# product as much as its sum, and the products of one torus share them
+# the stacked rows and runs of sides up to 4096 (at most ~100 KiB each) are
+# kept, as building them cost a small product as much as its sum, and the
+# torus's four products share them; past it a run pass would rebuild its
+# runs' coefficients on every call
 _CACHED_SIDE = 4096
-_cached_grid_sin_sq = functools.lru_cache(maxsize=64)(
-    lambda parity, length: _read_only(_grid_sin_sq(parity, length, 0,
-                                                   _folded_count(parity, length))))
-
-
-def _grid_terms(parity: str, length: int):
-    """The count of the folded grid of angle_grid(parity, length) and its
-    (sin^2, multiplicities) as a function of a slice of it: a side up to
-    _CACHED_SIDE slices them from the cache, a longer one builds only the
-    part a block asks for."""
-    count = _folded_count(parity, length)
-    if length <= _CACHED_SIDE:
-        sin_sq, weights = _cached_grid_sin_sq(parity, length)
-        return count, lambda part: (sin_sq[part], weights[part])
-    return count, lambda part: _grid_sin_sq(parity, length, part.start, part.stop)
 
 
 # angles per run of the Kac-Ward kernel.  A run's product of at most 8
@@ -301,7 +290,7 @@ def _stacked_rows(length: int) -> tuple:
     """sin^2(angle/2) of the folded grids of angle_grid(p, length), p in
     _PARITIES, laid end to end, and their multiplicities as a matrix with
     one row per grid, zero off its own angles."""
-    grids = [_cached_grid_sin_sq(parity, length) for parity in _PARITIES]
+    grids = [_grid_sin_sq(parity, length) for parity in _PARITIES]
     weights = np.zeros((len(grids), sum(len(sin_sq) for sin_sq, _ in grids)))
     offset = 0
     for i, (sin_sq, multiplicities) in enumerate(grids):
@@ -322,7 +311,7 @@ def _stacked_runs(length: int) -> tuple:
     row per grid, zero off its own runs."""
     coefficients, degrees, weights = [], [], []
     for i, parity in enumerate(_PARITIES):
-        sin_sq, multiplicities = _cached_grid_sin_sq(parity, length)
+        sin_sq, multiplicities = _grid_sin_sq(parity, length)
         count = len(sin_sq)
         head = 1 if parity == "integer" else 0
         tail = 1 if (parity == "integer") == (length % 2 == 0) and count > head else 0
@@ -379,39 +368,40 @@ def _run_pass(m: int, n: int, terms) -> np.ndarray:
 def _factor_pass(m: int, n: int, terms, parity_v: str, parity_h: str) -> float:
     """The log of one parity product a block of factors r + c at a time,
     summed as sum(w_theta * (log F . w_phi)) so the rows of a tall block add
-    pairwise; -inf once a factor is below 1e-300."""
+    pairwise; -inf once a factor is below 1e-300.  A block builds only its
+    part of each folded grid."""
     gap, s_theta, s_phi = terms
-    rows, row_part = _grid_terms(parity_v, m)
-    cols, col_part = _grid_terms(parity_h, n)
 
     def row_terms(part: slice):
-        sin_sq, weights = row_part(part)
+        sin_sq, weights = _grid_sin_sq(parity_v, m, part.start, part.stop)
         return gap + s_theta * sin_sq, weights
 
     def col_terms(part: slice):
-        sin_sq, weights = col_part(part)
+        sin_sq, weights = _grid_sin_sq(parity_h, n, part.start, part.stop)
         return s_phi * sin_sq, weights
 
-    return float(_blocked_log_sum(rows, cols, row_terms, col_terms,
+    return float(_blocked_log_sum(_folded_count(parity_v, m), _folded_count(parity_h, n),
+                                  row_terms, col_terms,
                                   lambda row, col, out: np.add(row[0][:, None], col[0], out=out),
                                   lambda row, col, logs: np.sum(row[1] * (logs @ col[1])),
                                   1e-300))
 
 
-def _kacward_log_products(m: int, n: int, x: float, y: float, pairs=_PAIRS) -> dict:
-    """The logs of the double products of kacward_products in the
-    fugacities x, y on the (parity_v, parity_h) grid pairs, by pair; -inf
-    where a factor vanishes (below 1e-300).  Only the factors on the folded
-    grids are formed.  Both terms of a factor grow along the folded grids,
-    so a product's least factor is its first row term plus its first column
+def _kacward_log_products(m: int, n: int, x: float, y: float) -> dict:
+    """The Kac-Ward kernel: the logs of the double products of
+    kacward_products in the fugacities x, y on the four (parity_v,
+    parity_h) grid pairs, keyed by pair in _PAIRS order; -inf where a
+    factor vanishes (below 1e-300).  Only the factors on the folded grids
+    are formed.  Both terms of a factor grow along the folded grids, so a
+    product's least factor is its first row term plus its first column
     term, and it decides before any log is taken.  Where all four least
-    factors are at least _LEAST_RUN_FACTOR and both sides are cached, one
-    _run_pass makes all four products, whichever are asked for.  Else each
-    product asked for is -inf below 1e-300 and a _factor_pass otherwise:
-    below _LEAST_RUN_FACTOR a run's product could leave the normal range,
-    and past _CACHED_SIDE a run pass would rebuild its runs' coefficients
-    on every call, which costs more than the runs save when the other side
-    is short (1 x 2^24: 1.9 s for the four products, against 1.4 s)."""
+    factors are at least _LEAST_RUN_FACTOR and both sides are at most
+    _CACHED_SIDE, one _run_pass makes the four products.  Else each is -inf
+    below 1e-300 and a _factor_pass otherwise: below _LEAST_RUN_FACTOR a
+    run's product could leave the normal range, and past _CACHED_SIDE a run
+    pass would rebuild its runs' coefficients on every call, which costs
+    more than the runs save when the other side is short (1 x 2^24: ~2 s
+    for the four products, against ~0.9 s)."""
     LatticeSpec(m, n)   # rejects sides < 1
     _refuse_past_ceiling(m, n, "Kac-Ward")
     gap, (s_theta, s_phi, _) = _bracket((x, y, 1.0), (1.0 - x * x, 1.0 - y * y, 0.0))
@@ -421,22 +411,15 @@ def _kacward_log_products(m: int, n: int, x: float, y: float, pairs=_PAIRS) -> d
     if max(m, n) <= _CACHED_SIDE and min(least.values()) >= _LEAST_RUN_FACTOR:
         logs = _run_pass(m, n, terms)
         return {pair: float(logs[_PARITIES.index(pair[0]), _PARITIES.index(pair[1])])
-                for pair in pairs}
+                for pair in _PAIRS}
     return {pair: -math.inf if least[pair] < 1e-300 else _factor_pass(m, n, terms, *pair)
-            for pair in pairs}
+            for pair in _PAIRS}
 
 
 def _least_sin_sq(parity: str, length: int) -> float:
-    """sin^2(angle/2) of the first angle of the folded grid, its least, as
-    a product's blocks take it."""
-    return float(_grid_terms(parity, length)[1](slice(0, 1))[0][0])
-
-
-def _kacward_log_product(m: int, n: int, x: float, y: float,
-                         parity_v: str, parity_h: str) -> float:
-    """log of the double product of kacward_products in the fugacities
-    x, y on the grids parity_v, parity_h."""
-    return _kacward_log_products(m, n, x, y, [(parity_v, parity_h)])[parity_v, parity_h]
+    """sin^2(angle/2) of the first angle of the folded grid, its least: 0
+    on the integer grid, sin^2(pi/2L) on the half grid."""
+    return 0.0 if parity == "integer" else math.sin(0.5 * math.pi / length) ** 2
 
 
 def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:

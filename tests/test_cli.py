@@ -410,9 +410,11 @@ def test_dense_transfer_past_twelve_columns_exit_code(capsys):
 
 
 def _break_pfaffian_cross_check(monkeypatch):
+    # the Kac-Ward kernel's four determinants, each off by 1e-6
     module = importlib.import_module("isingexact.pfaffian")
-    exact = module.ising_torus_logdet
-    monkeypatch.setattr(module, "ising_torus_logdet", lambda *args: exact(*args) + 1e-6)
+    exact = module._kacward_log_products
+    monkeypatch.setattr(module, "_kacward_log_products",
+                        lambda *args: {pair: log_p + 1e-6 for pair, log_p in exact(*args).items()})
 
 
 def test_pfaffian_cross_check_failure_exit_code(capsys, monkeypatch):

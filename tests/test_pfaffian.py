@@ -618,11 +618,34 @@ def test_sweep_capacity_is_refused_up_front():
         dimer_count_free(1000, 1000)
 
 
-def test_determinant_cross_check_failure_is_a_domain_error(monkeypatch):
-    # isingexact.pfaffian is the re-exported function; patch the module
+def _kernel_calls(monkeypatch, wrong_by=0.0):
+    """Record each torus of pfaffian's calls of the Kac-Ward kernel, and
+    return its four products each off by wrong_by.  isingexact.pfaffian is
+    the re-exported function; patch the module."""
     module = importlib.import_module("isingexact.pfaffian")
-    monkeypatch.setattr(module, "ising_torus_logdet",
-                        lambda *args: ising_torus_logdet(*args) + 1e-6)
+    calls, kernel = [], module._kacward_log_products
+
+    def spy(*args):
+        calls.append(args)
+        return {pair: log_p + wrong_by for pair, log_p in kernel(*args).items()}
+
+    monkeypatch.setattr(module, "_kacward_log_products", spy)
+    return calls
+
+
+@pytest.mark.parametrize("m,n", [(4, 4), (3, 5), (6, 2)])
+def test_pfaffian_self_check_makes_one_kernel_call(m, n, monkeypatch):
+    # the four determinants are one call of the kernel, and a second call
+    # on the same torus makes its own: no cache answers it
+    calls = _kernel_calls(monkeypatch)
+    first = ising_pfaffian_torus(m, n, 0.3, 0.6)
+    assert len(calls) == 1
+    assert ising_pfaffian_torus(m, n, 0.3, 0.6) == first
+    assert len(calls) == 2 and calls[0] == calls[1]
+
+
+def test_determinant_cross_check_failure_is_a_domain_error(monkeypatch):
+    _kernel_calls(monkeypatch, wrong_by=1e-6)
     with pytest.raises(DomainError, match=r"torus1: Pfaffian\^2 gives log det .*, the closed form"):
         ising_pfaffian_torus(4, 4, 0.3, 0.3)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_kacward_product_against_mpmath, mp_kacward_log_product, peak_bytes
+from conftest import assert_kacward_product_against_mpmath, peak_bytes
 from isingexact.core import (CapacityError, DomainError, K_CRIT, LatticeSpec, ReducedCouplings,
                              _dimer_count, angle_grid, dual_coupling)
 from isingexact.oracle import MatchingWeights, build_lattice_graph, count_matchings, enumerate_partition_graph
@@ -16,7 +16,9 @@ from isingexact.spectral import (
     MAX_KACWARD_FACTORS,
     GridParity,
     _folded_grid,
-    _kacward_log_product,
+    _grid_sin_sq,
+    _kacward_log_products,
+    _least_sin_sq,
     _stacked_runs,
     dimer_count_free,
     gamma_spectrum,
@@ -120,14 +122,32 @@ def test_kacward_against_oracle(m, n, kh, kv):
 
 
 def _mp_kacward_log_z(m, n, kh, kv):
-    """kacward_log_z's four parity products at 50 digits, on the float
-    couplings."""
+    """kacward_log_z's four parity products at 80 digits, on the float
+    couplings, each column product in closed form: with the row term
+    A_r = (1 + x^2)(1 + y^2) - 2y(1 - x^2) cos theta_r, d = 2x(1 - y^2) > 0
+    and cosh u = A_r / d (A_r >= d, as every factor is >= 0),
+
+        prod_c (A_r - d cos(2 pi (c + delta) / n)) = (d/2)^n (2 cosh nu - 2 cos 2 pi delta)
+
+    for the column grid's offset delta, 0 or 1/2.  So a product is m terms.
+    Near K_c the integer/integer zero mode A_0 - d is ~1e-32, of which 80
+    digits keep ~48."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
+    with mpmath.workdps(80):
         kh, kv = mpmath.mpf(kh), mpmath.mpf(kv)
         x, y = mpmath.tanh(kh), mpmath.tanh(kv)
+        a, b, d = (1 + x * x) * (1 + y * y), 2 * y * (1 - x * x), 2 * x * (1 - y * y)
+        offset = {"integer": 0, "half": mpmath.mpf(1) / 2}
+        logs = {}
+        for parity_v in offset:
+            # 2 cosh nu of each row serves both column grids
+            rows = [2 * mpmath.cosh(n * mpmath.acosh(
+                (a - b * mpmath.cospi(2 * (r + offset[parity_v]) / m)) / d)) for r in range(m)]
+            for parity_h in offset:
+                logs[parity_v, parity_h] = m * n * mpmath.log(d / 2) + mpmath.fsum(
+                    mpmath.log(row - 2 * mpmath.cospi(2 * offset[parity_h])) for row in rows)
         signs = (mpmath.sign(mpmath.sinh(2 * kh) * mpmath.sinh(2 * kv) - 1), 1, 1, 1)
-        total = mpmath.fsum(sign * mpmath.exp(mp_kacward_log_product(m, n, x, y, *parities)[0] / 2)
+        total = mpmath.fsum(sign * mpmath.exp(logs[parities] / 2)
                             for sign, parities in zip(signs, PARITY_PAIRS))
         return float(m * n * mpmath.log(2 * mpmath.cosh(kh) * mpmath.cosh(kv))
                      + mpmath.log(total / 2))
@@ -302,9 +322,10 @@ def test_folded_product_matches_the_unfolded_one(m, n):
              else zip(FOLD_COUPLINGS, FOLD_COUPLINGS))
     for kh, kv in pairs:
         x, y = math.tanh(kh), math.tanh(kv)
+        products = _kacward_log_products(m, n, x, y)
         for parity_v, parity_h in PARITY_PAIRS:
             want, scale = reference_kacward_log_product(m, n, x, y, parity_v, parity_h)
-            got = _kacward_log_product(m, n, x, y, parity_v, parity_h)
+            got = products[parity_v, parity_h]
             if want == -math.inf:
                 assert got == -math.inf
             else:
@@ -323,15 +344,15 @@ def test_widest_product_matches_the_unfolded_one(parity_v, parity_h):
     assert MAX_KACWARD_FACTORS == 1 << 24
     x, y = math.tanh(0.3), math.tanh(0.9)
     want, scale = reference_kacward_log_product(1, 1 << 24, x, y, parity_v, parity_h)
-    # each run of columns builds its own part of the grids: 320 MiB of whole
-    # grids came down to a few blocks, ~1.6 MiB
-    peak, got = peak_bytes(lambda: _kacward_log_product(1, 1 << 24, x, y, parity_v, parity_h))
+    # each run of columns builds its own part of the grids, so the four
+    # products hold a few blocks, ~1.6 MiB
+    peak, got = peak_bytes(lambda: _kacward_log_products(1, 1 << 24, x, y)[parity_v, parity_h])
     assert peak < 3 << 20
     assert abs(got - want) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("call", [
-    lambda: _kacward_log_product(1 << 24, 1, math.tanh(0.3), math.tanh(0.9), "half", "integer"),
+    lambda: _kacward_log_products(1 << 24, 1, math.tanh(0.3), math.tanh(0.9))["half", "integer"],
     # z = 1/golden ratio keeps the strip's count near 1
     lambda: dimer_count_free(2, 1 << 24, MatchingWeights(0.6180339887, 0.6180339887)),
     lambda: triangular_log_z_per_site(1 << 24, 1, ReducedCouplings(0.3, 0.5, 0.2)),
@@ -363,8 +384,9 @@ def test_single_block_product_is_the_one_shot_expression(m):
     for n in range(1, 65):
         for kh, kv in (pairs if max(m, n) <= 8 else [pairs[(64 * m + n) % len(pairs)]]):
             x, y = math.tanh(kh), math.tanh(kv)
+            products = _kacward_log_products(m, n, x, y)
             for parity_v, parity_h in PARITY_PAIRS:
-                assert _kacward_log_product(m, n, x, y, parity_v, parity_h) == \
+                assert products[parity_v, parity_h] == \
                     one_shot_kacward_log_product(m, n, x, y, parity_v, parity_h), (n, kh, kv)
 
 
@@ -433,9 +455,10 @@ def test_runs_cover_the_folded_grid(parity, n):
     for m in (1, 2, 7, 18):
         for kh, kv in ((0.3, 0.9), (K_CRIT, K_CRIT), (5.0, 0.05)):
             x, y = math.tanh(kh), math.tanh(kv)
+            products = _kacward_log_products(m, n, x, y)
             for parity_v in ("integer", "half"):
                 want, scale = reference_kacward_log_product(m, n, x, y, parity_v, parity)
-                got = _kacward_log_product(m, n, x, y, parity_v, parity)
+                got = products[parity_v, parity]
                 assert abs(got - want) <= 1e-13 * scale, (m, kh, kv, parity_v)
 
 
@@ -444,17 +467,17 @@ def test_products_below_the_run_floor_take_factors(m, n, monkeypatch):
     # at (k_h, k_v) = (1e-25, 20), x = 1e-25 and y = 1.0: the float gap is
     # (1e-25)^2 = 1e-50 < 2^-125 and the column terms are 0, so the least
     # factor of the products on the integer row grid is the gap, and a run
-    # of 8 such factors would underflow: each product takes its factors
+    # of 8 such factors would underflow: the one call of the kernel takes
+    # each of the four products factor by factor
     x, y = math.tanh(1e-25), math.tanh(20.0)
     assert (x, y) == (1e-25, 1.0)
     factors, runs = _spy(monkeypatch, "_factor_pass"), _spy(monkeypatch, "_run_pass")
-    for parity_v, parity_h in PARITY_PAIRS:
-        factors.clear()
-        got = _kacward_log_product(m, n, x, y, parity_v, parity_h)
-        assert len(factors) == 1
-        want, scale = reference_kacward_log_product(m, n, x, y, parity_v, parity_h)
-        assert abs(got - want) <= 1e-13 * scale, (parity_v, parity_h)
+    products = _kacward_log_products(m, n, x, y)
+    assert [args[3:] for args, _ in factors] == PARITY_PAIRS
     assert not runs
+    for parity_v, parity_h in PARITY_PAIRS:
+        want, scale = reference_kacward_log_product(m, n, x, y, parity_v, parity_h)
+        assert abs(products[parity_v, parity_h] - want) <= 1e-13 * scale, (parity_v, parity_h)
 
 
 def test_kacward_log_z_peak_allocation():
@@ -468,7 +491,7 @@ def test_kacward_product_peak_allocation():
     # the one-shot 2048 x 2048 product allocated its 1025 x 1024 folded grid
     # at once, 8.4 MiB; blocked, it holds one block of 2^15 factors
     x = math.tanh(0.3)
-    peak, got = peak_bytes(lambda: _kacward_log_product(2048, 2048, x, x, "integer", "half"))
+    peak, got = peak_bytes(lambda: _kacward_log_products(2048, 2048, x, x)["integer", "half"])
     assert peak < 1 << 20
     want, scale = reference_kacward_log_product(2048, 2048, x, x, "integer", "half")
     assert abs(got - want) <= 1e-13 * scale
@@ -478,8 +501,9 @@ def test_kacward_product_peak_allocation():
 def test_folded_product_vanishes_at_criticality(m, n):
     # the fugacities (x, y) = (0, 1) are on the critical manifold, and their
     # gap is exactly 0: every factor at theta = 0 vanishes, and no other
+    products = _kacward_log_products(m, n, 0.0, 1.0)
     for parity_v, parity_h in PARITY_PAIRS:
-        got = _kacward_log_product(m, n, 0.0, 1.0, parity_v, parity_h)
+        got = products[parity_v, parity_h]
         want, scale = reference_kacward_log_product(m, n, 0.0, 1.0, parity_v, parity_h)
         if parity_v == "integer":
             assert got == want == -math.inf
@@ -488,7 +512,7 @@ def test_folded_product_vanishes_at_criticality(m, n):
     # at the float K_CRIT the gap is ~2e-16, not 0: the product keeps its
     # true magnitude
     x = math.tanh(K_CRIT)
-    got = _kacward_log_product(m, n, x, x, "integer", "integer")
+    got = _kacward_log_products(m, n, x, x)["integer", "integer"]
     want, scale = reference_kacward_log_product(m, n, x, x, "integer", "integer")
     assert abs(got - want) <= 1e-13 * scale
     if m * n <= 100:
@@ -505,6 +529,15 @@ def test_folded_grid_multiplicities(parity):
         folded = np.repeat(np.cos(angles), weights.astype(int))
         assert np.sort(folded) == pytest.approx(np.sort(np.cos(angle_grid(parity, length))),
                                                 abs=1e-14)
+
+
+@pytest.mark.parametrize("parity", ["integer", "half"])
+def test_least_sin_sq_is_the_folded_grids_first(parity):
+    # the kernel takes each product's least factor in closed form, not from
+    # the grid: 0 on the integer grid, sin^2(pi / 2L) on the half grid
+    for length in range(1, 4097):
+        (first,), _ = _grid_sin_sq(parity, length, 0, 1)
+        assert abs(_least_sin_sq(parity, length) - first) <= math.ulp(first), length
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (5, 4), (7, 9), (16, 33)])
