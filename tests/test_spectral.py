@@ -366,7 +366,7 @@ def test_products_at_extreme_aspect_ratios_hold_a_few_blocks(call):
 
 @pytest.mark.parametrize("parity", ["integer", "half"])
 def test_folded_grid_parts_are_the_whole_grid_sliced(parity):
-    # a block builds its part of a grid longer than the cached side alone
+    # each block of the factor pass builds its own part of a grid
     for length in (1, 2, 3, 7, 8, 2048, 2049, 5000, 5001):
         angles, weights = _folded_grid(parity, length)
         count = len(angles)
