@@ -7,13 +7,16 @@ which is the backtracker on the complete graph).
 Every closed-form module in the package is validated against these.
 
 The configuration sum does not loop over 2^N states in Python.  Spins map to
-bits, a bond is (anti)parallel according to the XOR of its two bits, and
-bonds sharing a coupling value are grouped so that only the *number* of
-antiparallel bonds per group matters.  A field h is one more group: bonds of
-strength h from every site to a ghost spin (site N).  Summing the ghost over
-both signs gives 2 Z(h), so ln Z is the ghost graph's ln Z - ln 2.  The
-density of states (DOS) over the group counts is counted through a vertex
-separator, the idea behind nested dissection (George 1973):
+bits, a bond is (anti)parallel according to the XOR of its two bits, and a
+group is one coupling value: only the *number* of antiparallel bonds per
+group matters, so the density of states has one axis per coupling.  A
+parallel bond adds one to its group's axis per copy.  A self-loop is never
+antiparallel, so it is in no group: e^{k s_a s_a} = e^k makes it a constant
+of ln Z.  A field h is one more group: bonds of strength h from every site
+to a ghost spin (site N).  Summing the ghost over both signs gives 2 Z(h), so
+ln Z is the ghost graph's ln Z - ln 2.  The density of states (DOS) over the
+group counts is counted through a vertex separator, the idea behind nested
+dissection (George 1973):
 
 * a plan (S, A, B) is a set S of sites whose removal leaves two sides, A
   and B, with no bond between them.  Flipping every spin keeps every bond
@@ -57,7 +60,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -109,20 +111,16 @@ class WeightedGraph:
 # exhaustive spin sums
 # ---------------------------------------------------------------------------
 
-def _group_edges(edges) -> List[Tuple[float, int, Tuple[Tuple[int, int], ...]]]:
-    """Collapse identical parallel edges into multiplicities, then group by
-    (coupling, multiplicity).  Returns [(k, mult, ((a,b), ...)), ...], each
-    group's pairs sorted; enumerate_partition_graph puts the groups in its
-    one canonical order."""
-    mult = Counter()
+def _group_edges(edges) -> List[Tuple[float, Tuple[Tuple[int, int], ...]]]:
+    """One group per coupling: [(k, ((a, b), ...)), ...], each pair with
+    a < b and each group's pairs sorted.  A parallel bond is in its group
+    once per copy; a self-loop is in no group.  enumerate_partition_graph
+    puts the groups in its one canonical order."""
+    grouped: Dict[float, List[Tuple[int, int]]] = {}
     for a, b, k in edges:
-        if a > b:
-            a, b = b, a
-        mult[(a, b, k)] += 1
-    grouped: Dict[Tuple[float, int], List[Tuple[int, int]]] = {}
-    for (a, b, k), c in sorted(mult.items()):
-        grouped.setdefault((k, c), []).append((a, b))
-    return [(k, c, tuple(pairs)) for (k, c), pairs in grouped.items()]
+        if a != b:
+            grouped.setdefault(k, []).append((min(a, b), max(a, b)))
+    return [(k, tuple(sorted(pairs))) for k, pairs in grouped.items()]
 
 
 # a plan (S, A, B) of a DOS build: sites S whose removal leaves A and B with
@@ -152,7 +150,7 @@ def _separator(num_sites: int,
     holds at most _LOW_BITS sites, S at most _CHUNK_BITS + 1, and the join
     at most _JOIN_BINS bins."""
     n = num_sites
-    ends = [(a, b, g) for g, pairs in enumerate(edge_groups) for a, b in pairs if a != b]
+    ends = [(a, b, g) for g, pairs in enumerate(edge_groups) for a, b in pairs]
     if not ends:
         return None
     a, b, group = np.array(ends).T
@@ -310,23 +308,25 @@ def _count_through(num_sites: int, edge_groups: Sequence[Tuple[Tuple[int, int], 
                    plan: _Plan) -> np.ndarray:
     """The density of states counted through `plan` (S, A, B).
 
-    S's last spin is fixed down (spin flip) and its other 2^(|S| - 1) states
-    go in chunks of 2^low: a chunk's keys on a side are its first row doubled
-    over the chunk's low S spins, and consecutive chunks differ in one high S
-    spin (Gray code).  Each side histograms its keys per S state in its own
-    count space, and the sides meet in one matrix product over S's states,
-    exact in float64 as every count is below 2^27.  With B empty, A's rows
-    share one histogram: the low/high split."""
+    edge_groups holds one group per coupling, each pair joining two sites; a
+    parallel bond is in its group once per copy, so an antiparallel one adds
+    one to its group's count per copy.  S's last spin is fixed down (spin
+    flip) and its other 2^(|S| - 1) states go in chunks of 2^low: a chunk's
+    keys on a side are its first row doubled over the chunk's low S spins,
+    and consecutive chunks differ in one high S spin (Gray code).  Each side
+    histograms its keys per S state in its own count space, and the sides
+    meet in one matrix product over S's states, exact in float64 as every
+    count is below 2^27.  With B empty, A's rows share one histogram: the
+    low/high split."""
     sep, side_a, side_b = plan
     strides = [1]
     for g in edge_groups:
         strides.append(strides[-1] * (len(g) + 1))
     in_b = set(side_b)
-    # a self-loop is never antiparallel and counts nowhere; a bond with an end
-    # in B counts on B's side, every other one (S's own too) on A's
-    on_a = [[(a, b) for a, b in g if a != b and a not in in_b and b not in in_b]
-            for g in edge_groups]
-    on_b = [[(a, b) for a, b in g if a != b and (a in in_b or b in in_b)] for g in edge_groups]
+    # a bond with an end in B counts on B's side, every other one (S's own
+    # too) on A's
+    on_a = [[(a, b) for a, b in g if a not in in_b and b not in in_b] for g in edge_groups]
+    on_b = [[(a, b) for a, b in g if a in in_b or b in in_b] for g in edge_groups]
     halves = [(side_a, on_a), (side_b, on_b)] if side_b else [(side_a, on_a)]
     sides = [_side(sites, sep, pairs, strides) for sites, pairs in halves]
     # a chunk holds at most 2^_CHUNK_BITS keys, and histogram bins, a side
@@ -388,18 +388,18 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
     groups = _group_edges(g.edges)
     if h != 0.0:
         # the field as bonds to a ghost spin, site n
-        groups.append((h, 1, tuple((i, n) for i in range(n))))
+        groups.append((h, tuple((i, n) for i in range(n))))
         n += 1
 
     # dimensionality guard: fall back to direct energies for pathological
     # graphs where nearly every edge has its own coupling value
-    if math.prod(len(pairs) + 1 for _, _, pairs in groups) > (1 << 22):
+    if math.prod(len(pairs) + 1 for _, pairs in groups) > (1 << 22):
         return finite(_enumerate_direct(g, h), "ln Z")
 
-    # one canonical group order, by their pairs, keys and stores the DOS, so a
-    # torus at (k_h, k_v) and at (k_v, k_h) shares one
-    groups.sort(key=lambda group: group[2])
-    structure = tuple(pairs for _, _, pairs in groups)
+    # one canonical group order, by their pairs and then their coupling, keys
+    # and stores the DOS, so a torus at (k_h, k_v) and at (k_v, k_h) shares one
+    groups.sort(key=lambda group: (group[1], group[0]))
+    structure = tuple(pairs for _, pairs in groups)
     dos = _DOS_CACHE.get((n, structure))
     if dos is None:
         dos = _DOS_CACHE[(n, structure)] = _density_of_states(n, structure)
@@ -409,18 +409,19 @@ def enumerate_partition_graph(g: WeightedGraph, h: float = 0.0) -> float:
                 break
             held -= _DOS_CACHE.pop(key).nbytes
 
-    # energy of each occupied bin: a group with n_g bonds of strength k
-    # (multiplicity c) and c_g antiparallel bonds contributes k*c*(n_g - 2 c_g),
-    # and c_g is peeled off the flat index, group 0 fastest
+    # energy of each occupied bin: a group with n_g bonds of strength k and
+    # c_g antiparallel bonds contributes k*(n_g - 2 c_g), and c_g is peeled
+    # off the flat index, group 0 fastest
     # (an energy past the float range is inf or nan, which finite() refuses)
     occupied = np.flatnonzero(dos)
     energy = np.zeros(occupied.shape)
     rest = occupied
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, c, pairs in groups:
+        for k, pairs in groups:
             rest, count = np.divmod(rest, len(pairs) + 1)
-            energy += k * c * (len(pairs) - 2.0 * count)
-    log_z = log_sum(energy, dos[occupied])
+            energy += k * (len(pairs) - 2.0 * count)
+    # e^{k s_a s_a} = e^k in every configuration
+    log_z = log_sum(energy, dos[occupied]) + sum(k for a, b, k in g.edges if a == b)
     return finite(log_z - math.log(2.0) if h != 0.0 else log_z, "ln Z")
 
 
@@ -459,12 +460,14 @@ def build_lattice_graph(spec: LatticeSpec, c: ReducedCouplings) -> WeightedGraph
     Torus and ring wraps use modular neighbors; a side of length 2 therefore
     carries doubled bonds and a side of length 1 (a ring of one spin too)
     carries self-loops, matching the bond-count conventions of the
-    closed-form products.
+    closed-form products.  In the oracle's count space a doubled bond adds
+    two to its coupling's axis, and a self-loop is a constant of ln Z.
     """
     m, n = spec.rows, spec.cols
     wrap = spec.boundary == "torus"
     wrap_h = wrap or spec.boundary == "cylinder_h"
     wrap_v = wrap or spec.boundary == "cylinder_v"
+    site = lambda i, j: (i % m) * n + (j % n)
     if spec.geometry == "chain":
         edges = []
         for j in range(n - 1):
@@ -479,7 +482,6 @@ def build_lattice_graph(spec: LatticeSpec, c: ReducedCouplings) -> WeightedGraph
         if spec.boundary != "torus":
             raise DomainError("honeycomb embedding is implemented on the torus only")
         edges = []
-        site = lambda i, j: (i % m) * n + (j % n)
         for i in range(m):
             for j in range(n):
                 star = m * n + i * n + j
@@ -492,7 +494,6 @@ def build_lattice_graph(spec: LatticeSpec, c: ReducedCouplings) -> WeightedGraph
         raise DomainError("triangular lattice needs k_d")
 
     edges = []
-    site = lambda i, j: (i % m) * n + (j % n)
     for i in range(m):
         for j in range(n):
             if j + 1 < n or wrap_h:

@@ -16,7 +16,8 @@ from conftest import peak_bytes
 from isingexact import oracle
 from isingexact.core import CapacityError, DomainError, LatticeSpec, ReducedCouplings
 from isingexact.pfaffian import dimer_count_free as dimer_count_free_pf
-from isingexact.spectral import dimer_count_free as dimer_count_free_product
+from isingexact.chain1d import ChainParams, transfer_closed
+from isingexact.spectral import dimer_count_free as dimer_count_free_product, kaufman_partition
 from isingexact.oracle import (
     MatchingWeights,
     WeightedGraph,
@@ -68,7 +69,7 @@ def reference_density_of_states(num_sites, edge_groups):
 
 
 def _edge_structure(edges):
-    return tuple(pairs for _, _, pairs in _group_edges(edges))
+    return tuple(pairs for _, pairs in _group_edges(edges))
 
 
 def split_kernel(num_sites, edge_groups):
@@ -309,7 +310,8 @@ def test_planner_on_a_disconnected_graph():
 
 def test_planner_with_self_loops_and_parallel_edges():
     # a ring of 18 sites with a self-loop on every third site, a doubled bond
-    # and one pair in two groups
+    # and one pair in two groups.  The self-loops are in no group, so they
+    # never reach the planner
     edges = [(i, (i + 1) % 18, 0.3) for i in range(18)]
     edges += [(i, i, 0.7) for i in range(0, 18, 3)] + [(4, 5, 0.3), (7, 8, -0.5)]
     structure = _edge_structure(edges)
@@ -335,6 +337,47 @@ def test_complete_graph_takes_the_split():
     assert _plan(16, structure) == _split_plan(16)
     np.testing.assert_array_equal(_density_of_states(16, structure),
                                   reference_density_of_states(16, structure))
+
+
+def test_repeated_bonds_stay_in_their_couplings_group():
+    # a 24-site open chain, bond i repeated i + 1 times: one coupling, so one
+    # group of 276 bonds and 277 bins, counted through the separator.  A group
+    # per multiplicity would take 2^23 bins, past the direct fallback's limit
+    k = 0.3
+    edges = tuple((i, i + 1, k) for i in range(23) for _ in range(i + 1))
+    with mock.patch.object(oracle, "_enumerate_direct", side_effect=AssertionError), \
+            mock.patch.dict(oracle._DOS_CACHE, clear=True):
+        log_z = enumerate_partition_graph(WeightedGraph(24, edges))
+        ((sites, structure),) = oracle._DOS_CACHE
+    assert sites == 24 and len(structure) == 1 and len(structure[0]) == 276
+    want = math.log(2) + math.fsum(math.log(2 * math.cosh((i + 1) * k)) for i in range(23))
+    assert log_z == pytest.approx(want, rel=1e-15)
+
+
+def test_isotropic_side_two_torus_has_one_group():
+    # 2 x 12 at k_h = k_v: 24 horizontal bonds and 12 doubled vertical ones,
+    # all in one group of 48 bonds
+    k = 0.37
+    g = build_lattice_graph(LatticeSpec(2, 12), ReducedCouplings(k_h=k, k_v=k))
+    with mock.patch.dict(oracle._DOS_CACHE, clear=True):
+        log_z = enumerate_partition_graph(g)
+        (((sites, structure), dos),) = oracle._DOS_CACHE.items()
+    assert sites == 24 and len(structure) == 1 and len(dos) == 49
+    assert log_z == pytest.approx(kaufman_partition(2, 12, k, k), rel=1e-13)
+
+
+def test_side_one_torus_keeps_its_self_loops_out_of_the_count_space():
+    # 1 x 20 in a field: the vertical wraps are self-loops, each a factor e^k_v.
+    # The count space is the ring's 20 bonds and the ghost's 20: 21^2 bins
+    k_h, k_v, h = 0.4, -0.7, 0.25
+    g = build_lattice_graph(LatticeSpec(1, 20), ReducedCouplings(k_h=k_h, k_v=k_v))
+    with mock.patch.dict(oracle._DOS_CACHE, clear=True):
+        log_z = enumerate_partition_graph(g, h)
+        (((sites, structure), dos),) = oracle._DOS_CACHE.items()
+    assert sites == 21 and len(dos) == 21 ** 2
+    assert all(a != b for pairs in structure for a, b in pairs)
+    ring = transfer_closed(ChainParams(n_spins=20, k=k_h, h=h, closed=True))
+    assert log_z == pytest.approx(ring + 20 * k_v, rel=1e-14)
 
 
 def test_single_bond():
