@@ -336,19 +336,27 @@ def test_folded_product_matches_the_unfolded_one(m, n):
                 assert abs(got - want) <= 1e-13 * scale, (kh, kv, parity_v, parity_h)
 
 
-def test_widest_product_matches_the_unfolded_one():
+WIDEST_COUPLINGS = (math.tanh(0.3), math.tanh(0.9))
+
+
+@pytest.fixture(scope="module")
+def widest_products():
     # 1 x 2^24, the ceiling: 2^23 + 1 (integer grid) or 2^23 folded factors
     # in blocks of one row's run of 2^15 columns, the integer grid's last
-    # block a single column
+    # block a single column. One kernel call makes the four products that
+    # the four parity cases check
+    return peak_bytes(lambda: _kacward_log_products(1, 1 << 24, *WIDEST_COUPLINGS))
+
+
+@pytest.mark.parametrize("parity_v,parity_h", PARITY_PAIRS)
+def test_widest_product_matches_the_unfolded_one(widest_products, parity_v, parity_h):
     assert MAX_KACWARD_FACTORS == 1 << 24
-    x, y = math.tanh(0.3), math.tanh(0.9)
     # each run of columns builds its own part of the grids, so the four
     # products hold a few blocks, ~1.6 MiB
-    peak, products = peak_bytes(lambda: _kacward_log_products(1, 1 << 24, x, y))
+    peak, products = widest_products
     assert peak < 3 << 20
-    for parity_v, parity_h in PARITY_PAIRS:
-        want, scale = reference_kacward_log_product(1, 1 << 24, x, y, parity_v, parity_h)
-        assert abs(products[parity_v, parity_h] - want) <= 1e-13 * scale, (parity_v, parity_h)
+    want, scale = reference_kacward_log_product(1, 1 << 24, *WIDEST_COUPLINGS, parity_v, parity_h)
+    assert abs(products[parity_v, parity_h] - want) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("call", [
