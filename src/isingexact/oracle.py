@@ -452,6 +452,8 @@ def build_lattice_graph(spec: LatticeSpec, c: ReducedCouplings) -> WeightedGraph
     """Edge list for the requested geometry/boundary.
 
     Square: 4-neighbor bonds (k_h along columns, k_v along rows).
+    Chain: the one-row square without vertical bonds, which a one-row
+    square torus carries as a self-loop per site.
     Triangular: square bonds plus the (i,j)-(i+1,j+1) diagonal with k_d.
     Honeycomb (torus): brick-wall embedding; sites 0..mn-1 form the m x n
     cell grid and site mn + cell is the star center of cell (i,j), attached
@@ -466,16 +468,8 @@ def build_lattice_graph(spec: LatticeSpec, c: ReducedCouplings) -> WeightedGraph
     m, n = spec.rows, spec.cols
     wrap = spec.boundary == "torus"
     wrap_h = wrap or spec.boundary == "cylinder_h"
-    wrap_v = wrap or spec.boundary == "cylinder_v"
+    wrap_v = spec.geometry != "chain" and (wrap or spec.boundary == "cylinder_v")
     site = lambda i, j: (i % m) * n + (j % n)
-    if spec.geometry == "chain":
-        edges = []
-        for j in range(n - 1):
-            edges.append((j, j + 1, c.k_h))
-        if wrap_h:
-            edges.append((n - 1, 0, c.k_h))
-        return WeightedGraph(n, tuple(edges))
-
     if spec.geometry == "honeycomb":
         if c.k_d is None:
             raise DomainError("honeycomb lattice needs all three couplings (k_h, k_v, k_d)")

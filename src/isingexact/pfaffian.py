@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, SelfCheckError,
                    _dimer_count, exp_finite, finite, log_cosh, log_sum)
-from .spectral import _kacward_log_products
+from .spectral import _check_couplings, _kacward_log_products
 
 MAX_DIM = 4096
 _BLOCK = 32   # elimination steps whose trailing updates are applied at once
@@ -84,8 +84,6 @@ def pfaffian(a: np.ndarray) -> Tuple[int, float]:
     scale = float(np.abs(a).max())
     if not np.allclose(a, -a.T, atol=1e-12 * max(scale, 1.0)):
         raise DomainError("matrix is not antisymmetric")
-    if scale == 0.0:
-        return (0, -math.inf)
     sign, log_mag, _ = _eliminate(a, n, scale)
     return (sign, log_mag)
 
@@ -193,8 +191,6 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
         raise CapacityError(f"{n} columns of {b} nodes exceed the Pfaffian sweep ceiling")
     singular = [(0, -math.inf)] * len(wraps)
     scale = float(max(np.abs(d).max(), np.abs(c).max()))
-    if scale == 0.0:
-        return singular
     sign, log_mag = 1, 0.0
     local = _local_nodes(d, c, n, scale)
     if local is not None:
@@ -499,8 +495,7 @@ def ising_pfaffian_torus(m: int, n: int, k_h: float, k_v: float) -> float:
     sign and -1 for an odd site count.
     """
     LatticeSpec(m, n)   # rejects sides < 1
-    if not (k_h > 0 and k_v > 0):
-        raise DomainError("couplings must be positive")
+    _check_couplings(k_h, k_v)
     if m > n:
         # the torus transposed: columns of min(m, n) sites make the fronts small
         m, n, k_h, k_v = n, m, k_v, k_h

@@ -24,12 +24,13 @@ prod_j (r + c_j) = sum_p e_p r^p has coefficients e_p >= 0: one matrix
 product of the row terms' powers [1 r ... r^8] by the runs' coefficients
 gives every run's product without cancellation, and one log serves the
 run.  All four products take one such pass, from two tables kept per
-side: the stacked rows and the stacked runs of both parity grids.  A
-product whose least factor could take a run out of the normal range, or
-with a side past those tables, takes its factors a block at a time.  A
-run is expanded from its own factors, not from an identity over the whole
-phi grid, so every factor still enters and the route shares nothing with
-the gamma spectrum, which is that identity.
+side: the stacked rows and the stacked runs of both parity grids.  The
+gap, the least factor of the four products, decides the pass: where it
+could take a run out of the normal range, or where a side is past those
+tables, each product takes its factors a block at a time.  A run is
+expanded from its own factors, not from an identity over the whole phi
+grid, so every factor still enters and the route shares nothing with the
+gamma spectrum, which is that identity.
 
 The three double products (Kac-Ward, free dimers, triangular) share one
 blocked loop, _blocked_log_sum: it forms at most _BLOCK factors at a time
@@ -394,9 +395,11 @@ def _kacward_log_products(m: int, n: int, x: float, y: float) -> dict:
     factor vanishes (below 1e-300).  Only the factors on the folded grids
     are formed.  Both terms of a factor grow along the folded grids, so a
     product's least factor is its first row term plus its first column
-    term, and it decides before any log is taken.  Where all four least
-    factors are at least _LEAST_RUN_FACTOR and both sides are at most
-    _CACHED_SIDE, one _run_pass makes the four products.  Else each is -inf
+    term, and it decides before any log is taken.  Those terms are the gap
+    and sin^2 terms of non-negative slope, so the least of the four is the
+    integer/integer product's, the gap itself.  Where the gap is at least
+    _LEAST_RUN_FACTOR and both sides are at most _CACHED_SIDE, one _run_pass
+    makes the four products.  Else each is -inf where its least factor is
     below 1e-300 and a _factor_pass otherwise: below _LEAST_RUN_FACTOR a
     run's product could leave the normal range, and past _CACHED_SIDE a run
     pass would rebuild its runs' coefficients on every call, which costs
@@ -406,12 +409,12 @@ def _kacward_log_products(m: int, n: int, x: float, y: float) -> dict:
     _refuse_past_ceiling(m, n, "Kac-Ward")
     gap, (s_theta, s_phi, _) = _bracket((x, y, 1.0), (1.0 - x * x, 1.0 - y * y, 0.0))
     terms = gap, s_theta, s_phi
-    least = {(parity_v, parity_h): (gap + s_theta * _least_sin_sq(parity_v, m))
-             + s_phi * _least_sin_sq(parity_h, n) for parity_v, parity_h in _PAIRS}
-    if max(m, n) <= _CACHED_SIDE and min(least.values()) >= _LEAST_RUN_FACTOR:
+    if max(m, n) <= _CACHED_SIDE and gap >= _LEAST_RUN_FACTOR:
         logs = _run_pass(m, n, terms)
         return {pair: float(logs[_PARITIES.index(pair[0]), _PARITIES.index(pair[1])])
                 for pair in _PAIRS}
+    least = {(parity_v, parity_h): (gap + s_theta * _least_sin_sq(parity_v, m))
+             + s_phi * _least_sin_sq(parity_h, n) for parity_v, parity_h in _PAIRS}
     return {pair: -math.inf if least[pair] < 1e-300 else _factor_pass(m, n, terms, *pair)
             for pair in _PAIRS}
 
@@ -434,16 +437,16 @@ def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:
     term of the spectral four-product, so its square root must re-enter with
     that temperature-dependent sign; near the critical manifold the product
     carries the square of a small gap and the term drops out.  core.log_sum
-    adds the four half-logs with weights (s, 1, 1, 1).  The four products
-    are one call of the kernel.
+    adds the four half-logs, the integer/integer one weighted by s and the
+    others by 1.  The four products are one call of the kernel.
     """
     s1 = float(_log_2sinh_abs(2.0 * k_h) + _log_2sinh_abs(2.0 * k_v)) - 2.0 * math.log(2.0)
     _check_couplings(k_h, k_v)
-    half_logs = [0.5 * log_p
-                 for log_p in _kacward_log_products(m, n, math.tanh(k_h), math.tanh(k_v)).values()]
+    products = _kacward_log_products(m, n, math.tanh(k_h), math.tanh(k_v))
+    half_logs = [0.5 * log_p for log_p in products.values()]
+    signs = [np.sign(s1) if pair == ("integer", "integer") else 1.0 for pair in products]
     pref = m * n * (math.log(2.0) + log_cosh(k_h) + log_cosh(k_v))
-    return finite(-math.log(2.0) + pref
-                  + log_sum(half_logs, (np.sign(s1), 1.0, 1.0, 1.0), "the parity-product sum"),
+    return finite(-math.log(2.0) + pref + log_sum(half_logs, signs, "the parity-product sum"),
                   "ln Z")
 
 

@@ -292,8 +292,6 @@ def correlation_f(k_arg: float, k: float) -> float:
     if not (k_arg >= 0):
         raise DomainError("argument must be non-negative")
     a, b = ab_coefficients(k)
-    if k_arg == 0.0:
-        return 0.0
     if k == 0.0:
         return math.tanh(2.0 * k_arg)
     sin2, cos2, kernel = _angle_rule(k_arg, k)

@@ -137,8 +137,6 @@ def triangular_free_energy(k1: float, k2: float, k3: float,
     """
     if k1 < 0 or k2 < 0 or k3 < 0:
         raise DomainError("couplings must be non-negative")
-    if k1 == 0 and k2 == 0 and k3 == 0:
-        return math.log(2.0)
     k1, k2, k3 = sorted((k1, k2, k3))
     gap, slopes = _bracket([math.exp(-2.0 * k) for k in (k1, k2, k3)],
                            [-math.expm1(-4.0 * k) for k in (k1, k2, k3)])

@@ -143,8 +143,6 @@ def build_transfer(n: int, k_a: float, k_b: float) -> TransferOperator:
             # chi(h) = 1 iff 2 q r + n [flip and z = -1] = 0 mod 2n
             trivial = (2 * q * h_rot + n * h_flip * (z < 0)) % (2 * n) == 0
             keep = ~(fixes & ~trivial[:, None]).any(axis=0)
-            if not keep.any():
-                continue
             block = re[q].reshape(size, size)[np.ix_(keep, keep)]
             paired = 0 < 2 * q < n
             if paired:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import peak_bytes
 from isingexact import oracle
-from isingexact.core import CapacityError, DomainError, LatticeSpec, ReducedCouplings
+from isingexact.core import BOUNDARIES, CapacityError, DomainError, LatticeSpec, ReducedCouplings
 from isingexact.pfaffian import dimer_count_free as dimer_count_free_pf
 from isingexact.chain1d import ChainParams, transfer_closed
 from isingexact.spectral import dimer_count_free as dimer_count_free_product, kaufman_partition
@@ -90,6 +90,12 @@ def _field_structure(n, edges):
 def _chain_field_structure(n, closed):
     spec = LatticeSpec(1, n, geometry="chain", boundary="torus" if closed else "free")
     return _field_structure(n, build_lattice_graph(spec, ReducedCouplings(k_h=0.4, k_v=0.0)).edges)
+
+
+def _plan_keys(plan):
+    """The keys a build through plan (S, A, B) counts: 2^(|S| - 1) (2^|A| + 2^|B|)."""
+    sep, side_a, side_b = plan
+    return 2 ** (len(sep) - 1) * (2 ** len(side_a) + 2 ** len(side_b))
 
 
 def _assert_separates(plan, num_sites, edge_groups):
@@ -219,13 +225,24 @@ def test_density_of_states_kernel_cases(case, low_bits, rows_per_chunk):
 
 
 def test_density_of_states_peak_memory():
-    # one split build on the 4 x 5 torus (two bond groups) lives in a few
-    # cache-sized chunk buffers and key tables of the low half; int64 keys
-    # for 2^20 states alone would take 8 MiB
-    g = build_lattice_graph(LatticeSpec(4, 5), ReducedCouplings(k_h=0.31, k_v=0.57))
-    structure = _edge_structure(g.edges)
-    peak, _ = peak_bytes(lambda: split_kernel(20, structure))
-    assert peak < 4 << 20
+    # one split build on the 4 x 5 and the 4 x 6 torus (two bond groups)
+    # lives in a few cache-sized chunk buffers and key tables of the low
+    # half, ~1.9 MiB at 24 sites; int64 keys for 2^20 states alone would
+    # take 8 MiB, and one chunk of 2^23 keys 64 MiB
+    for m, n in ((4, 5), (4, 6)):
+        sites, structure = _torus_structure(m, n, 0.31, 0.57)
+        peak, dos = peak_bytes(lambda: split_kernel(sites, structure))
+        assert peak < 4 << 20
+        assert dos.sum() == 2 ** sites
+
+
+def test_split_build_takes_chunks_of_two_to_the_sixteen_keys():
+    # the 4 x 6 torus by the split: 2^23 keys, as S's last spin is fixed, in
+    # 128 chunks of 2^16, one histogram each; the last bincount is the flat DOS
+    sites, structure = _torus_structure(4, 6, 0.31, 0.57)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+        split_kernel(sites, structure)
+    assert [call.args[0].size for call in bincount.call_args_list[:-1]] == [2 ** 16] * 128
 
 
 def test_separator_build_peak_memory():
@@ -260,8 +277,15 @@ def test_density_of_states_of_every_field_chain_matches_the_split(closed):
                                       split_kernel(sites, structure))
 
 
-@pytest.mark.parametrize("m,n,k_v", [(2, 12, 0.3), (3, 8, 0.3), (3, 8, 0.5), (4, 6, 0.3),
-                                     (4, 6, 0.5)])
+# the keys of the plan each crossval torus takes, against the split's 2^23
+# (2^17 on 3 x 6).  On 3 x 6 at two couplings a plan of 5 120 keys would
+# join 9 504 bins, against 4 800, in four times the multiply-adds
+_CROSSVAL_PLAN_KEYS = {(2, 12, 0.3): 34_816, (2, 12, 0.5): 34_816, (3, 8, 0.3): 69_632,
+                       (3, 8, 0.5): 69_632, (4, 6, 0.3): 264_192, (4, 6, 0.5): 264_192,
+                       (3, 6, 0.5): 32_832}
+
+
+@pytest.mark.parametrize("m,n,k_v", list(_CROSSVAL_PLAN_KEYS))
 def test_the_largest_crossval_tori_take_a_separator(m, n, k_v):
     g = build_lattice_graph(LatticeSpec(m, n), ReducedCouplings(k_h=0.3, k_v=k_v))
     with mock.patch.object(oracle, "_count_through", wraps=_count_through) as count, \
@@ -270,11 +294,10 @@ def test_the_largest_crossval_tori_take_a_separator(m, n, k_v):
         enumerate_partition_graph(g)
     assert count.call_count == 1 and not split.called
     sites, structure, plan = count.call_args.args
-    sep, side_a, side_b = plan
+    _, side_a, side_b = plan
     assert side_a and side_b
     _assert_separates(plan, sites, structure)
-    # 2^(|S| - 1) (2^|A| + 2^|B|) keys, far below the split's 2^23
-    assert 2 ** (len(sep) - 1) * (2 ** len(side_a) + 2 ** len(side_b)) <= 2 ** 19
+    assert _plan_keys(plan) == _CROSSVAL_PLAN_KEYS[m, n, k_v]
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,8 +326,7 @@ def test_planner_on_a_disconnected_graph():
     structure = _edge_structure(edges)
     plan = _plan(20, structure)
     _assert_separates(plan, 20, structure)
-    sep, side_a, side_b = plan
-    assert 2 ** (len(sep) - 1) * (2 ** len(side_a) + 2 ** len(side_b)) <= 2 ** 12
+    assert _plan_keys(plan) <= 2 ** 12
     np.testing.assert_array_equal(_density_of_states(20, structure), split_kernel(20, structure))
 
 
@@ -337,6 +359,24 @@ def test_complete_graph_takes_the_split():
     assert _plan(16, structure) == _split_plan(16)
     np.testing.assert_array_equal(_density_of_states(16, structure),
                                   reference_density_of_states(16, structure))
+
+
+def test_no_separator_within_the_bounds_takes_the_split():
+    # the 20-site cocktail-party graph, K_20 less a perfect matching: no site
+    # is universal, and from every root the BFS layers are the root, its 18
+    # neighbours and its partner, so every separator breaks a bound
+    structure = _edge_structure([(a, b, 0.3) for a, b in itertools.combinations(range(20), 2)
+                                 if a // 2 != b // 2])
+    assert _separator(20, structure) is None
+    assert _plan(20, structure) == _split_plan(20)
+    # of the ten unbonded pairs, `up` have both spins up and `split` one: u =
+    # 2 up + split spins are up, and u (20 - u) - split bonds antiparallel
+    want = np.zeros(181, dtype=np.int64)
+    for up, split in itertools.product(range(11), repeat=2):
+        if up + split <= 10:
+            u = 2 * up + split
+            want[u * (20 - u) - split] += math.comb(10, up) * math.comb(10 - up, split) << split
+    np.testing.assert_array_equal(_density_of_states(20, structure), want)
 
 
 def test_repeated_bonds_stay_in_their_couplings_group():
@@ -411,12 +451,17 @@ def test_self_loop_contributes_constant():
     ("honeycomb", "torus", 2, 3),
     ("chain", "free", 1, 7),
     ("chain", "torus", 1, 6),
-])
+] + [("chain", boundary, 1, cols) for boundary in BOUNDARIES for cols in (1, 2, 3)])
 def test_lattice_graphs_agree_with_naive_sum(geometry, boundary, rows, cols):
     spec = LatticeSpec(rows, cols, geometry=geometry, boundary=boundary)
     c = ReducedCouplings(k_h=0.31, k_v=0.57, k_d=0.23)
     g = build_lattice_graph(spec, c)
     assert g.num_sites == (2 if geometry == "honeycomb" else 1) * rows * cols
+    if geometry == "chain":
+        # k_h bonds to the next site, and from the last to the first where
+        # the row wraps; a ring of one spin is a self-loop, of two a doubled bond
+        bonds = cols if boundary in ("torus", "cylinder_h") else cols - 1
+        assert g.edges == tuple((j, (j + 1) % cols, c.k_h) for j in range(bonds))
     assert enumerate_partition_graph(g) == pytest.approx(naive_log_z(g), rel=1e-12)
 
 

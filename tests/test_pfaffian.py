@@ -427,6 +427,8 @@ def _assert_same_pfaffian(got, want):
     assert got[0] == want[0], (got, want)
     if want[0]:
         assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-11)
+    else:
+        assert got == want == (0, -math.inf)
 
 
 _SWEEP_COUPLINGS = [1e-300, 1e-8, 0.3, K_CRIT, 1.2, 2.0, 5.0, 10.0, 18.0, 80.0, 400.0]
@@ -493,6 +495,11 @@ _SWEEP_BRANCHES = {
     "reduction down to one close front": (_ising_sweep(2, 0.3), 16, (1.0, -1.0),
                                           [("local", 8, 6)] + [("halve", 6, 6)] * 3),
     "free sweep": (_ising_sweep(2, 0.3), 16, (0.0,), [("local", 8, 6)]),
+    # zero blocks: every step meets a singular column, and the closes are singular
+    "zero column": ((np.zeros((4, 4)), np.zeros((4, 4))), 1, (0.0, 1.0, -1.0),
+                    [("local", 4, None)]),
+    "zero torus": ((np.zeros((4, 4)), np.zeros((4, 4))), 6, (1.0, -1.0),
+                   [("local", 4, None), ("halve", 4, None)]),
 }
 
 

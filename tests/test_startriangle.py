@@ -291,6 +291,10 @@ def test_correlation_limits_and_monotonicity():
         assert vals[0] == 0.0
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
         assert all(a < b for a, b in zip(vals, vals[1:]))
+    # K = 0 is the rule on the empty panel [0, 0], on both sides of k = 1
+    for k in (1e-8, 3.0, 1e200):
+        f = correlation_f(0.0, k)
+        assert f == 0.0 and math.copysign(1.0, f) == 1.0
 
 
 def test_critical_modulus_is_flagged():

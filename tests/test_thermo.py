@@ -143,7 +143,10 @@ def test_triangular_reduces_to_square():
 
 
 def test_zero_coupling_entropy():
-    assert triangular_free_energy(0.0, 0.0, 0.0) == math.log(2.0)
+    # the bracket is 4 with zero slopes, so the rule gives ln 2 bitwise
+    for points in (16, 17, 256):
+        q = QuadratureSpec(points_per_axis=points)
+        assert triangular_free_energy(0.0, 0.0, 0.0, q) == math.log(2.0)
 
 
 def test_finite_lattice_density_approaches_integral():

@@ -95,6 +95,9 @@ def test_operator_dimension():
     t = build_transfer(5, 0.2, 0.3)
     assert t.dim == 32
     assert t.eigenvalues.shape == (32,)
+    # width 2 has an empty block (q = 1, z = +1), which adds no eigenvalue
+    t = build_transfer(2, 0.2, 0.3)
+    assert t.eigenvalues.shape == (4,) and t.eigenvalues.dtype == np.float64
 
 
 def test_trace_power_matches_direct_power():
