@@ -82,6 +82,14 @@ def finite(value: float, what: str) -> float:
     return value
 
 
+def _check_couplings(k_h: float, k_v: float) -> None:
+    """DomainError unless both couplings are positive, the one domain check
+    of the square lattice's two-coupling routes: the Kac-Ward products, the
+    Pfaffian torus, Onsager's integral and the correlation energy."""
+    if not (k_h > 0 and k_v > 0):
+        raise DomainError("couplings must be positive")
+
+
 def exp_finite(log_value: float, what: str) -> float:
     """e^log_value, refused once it is past the float range."""
     if not log_value <= _LOG_MAX:

@@ -46,8 +46,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, SelfCheckError,
-                   _dimer_count, exp_finite, finite, log_cosh, log_sum)
-from .spectral import _check_couplings, _kacward_log_products
+                   _check_couplings, _dimer_count, exp_finite, finite, log_cosh, log_sum)
+from .spectral import _kacward_log_products
 
 MAX_DIM = 4096
 _BLOCK = 32   # elimination steps whose trailing updates are applied at once
@@ -59,7 +59,10 @@ _TORUS_TERMS = {"torus1": (1.0, 1.0, -0.5), "torus2": (1.0, -1.0, 0.5),
                 "torus3": (-1.0, 1.0, 0.5), "torus4": (-1.0, -1.0, 0.5)}
 TORUS_VARIANTS = tuple(_TORUS_TERMS)
 _WRAP_SIGNS = (1.0, -1.0)
-VARIANTS = ("free", "cylinder_a", "cylinder_b") + TORUS_VARIANTS
+# wrap signs (s1, s2) of each build_dimer_matrix variant, 0 where it has no wrap
+_VARIANT_WRAPS = {"free": (0.0, 0.0), "cylinder_a": (0.0, -1.0), "cylinder_b": (-1.0, 0.0),
+                  **{variant: (s1, s2) for variant, (s1, s2, _) in _TORUS_TERMS.items()}}
+VARIANTS = tuple(_VARIANT_WRAPS)
 
 
 def pfaffian(a: np.ndarray) -> Tuple[int, float]:
@@ -375,13 +378,7 @@ def build_dimer_matrix(spec: LatticeSpec, w: MatchingWeights,
         raise DomainError("odd site count has no perfect matching")
     if m * n > MAX_DIM:
         raise CapacityError("grid too large for a dense Pfaffian")
-    s1 = s2 = 0.0
-    if variant == "cylinder_b":
-        s1 = -1.0
-    elif variant == "cylinder_a":
-        s2 = -1.0
-    elif variant in TORUS_VARIANTS:
-        s1, s2, _ = _TORUS_TERMS[variant]
+    s1, s2 = _VARIANT_WRAPS[variant]
     d, c = _dimer_blocks(m, w, s1)
     h_n = _shift(n, s2)
     return np.kron(np.eye(n), d) + np.kron(h_n - h_n.T, c)

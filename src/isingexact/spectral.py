@@ -23,11 +23,12 @@ phi_j of one multiplicity make a run, whose product
 prod_j (r + c_j) = sum_p e_p r^p has coefficients e_p >= 0: one matrix
 product of the row terms' powers [1 r ... r^8] by the runs' coefficients
 gives every run's product without cancellation, and one log serves the
-run.  All four products take one such pass, from two tables kept per
-side: the stacked rows and the stacked runs of both parity grids.  The
-gap, the least factor of the four products, decides the pass: where it
-could take a run out of the normal range, or where a side is past those
-tables, each product takes its factors a block at a time.  A run is
+run.  All four products take one such pass, from one table kept per
+side: both parity grids' folded angles, as rows and as runs.  The gap, the
+least factor of the four products, decides the pass: where it could take
+a run out of the normal range, or where a side is past those tables, each
+product takes its factors a block at a time, and is -inf when its first
+block, which holds its least factor, has a factor below 1e-300.  A run is
 expanded from its own factors, not from an identity over the whole phi
 grid, so every factor still enters and the route shares nothing with the
 gamma spectrum, which is that identity.
@@ -54,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CapacityError, DomainError, LatticeSpec, MatchingWeights, ReducedCouplings,
-                   _bracket, _dimer_count, _grid_angles, _log_2sinh_abs, angle_grid,
-                   dual_coupling, finite, log_cosh, log_sum)
+                   _bracket, _check_couplings, _dimer_count, _grid_angles, _log_2sinh_abs,
+                   angle_grid, dual_coupling, finite, log_cosh, log_sum)
 
 
 @dataclass(frozen=True)
@@ -165,11 +166,6 @@ def kacward_products(m: int, n: int, k_h: float, k_v: float,
     return _kacward_log_products(m, n, math.tanh(k_h), math.tanh(k_v))[gp.parity_v, gp.parity_h]
 
 
-def _check_couplings(k_h: float, k_v: float) -> None:
-    if not (k_h > 0 and k_v > 0):
-        raise DomainError("couplings must be positive")
-
-
 # factors of one double product (Kac-Ward, free dimers, triangular sum), a
 # 4096 x 4096 grid.  The blocks bound the memory, so this bounds the work:
 # at the ceiling the four Kac-Ward products take 0.01 s (4096 x 4096) or
@@ -253,10 +249,10 @@ def _read_only(arrays: tuple) -> tuple:
     return arrays
 
 
-# the stacked rows and runs of sides up to 4096 (at most ~100 KiB each) are
-# kept, as building them cost a small product as much as its sum, and the
-# torus's four products share them; past it a run pass would rebuild its
-# runs' coefficients on every call
+# the tables of sides up to 4096 (at most ~176 KiB each) are kept, as
+# building them cost a small product as much as its sum, and the torus's
+# four products share them; past it a run pass would rebuild its runs'
+# coefficients on every call
 _CACHED_SIDE = 4096
 
 
@@ -287,37 +283,28 @@ def _run_coefficients(terms: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _stacked_rows(length: int) -> tuple:
-    """sin^2(angle/2) of the folded grids of angle_grid(p, length), p in
-    _PARITIES, laid end to end, and their multiplicities as a matrix with
-    one row per grid, zero off its own angles."""
+def _side_table(length: int) -> tuple:
+    """The folded grids of angle_grid(p, length), p in _PARITIES, laid end
+    to end, as (rows, runs).  rows: each angle's sin^2(angle/2), and the
+    multiplicities as a matrix with one row per grid, zero off its own
+    angles.  runs, in each grid's order: each angle of multiplicity 1 (the
+    ends 0 and pi where the grid holds them) alone, and the multiplicity-2
+    angles between them in runs of _RUN, the last one short; the
+    _run_coefficients of each run's sin^2(angle/2), a column each, the
+    degree of each coefficient in them, and the runs' multiplicities as a
+    matrix with one row per grid, zero off its own runs."""
     grids = [_grid_sin_sq(parity, length) for parity in _PARITIES]
-    weights = np.zeros((len(grids), sum(len(sin_sq) for sin_sq, _ in grids)))
+    row_weights = np.zeros((len(grids), sum(len(sin_sq) for sin_sq, _ in grids)))
+    coefficients, degrees, run_weights = [], [], []
     offset = 0
     for i, (sin_sq, multiplicities) in enumerate(grids):
-        weights[i, offset:offset + len(sin_sq)] = multiplicities
-        offset += len(sin_sq)
-    return _read_only((np.concatenate([sin_sq for sin_sq, _ in grids]), weights))
-
-
-@functools.lru_cache(maxsize=64)
-def _stacked_runs(length: int) -> tuple:
-    """The runs of the folded grids of angle_grid(p, length), p in
-    _PARITIES, laid end to end.  A grid's runs, in its order: each
-    multiplicity-1 end (0 on the integer grid, and pi where the grid is
-    folded onto it) alone, and the multiplicity-2 angles between them in
-    runs of _RUN, the last one short.  Returns the _run_coefficients of
-    each run's sin^2(angle/2), a column each, the degree of each
-    coefficient in them, and the runs' multiplicities as a matrix with one
-    row per grid, zero off its own runs."""
-    coefficients, degrees, weights = [], [], []
-    for i, parity in enumerate(_PARITIES):
-        sin_sq, multiplicities = _grid_sin_sq(parity, length)
         count = len(sin_sq)
-        head = 1 if parity == "integer" else 0
-        tail = 1 if (parity == "integer") == (length % 2 == 0) and count > head else 0
-        first = np.concatenate([[0] * head, np.arange(head, count - tail, _RUN),
-                                [count - 1] * tail]).astype(int)
+        row_weights[i, offset:offset + count] = multiplicities
+        offset += count
+        # the multiplicity-2 angles are contiguous, so every _RUN-th starts a
+        # run (np.union1d would import numpy.ma, ~1.3 MB, into every process)
+        first = np.sort(np.concatenate([np.flatnonzero(multiplicities == 1.0),
+                                        np.flatnonzero(multiplicities == 2.0)[::_RUN]]))
         last = np.append(first[1:], count)
         # the places past a run's end point at a NaN after the grid
         index = first + np.arange(_RUN)[:, None]
@@ -325,10 +312,12 @@ def _stacked_runs(length: int) -> tuple:
         coefficients.append(_run_coefficients(terms))
         # e_p of a run of length L is of degree L - p
         degrees.append(np.maximum(last - first - np.arange(_RUN + 1)[:, None], 0))
-        weights.append(np.zeros((len(_PARITIES), len(first))))
-        weights[-1][i] = multiplicities[first]
-    return _read_only((np.concatenate(coefficients, axis=1), np.concatenate(degrees, axis=1),
-                       np.concatenate(weights, axis=1)))
+        run_weights.append(np.zeros((len(_PARITIES), len(first))))
+        run_weights[-1][i] = multiplicities[first]
+    rows = np.concatenate([sin_sq for sin_sq, _ in grids]), row_weights
+    runs = (np.concatenate(coefficients, axis=1), np.concatenate(degrees, axis=1),
+            np.concatenate(run_weights, axis=1))
+    return _read_only(rows), _read_only(runs)
 
 
 def _powers(r: np.ndarray) -> np.ndarray:
@@ -354,9 +343,9 @@ def _run_pass(m: int, n: int, terms) -> np.ndarray:
     with the multiplicities of each grid's rows and runs in that grid's row
     of W_r and W_run."""
     gap, s_theta, s_phi = terms
-    sin_sq, row_weights = _stacked_rows(m)
+    (sin_sq, row_weights), _ = _side_table(m)
     # the runs' coefficients are those of sin^2, and e_k(s c) = s^k e_k(c)
-    coefficients, degrees, run_weights = _stacked_runs(n)
+    _, (coefficients, degrees, run_weights) = _side_table(n)
     coefficients = coefficients * (s_phi ** np.arange(_RUN + 1))[degrees]
     return _blocked_log_sum(len(sin_sq), coefficients.shape[1],
                             lambda part: (_powers(gap + s_theta * sin_sq[part]),
@@ -395,16 +384,17 @@ def _kacward_log_products(m: int, n: int, x: float, y: float) -> dict:
     factor vanishes (below 1e-300).  Only the factors on the folded grids
     are formed.  Both terms of a factor grow along the folded grids, so a
     product's least factor is its first row term plus its first column
-    term, and it decides before any log is taken.  Those terms are the gap
-    and sin^2 terms of non-negative slope, so the least of the four is the
-    integer/integer product's, the gap itself.  Where the gap is at least
-    _LEAST_RUN_FACTOR and both sides are at most _CACHED_SIDE, one _run_pass
-    makes the four products.  Else each is -inf where its least factor is
-    below 1e-300 and a _factor_pass otherwise: below _LEAST_RUN_FACTOR a
-    run's product could leave the normal range, and past _CACHED_SIDE a run
-    pass would rebuild its runs' coefficients on every call, which costs
-    more than the runs save when the other side is short (1 x 2^24: ~2 s
-    for the four products, against ~0.9 s)."""
+    term, in its first block.  Those terms are the gap and sin^2 terms of
+    non-negative slope, so the least of the four is the integer/integer
+    product's, the gap itself.  Where the gap is at least _LEAST_RUN_FACTOR
+    and both sides are at most _CACHED_SIDE, one _run_pass makes the four
+    products.  Else each is a _factor_pass, whose floor makes it -inf on its
+    first block, before any log is taken, when its least factor is below
+    1e-300: below _LEAST_RUN_FACTOR a run's product could leave the normal
+    range, and past _CACHED_SIDE a run pass would rebuild its runs'
+    coefficients on every call, which costs more than the runs save when
+    the other side is short (1 x 2^24: ~2 s for the four products, against
+    ~0.9 s)."""
     LatticeSpec(m, n)   # rejects sides < 1
     _refuse_past_ceiling(m, n, "Kac-Ward")
     gap, (s_theta, s_phi, _) = _bracket((x, y, 1.0), (1.0 - x * x, 1.0 - y * y, 0.0))
@@ -413,16 +403,7 @@ def _kacward_log_products(m: int, n: int, x: float, y: float) -> dict:
         logs = _run_pass(m, n, terms)
         return {pair: float(logs[_PARITIES.index(pair[0]), _PARITIES.index(pair[1])])
                 for pair in _PAIRS}
-    least = {(parity_v, parity_h): (gap + s_theta * _least_sin_sq(parity_v, m))
-             + s_phi * _least_sin_sq(parity_h, n) for parity_v, parity_h in _PAIRS}
-    return {pair: -math.inf if least[pair] < 1e-300 else _factor_pass(m, n, terms, *pair)
-            for pair in _PAIRS}
-
-
-def _least_sin_sq(parity: str, length: int) -> float:
-    """sin^2(angle/2) of the first angle of the folded grid, its least: 0
-    on the integer grid, sin^2(pi/2L) on the half grid."""
-    return 0.0 if parity == "integer" else math.sin(0.5 * math.pi / length) ** 2
+    return {pair: _factor_pass(m, n, terms, *pair) for pair in _PAIRS}
 
 
 def kacward_log_z(m: int, n: int, k_h: float, k_v: float) -> float:

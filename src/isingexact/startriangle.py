@@ -30,8 +30,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import (K_CRIT, DomainError, SelfCheckError, _log_2sinh_abs, exp_finite, finite,
-                   log_cosh)
+from .core import (K_CRIT, DomainError, SelfCheckError, _check_couplings, _log_2sinh_abs,
+                   exp_finite, finite, log_cosh)
 
 
 @dataclass(frozen=True)
@@ -320,8 +320,7 @@ def square_lattice_energy(k_h: float, k_v: float) -> float:
     does not overflow at large couplings; it underflows to k = 0, the
     zero-temperature limit, where f(K, 0) = tanh 2K.  At tiny couplings the
     integrals need k^2, refused once it is past the float range."""
-    if not (k_h > 0 and k_v > 0):
-        raise DomainError("couplings must be positive")
+    _check_couplings(k_h, k_v)
     den = math.expm1(-4.0 * k_h) * math.expm1(-4.0 * k_v)
     mod = 4.0 * math.exp(-2.0 * (k_h + k_v)) / den if den else math.inf
     finite(mod * mod, "the squared modulus k^2")

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, DomainError, _bracket, angle_grid, finite, log_cosh
+from .core import (CapacityError, DomainError, _bracket, _check_couplings, angle_grid, finite,
+                   log_cosh)
 
 MAX_POINTS = 4096   # quadrature nodes on the one remaining axis
 
@@ -67,8 +68,7 @@ def onsager_free_energy(k1: float, k2: float, q: QuadratureSpec = _DEFAULT_Q) ->
     t1 t2)^2 with t = e^{-2k}: a square that vanishes on the critical line
     sinh 2k1 sinh 2k2 = 1.
     """
-    if not (k1 > 0 and k2 > 0):
-        raise DomainError("couplings must be positive")
+    _check_couplings(k1, k2)
     k1, k2 = sorted((k1, k2))
     t1, t2 = math.exp(-2.0 * k1), math.exp(-2.0 * k2)
     s1 = -2.0 * t2 * math.expm1(-4.0 * k1)
@@ -163,15 +163,20 @@ def critical_point_square() -> float:
     return 0.5 * (lo + hi)
 
 
+def _difference_step(k: float, dk: float, q: QuadratureSpec) -> tuple[float, float]:
+    """The isotropic -beta f at k + dk and at k - dk, both couplings varied
+    together, for the central differences; k - dk must stay positive."""
+    if not (k - dk > 0):
+        raise DomainError("k - dk must stay positive")
+    return onsager_free_energy(k + dk, k + dk, q), onsager_free_energy(k - dk, k - dk, q)
+
+
 def internal_energy(k: float, dk: float = 1e-4,
                     q: QuadratureSpec = _DEFAULT_Q) -> float:
     """d(-beta f)/dk of the isotropic square lattice by central differences,
     varying both couplings together.  This is the (positive) energy per site
     in units of the bond strength."""
-    if not (k - dk > 0):
-        raise DomainError("k - dk must stay positive")
-    up = onsager_free_energy(k + dk, k + dk, q)
-    dn = onsager_free_energy(k - dk, k - dk, q)
+    up, dn = _difference_step(k, dk, q)
     return (up - dn) / (2.0 * dk)
 
 
@@ -179,10 +184,6 @@ def specific_heat(k: float, dk: float = 1e-4,
                   q: QuadratureSpec = _DEFAULT_Q) -> float:
     """k^2 d^2(-beta f)/dk^2 by central second differences; grows
     logarithmically as k -> K_CRIT."""
-    if not (k - dk > 0):
-        raise DomainError("k - dk must stay positive")
-    mid = onsager_free_energy(k, k, q)
-    up = onsager_free_energy(k + dk, k + dk, q)
-    dn = onsager_free_energy(k - dk, k - dk, q)
-    return k * k * (up - 2.0 * mid + dn) / (dk * dk)
+    up, dn = _difference_step(k, dk, q)
+    return k * k * (up - 2.0 * onsager_free_energy(k, k, q) + dn) / (dk * dk)
 

@@ -26,12 +26,13 @@ from isingexact.oracle import (MatchingWeights, WeightedGraph, build_lattice_gra
 from isingexact.pfaffian import (build_dimer_matrix, dimer_count_free as dimer_count_free_pf,
                                  dimer_count_torus, ising_pfaffian_torus, pfaffian)
 from isingexact.spectral import (GridParity, dimer_count_free as dimer_count_free_product,
-                                 gamma_spectrum, kacward_products, kaufman_partition,
-                                 triangular_log_z_per_site)
+                                 gamma_spectrum, kacward_log_z, kacward_products,
+                                 kaufman_partition, triangular_log_z_per_site)
 from isingexact.startriangle import (ab_coefficients, b_near_critical, correlation_f,
                                      integral_a, landen_descending, modulus_k,
                                      square_lattice_energy, star_to_triangle)
-from isingexact.thermo import dirac_free_energy, specific_heat
+from isingexact.thermo import (dirac_free_energy, internal_energy, onsager_free_energy,
+                               specific_heat)
 from isingexact.transfer2d import build_transfer, log_z_torus, partition_torus_transfer
 
 # the package re-exports pfaffian() under the module's name
@@ -254,6 +255,10 @@ _REFUSALS = {
                            "k_s must be non-negative"),
     "kacward_products": (lambda: kacward_products(3, 3, 0.0, 0.3, GridParity()), DomainError,
                          "couplings must be positive"),
+    "kacward_log_z": (lambda: kacward_log_z(3, 3, 0.3, -0.3), DomainError,
+                      "couplings must be positive"),
+    "kaufman_partition k_s": (lambda: kaufman_partition(3, 3, 0.3, 0.0), DomainError,
+                              "k_s must be positive"),
     "triangular sign": (lambda: triangular_log_z_per_site(
         3, 3, ReducedCouplings(-0.3, 0.3, 0.2)), DomainError, "non-negative"),
     # the gap of the bracket at w = 0 rounds to exactly 0 one ulp above K_CRIT
@@ -277,6 +282,10 @@ _REFUSALS = {
     "landen_descending": (lambda: landen_descending(1.0), DomainError, "needs 0 <= k < 1"),
     "dirac_free_energy": (lambda: dirac_free_energy(0.0), DomainError,
                           "coupling must be positive"),
+    "onsager_free_energy": (lambda: onsager_free_energy(0.3, math.nan), DomainError,
+                            "couplings must be positive"),
+    "internal_energy": (lambda: internal_energy(1e-4), DomainError,
+                        "k - dk must stay positive"),
     "specific_heat": (lambda: specific_heat(1e-5), DomainError, "k - dk must stay positive"),
     "build_transfer": (lambda: build_transfer(3, math.nan, 0.3), DomainError,
                        "couplings must be finite"),

@@ -495,6 +495,14 @@ _SWEEP_BRANCHES = {
     "reduction down to one close front": (_ising_sweep(2, 0.3), 16, (1.0, -1.0),
                                           [("local", 8, 6)] + [("halve", 6, 6)] * 3),
     "free sweep": (_ising_sweep(2, 0.3), 16, (0.0,), [("local", 8, 6)]),
+    # the merged torus halves once, then its next level is refused: a sweep
+    # merges at most once
+    "merge once": (_dimer_blocks(6, MatchingWeights(0.8, 1.1), 1.0), 32, (1.0, -1.0),
+                   [("local", 6, None), ("halve", 6, None), ("halve", 12, 12),
+                    ("halve", 12, None)]),
+    # an uncoupled column of even size is all local nodes, eliminated whole
+    "uncoupled even column": (_dimer_blocks(4, MatchingWeights(1.0, 0.0), 0.0), 6, (0.0,),
+                              [("local", 4, 0)]),
     # zero blocks: every step meets a singular column, and the closes are singular
     "zero column": ((np.zeros((4, 4)), np.zeros((4, 4))), 1, (0.0, 1.0, -1.0),
                     [("local", 4, None)]),

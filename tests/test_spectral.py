@@ -16,10 +16,8 @@ from isingexact.spectral import (
     MAX_KACWARD_FACTORS,
     GridParity,
     _folded_grid,
-    _grid_sin_sq,
     _kacward_log_products,
-    _least_sin_sq,
-    _stacked_runs,
+    _side_table,
     dimer_count_free,
     gamma_spectrum,
     kacward_log_z,
@@ -443,7 +441,7 @@ RUN_LAYOUTS = {
 def test_runs_cover_the_folded_grid(parity, n):
     # the integer grid's runs come first, each grid's multiplicities in its row
     grid = ("integer", "half").index(parity)
-    coefficients, degrees, weights = _stacked_runs(n)
+    _, (coefficients, degrees, weights) = _side_table(n)
     own = weights[grid] > 0
     coefficients, degrees = coefficients[:, own], degrees[:, own]
     # a run of length L has e_0 = 1 at degree L in its terms
@@ -539,15 +537,6 @@ def test_folded_grid_multiplicities(parity):
                                                 abs=1e-14)
 
 
-@pytest.mark.parametrize("parity", ["integer", "half"])
-def test_least_sin_sq_is_the_folded_grids_first(parity):
-    # the kernel takes each product's least factor in closed form, not from
-    # the grid: 0 on the integer grid, sin^2(pi / 2L) on the half grid
-    for length in range(1, 4097):
-        (first,), _ = _grid_sin_sq(parity, length, 0, 1)
-        assert abs(_least_sin_sq(parity, length) - first) <= math.ulp(first), length
-
-
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (5, 4), (7, 9), (16, 33)])
 def test_closed_form_determinant_matches_the_unfolded_product(m, n):
     for z1, z2 in [(0.3, 0.6), (math.tanh(K_CRIT), 0.05), (0.99, 0.2)]:
@@ -594,6 +583,9 @@ def test_dimer_product_midpoint_cosine_of_an_odd_side_is_zero():
         for n in (1, 3, 5, 7):
             assert dimer_count_free(m, n, MatchingWeights(0.0, 1.0)) == 0.0
             assert dimer_count_free(n, m, MatchingWeights(1.0, 0.0)) == 0.0
+    # and where the midpoint is in the third block of 2^15 columns
+    assert dimer_count_free(2, 65537, MatchingWeights(0.0, 1.0)) == 0.0
+    assert dimer_count_free(65537, 2, MatchingWeights(1.0, 0.0)) == 0.0
     assert dimer_count_free(3, 4, MatchingWeights(1.0, 1e-14)) == pytest.approx(4e-28, rel=1e-14)
 
 
