@@ -30,18 +30,22 @@ translation-invariant block once and raises its factor to a power: the
 column-local nodes, which no other column touches (an Ising cluster's R
 and L nodes), and then, on a torus, the odd columns by cyclic reduction
 (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 627 (1970)), which
-halves the column count while it is even and >= 4.  Both follow the
-pivot rule: the local step keeps the nodes it delays in the column, and a
-level steps aside when its front would delay a pivot, so every pair they
-eliminate is the one the rule picks; the front loop sweeps what is left.
-The free grid has only the first, which finds no local node in a dimer
-column.
+halves the column count while it is even and >= 4.  What is left, and the
+free grid from its start, is a chain of like columns whose two ends keep
+their own blocks: the wrap ties only the ends, and eliminating an
+interior column leaves its neighbours' blocks alone, so an odd chain
+loses its interior odd columns through one front and an even chain its
+first column, until two are left; up to three are closed whole, once per
+wrap.  Every level follows the pivot rule: the local step keeps the nodes
+it delays in the column, and a level steps aside when its front would
+delay a pivot, so every pair they eliminate is the one the rule picks;
+the front loop sweeps what is left.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,32 +162,25 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
     for each wrap in `wraps`, H the n x n shift with the wrap in its
     (n-1, 0) corner (0: the free grid), without forming A.
 
-    Every column is the same block, so two reductions eliminate one
-    representative and raise its factor to a power.  First
-    `_local_nodes` eliminates the column-local nodes, those with no entry
-    in C or C^T, from one D: Pf(D_local)^n, and each column keeps its
-    delayed local nodes and its coupled ones (an Ising cluster column
-    shrinks from 4m to about 2m nodes).  It steps aside when it can
-    eliminate no node.  Then, on a torus whose wraps are all +-1 and while
-    n is even and >= 4, `_halve` eliminates the odd columns by cyclic
-    reduction: one front [odd column, right neighbor, left neighbor]
-    gives Pf^(n/2) and the n/2-column torus with the same wrap.  When that
-    front would delay a pivot, two adjacent columns are merged into one of
-    2b nodes, at most once per sweep and only if the merged torus can
-    itself be halved, and the level is retried; a refused retry undoes the
-    merge.  Either step also steps aside at a singular column, so every
-    pair it eliminates is the one the pivot rule picks in the full matrix,
-    and the work ceiling is judged before either.  A free sweep (wrap 0)
-    runs only the first.
-
-    What is left is swept one front at a time.  Column 0 is the separator
-    the wrap couples to; the front [delayed nodes, column j, column j+1,
-    separator] eliminates the first two groups, whose couplings are all in
-    it.  The wrap enters only the last front, so columns 1 .. n-2 are
-    swept once and a copy of the last front is closed for each wrap; one
-    column (H = [[wrap]]) is closed as D + wrap (C - C^T).  Pivots are
-    judged against the largest entry of A, so a last front of roundoff is
-    singular, as in pfaffian()."""
+    Every column is the same block, so the reductions eliminate one
+    representative and raise its factor to a power.  First `_local_nodes`
+    eliminates the column-local nodes, those with no entry in C or C^T,
+    from one D: Pf(D_local)^n, and each column keeps its delayed local
+    nodes and its coupled ones (an Ising cluster column shrinks from 4m to
+    about 2m nodes).  It steps aside when it can eliminate no node.  Then,
+    on a free sweep or a torus whose wraps are all +-1, `_level` reduces
+    the columns while there are at least 3 (see _Chain): a torus of like
+    columns halves while n is even, by cyclic reduction (Buzbee, Golub &
+    Nielson, SIAM J. Numer. Anal. 7, 627 (1970)); otherwise the columns are
+    a chain whose two ends keep their own blocks, which loses its interior
+    odd columns while n is odd and its first column while n is even.  When
+    a level would delay a pivot, two adjacent columns are merged into one
+    of 2b nodes, at most once per sweep and only if at least 3 columns
+    result, and the level is retried on the merged chain.  Every step also
+    steps aside at a singular column, so every pair it eliminates is the
+    one the pivot rule picks in the full matrix, and the work ceiling is
+    judged before any of them.  `_sweep_fronts` sweeps what is left and
+    closes it once per wrap."""
     b = len(d)
     # work ~ columns * eliminated nodes * front^2, judged on the unreduced
     # sweep so the reductions refuse exactly the inputs a plain sweep
@@ -192,74 +189,167 @@ def _column_sweep(d: np.ndarray, c: np.ndarray, n: int,
     # every route, as each sweeps along its longer side
     if n * b * (3 * b) ** 2 > _MAX_SWEEP_WORK:
         raise CapacityError(f"{n} columns of {b} nodes exceed the Pfaffian sweep ceiling")
-    singular = [(0, -math.inf)] * len(wraps)
     scale = float(max(np.abs(d).max(), np.abs(c).max()))
     sign, log_mag = 1, 0.0
     local = _local_nodes(d, c, n, scale)
     if local is not None:
         sign, log_mag, d, c = local
+    free = not any(wraps)
+    reduce = free or all(wrap * wrap == 1.0 for wrap in wraps)
+    chain = _Chain(d, d, d, c, None if free else c, n, not free)
     merged = False
-    while all(wrap * wrap == 1.0 for wrap in wraps) and n >= 4 and n % 2 == 0:
-        level = _halve(d, c, scale)
-        if level is None and not merged and n % 4 == 0 and n >= 8:
+    while reduce and chain.n >= 3 and len(d):
+        level = _level(chain, scale)
+        if level is None and not merged and chain.n % 2 == 0 and chain.n >= 6:
             # a node that peaks at the next column pairs with it inside the
             # merged column
             merged = True
-            z = np.zeros_like(c)
-            pair = np.block([[d, c], [-c.T, d]]), np.block([[z, z], [c, z]])
-            level = _halve(*pair, scale)
-            if level is not None:
-                d, c, n = *pair, n // 2
+            level = _level(_merged(chain), scale)
         if level is None:
             break
-        # the odd columns move ahead of the even ones: sum_t (t + 1) block
-        # interchanges of len(d) nodes each
-        half = n // 2
-        step_sign, step_log, d, c = level
-        sign *= step_sign ** half * (-1) ** (len(d) * half * (half + 1) // 2 % 2)
-        log_mag += half * step_log
-        n = half
-    b = len(d)
-    if n == 1:
-        closes = []
-        for wrap in wraps:
-            last_sign, last_log, _ = _eliminate(d + wrap * (c - c.T), b, scale)
-            closes.append((sign * last_sign, log_mag + last_log))
-        return closes
-    # the front is kept in the order [delayed, column j, separator]; moving
-    # a column past the separator is b * b interchanges
-    flip = -1 if b % 2 else 1
-    sign *= flip
-    f = np.block([[d, -c.T], [c, d]])   # column 1, then the separator
-    for j in range(1, n - 1):
-        h = len(f) - b   # the delayed nodes and column j
-        cur = slice(h - b, h)
-        g = np.zeros((h + 2 * b, h + 2 * b))
-        nxt = slice(h, h + b)
-        g[:h, :h] = f[:h, :h]
-        g[:h, h + b:] = f[:h, h:]
-        g[h + b:, :h] = f[h:, :h]
-        g[h + b:, h + b:] = f[h:, h:]
-        g[nxt, nxt] = d
-        g[cur, nxt] = c
-        g[nxt, cur] = -c.T
-        sign *= flip
-        step_sign, step_log, rest = _eliminate(g, h, scale)
-        if step_sign == 0:
-            return singular
+        step_sign, step_log, chain = level
         sign *= step_sign
         log_mag += step_log
-        f = g[rest:, rest:]
-    h = len(f) - b   # the delayed nodes and column n-1
-    cur = slice(h - b, h)
+    return [(sign * last_sign, log_mag + last_log)
+            for last_sign, last_log in _sweep_fronts(chain, wraps, scale)]
+
+
+class _Chain(NamedTuple):
+    """The n columns a sweep has left: interior blocks (D, C), the diagonal
+    blocks of the first and last columns, and `tie`, which the wrap puts
+    between the last column and the first as wrap * tie (None on a free
+    sweep).  `periodic`: a torus of n like columns, whose ends are D and
+    whose tie is C.
+
+    Eliminating an interior column leaves the diagonal blocks of its
+    neighbours alone, so every interior odd column goes by the one front of
+    `_halve`, and on an odd torus the wrap, which couples only the two
+    ends, stays as it is.  The first column goes by its own front, in which
+    the last column's couplings flip with the wrap's sign, so the wraps +-1
+    share it too."""
+    first: np.ndarray
+    d: np.ndarray
+    last: np.ndarray
+    c: np.ndarray
+    tie: Optional[np.ndarray]
+    n: int
+    periodic: bool
+
+
+def _level(chain: _Chain, scale: float) -> Optional[Tuple[int, float, _Chain]]:
+    """One reduction of a chain of n >= 3 columns: (sign, log magnitude,
+    the chain left), None when its front would delay a pivot or meets a
+    singular column.  A periodic torus of even n loses its odd columns and
+    stays periodic with n/2; an odd chain loses its interior odd columns,
+    and each end takes the Schur complement of its one eliminated
+    neighbour; an even chain loses its first column."""
+    first, d, last, c, tie, n, periodic = chain
+    if n % 2 == 0 and not periodic:
+        level = _first_column(first, c, tie, scale)
+        if level is None:
+            return None
+        step_sign, step_log, t_next, t_last, tie = level
+        return step_sign, step_log, _Chain(d + t_next, d, last if tie is None else last + t_last,
+                                          c, tie, n - 1, False)
+    level = _halve(d, c, scale)
+    if level is None:
+        return None
+    # the odd columns move ahead of the even ones, whole columns of len(d)
+    # nodes, which is even, as the level paired them all: an even permutation
+    half = n // 2
+    step_sign, step_log, d, c, t_rr, t_ll = level
+    if n % 2:
+        chain = _Chain(first + t_ll, d, last + t_rr, c, tie, half + 1, False)
+    else:
+        chain = _Chain(d, d, d, c, c, half, True)
+    return step_sign ** half, half * step_log, chain
+
+
+def _merged(chain: _Chain) -> _Chain:
+    """The chain of n/2 columns of 2b nodes that pairs the columns (0, 1),
+    (2, 3), ... of an even chain, in their order."""
+    first, d, last, c, tie, n, periodic = chain
+    z = np.zeros_like(c)
+
+    def pair(left, right):
+        return np.block([[left, c], [-c.T, right]])
+
+    def couple(x):
+        return None if x is None else np.block([[z, z], [x, z]])
+
+    return _Chain(pair(first, d), pair(d, d), pair(d, last), couple(c), couple(tie), n // 2,
+                  periodic)
+
+
+def _sweep_fronts(chain: _Chain, wraps: Sequence[float],
+                  scale: float) -> List[Tuple[int, float]]:
+    """Pf of the chain's matrix for each wrap, as (sign, log magnitude).  Up
+    to 3 columns are closed whole, once per wrap.  Longer chains are swept
+    one front at a time: column 0 is the separator the wrap couples to, and
+    the front [delayed nodes, column j, column j+1, separator] eliminates
+    the first two groups, whose couplings are all in it.  The wrap enters
+    only the last front, so columns 1 .. n-2 are swept once and a copy of
+    the last front is closed for each wrap.  Pivots are judged against the
+    largest entry of A, so a last front of roundoff is singular, as in
+    pfaffian()."""
+    first, d, last, c, tie, n, _ = chain
+    b = len(d)
+    # the columns are kept in the order 1 .. n-1, 0; moving column 0 past
+    # each other column is b * b interchanges
+    flip = -1 if b % 2 else 1
+    if n <= 3:
+        f = _chain_matrix(chain)
+        sign, log_mag = flip ** (n - 1), 0.0
+    else:
+        f = np.block([[d, -c.T], [c, first]])   # column 1, then the separator
+        sign, log_mag = flip, 0.0
+        for j in range(1, n - 1):
+            h = len(f) - b   # the delayed nodes and column j
+            cur = slice(h - b, h)
+            g = np.zeros((h + 2 * b, h + 2 * b))
+            nxt = slice(h, h + b)
+            g[:h, :h] = f[:h, :h]
+            g[:h, h + b:] = f[:h, h:]
+            g[h + b:, :h] = f[h:, :h]
+            g[h + b:, h + b:] = f[h:, h:]
+            g[nxt, nxt] = last if j == n - 2 else d
+            g[cur, nxt] = c
+            g[nxt, cur] = -c.T
+            sign *= flip
+            step_sign, step_log, rest = _eliminate(g, h, scale)
+            if step_sign == 0:
+                return [(0, -math.inf)] * len(wraps)
+            sign *= step_sign
+            log_mag += step_log
+            f = g[rest:, rest:]
+    # the wrap ties column n-1 to the separator, the last b nodes (one
+    # column: to itself)
+    h = len(f) - b
+    cur = slice(h - b, h) if n > 1 else slice(0, b)
     closes = []
     for wrap in wraps:
         g = f.copy()
-        g[cur, h:] += wrap * c
-        g[h:, cur] -= wrap * c.T
+        if wrap:
+            g[cur, h:] += wrap * tie
+            g[h:, cur] -= wrap * tie.T
         last_sign, last_log, _ = _eliminate(g, len(g), scale)
         closes.append((sign * last_sign, log_mag + last_log))
     return closes
+
+
+def _chain_matrix(chain: _Chain) -> np.ndarray:
+    """The matrix of a chain without its wrap, its columns in the order
+    1 .. n-1, 0."""
+    first, d, last, c, _, n, _ = chain
+    b = len(d)
+    place = [slice((j - 1) % n * b, ((j - 1) % n + 1) * b) for j in range(n)]
+    a = np.zeros((n * b, n * b))
+    for j in range(n):
+        a[place[j], place[j]] = first if j == 0 else last if j == n - 1 else d
+    for j in range(n - 1):
+        a[place[j], place[j + 1]] = c
+        a[place[j + 1], place[j]] = -c.T
+    return a
 
 
 def _local_nodes(d: np.ndarray, c: np.ndarray, n: int,
@@ -293,23 +383,68 @@ def _local_nodes(d: np.ndarray, c: np.ndarray, n: int,
     return (sign ** n * (-1) ** parity, n * log_mag, g[rest:, rest:].copy(), kept)
 
 
-def _halve(d: np.ndarray, c: np.ndarray,
-           scale: float) -> Optional[Tuple[int, float, np.ndarray, np.ndarray]]:
-    """One level of cyclic reduction of a torus with wrap +-1: (sign, log
-    magnitude, D', C') from eliminating one odd column in the front
-    [odd column, right neighbor, left neighbor], with Pf(D) = sign *
-    e^log_mag and D' = D + T_rr + T_ll, C' = T_lr from the Schur complement
-    T on its neighbors; the wrap's square is 1, so the wrapping odd column
-    gives the same D' and carries the wrap onto C'.  None when the
+def _halve(d: np.ndarray, c: np.ndarray, scale: float
+           ) -> Optional[Tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """One level of cyclic reduction: (sign, log magnitude, D', C', T_rr,
+    T_ll) from eliminating one odd column in the front [odd column, right
+    neighbor, left neighbor], with Pf(D) = sign * e^log_mag and D' = D +
+    T_rr + T_ll, C' = T_lr from the Schur complement T on its neighbors.
+    On a torus with wrap +-1 the wrap's square is 1, so the wrapping odd
+    column gives the same D' and carries the wrap onto C'.  None when the
     elimination would delay a pivot or meets a singular column."""
     b = len(d)
-    z = np.zeros_like(d)
-    g = np.block([[d, c, -c.T], [-c.T, z, z], [c, z, z]])
+    step = _front(d, np.hstack([c, -c.T]), scale)
+    if step is None:
+        return None
+    sign, log_mag, t = step
+    t_rr, t_ll = t[:b, :b], t[b:, b:]
+    return sign, log_mag, d + t_rr + t_ll, t[b:, :b].copy(), t_rr, t_ll
+
+
+def _first_column(first: np.ndarray, c: np.ndarray, tie: Optional[np.ndarray], scale: float
+                  ) -> Optional[Tuple[int, float, np.ndarray, Optional[np.ndarray],
+                                      Optional[np.ndarray]]]:
+    """Eliminate the first column of a chain from the front [first column,
+    second column, last column]: (sign, log magnitude, T_22, T_ll, T_l2)
+    with Pf(first) = sign * e^log_mag, T the Schur complement on the second
+    and last columns, and T_l2 the tie the wrap now puts between them.  A
+    wrap of -1 flips the last column's couplings in the front, and so T_l2
+    alone: the wraps +-1 share this elimination.  A free chain (tie None)
+    has no last column in its front, and T_ll and T_l2 are None.  None when
+    the elimination would delay a pivot or meets a singular column."""
+    b = len(first)
+    step = _front(first, c if tie is None else np.hstack([c, -tie.T]), scale)
+    if step is None:
+        return None
+    sign, log_mag, t = step
+    if tie is None:
+        return sign, log_mag, t, None, None
+    return sign, log_mag, t[:b, :b], t[b:, b:], t[b:, :b].copy()
+
+
+def _front(d: np.ndarray, k: np.ndarray,
+           scale: float) -> Optional[Tuple[int, float, np.ndarray]]:
+    """Eliminate the b nodes of one column, with diagonal block D and
+    couplings K, from the front [[D, K], [-K^T, 0]]: (sign, log magnitude,
+    T) with Pf(D) = sign * e^log_mag and T the Schur complement on the
+    nodes K's columns stand for.  None when the elimination would delay a
+    pivot or meets a singular column."""
+    b = len(d)
+    if b % 2:
+        return None   # the column's nodes cannot all pair among themselves
+    # a node that K does not couple is untouched by the elimination, and its
+    # rows of T are zero, so the front leaves it out
+    coupled = np.flatnonzero(k.any(axis=0))
+    g = np.zeros((b + len(coupled),) * 2)
+    g[:b, :b] = d
+    g[:b, b:] = k[:, coupled]
+    g[b:, :b] = -g[:b, b:].T
     sign, log_mag, rest = _eliminate(g, b, scale)
     if sign == 0 or rest != b:
         return None
-    t = g[b:, b:]
-    return sign, log_mag, d + t[:b, :b] + t[b:, b:], t[b:, :b].copy()
+    t = np.zeros((k.shape[1],) * 2)
+    t[coupled[:, None], coupled] = g[b:, b:]
+    return sign, log_mag, t
 
 
 def _torus_closes(blocks: Callable[[float], Tuple[np.ndarray, np.ndarray]],

@@ -13,6 +13,7 @@ from isingexact.oracle import (
     MatchingWeights,
     build_lattice_graph,
     count_matchings,
+    count_matchings_dp,
     count_matchings_graph,
     enumerate_partition_graph,
 )
@@ -494,7 +495,10 @@ _SWEEP_BRANCHES = {
                       [("local", 8, 6), ("halve", 6, None), ("halve", 12, None)]),
     "reduction down to one close front": (_ising_sweep(2, 0.3), 16, (1.0, -1.0),
                                           [("local", 8, 6)] + [("halve", 6, 6)] * 3),
-    "free sweep": (_ising_sweep(2, 0.3), 16, (0.0,), [("local", 8, 6)]),
+    # a free sweep is a chain: an even one loses its first column, an odd
+    # one its interior odd columns
+    "free sweep": (_ising_sweep(2, 0.3), 16, (0.0,),
+                   [("local", 8, 6)] + [("first", 6, 6), ("halve", 6, 6)] * 3),
     # the merged torus halves once, then its next level is refused: a sweep
     # merges at most once
     "merge once": (_dimer_blocks(6, MatchingWeights(0.8, 1.1), 1.0), 32, (1.0, -1.0),
@@ -507,7 +511,38 @@ _SWEEP_BRANCHES = {
     "zero column": ((np.zeros((4, 4)), np.zeros((4, 4))), 1, (0.0, 1.0, -1.0),
                     [("local", 4, None)]),
     "zero torus": ((np.zeros((4, 4)), np.zeros((4, 4))), 6, (1.0, -1.0),
-                   [("local", 4, None), ("halve", 4, None)]),
+                   [("local", 4, None), ("halve", 4, None), ("halve", 8, None)]),
+    "free chain, odd count": (_ising_sweep(2, 0.3), 9, (0.0,),
+                              [("local", 8, 6)] + [("halve", 6, 6)] * 3),
+    "free chain, even count": (_dimer_blocks(2, MatchingWeights(1.0, 0.5), 0.0), 6, (0.0,),
+                               [("local", 2, None), ("first", 2, 2), ("halve", 2, 2),
+                                ("halve", 2, 2)]),
+    # 10 -> 5 by the periodic level, then 5 -> 3 -> 2 as a chain whose ends
+    # the wrap ties
+    "odd torus after halving": (_ising_sweep(2, 0.3), 10, (1.0, -1.0),
+                                [("local", 8, 6)] + [("halve", 6, 6)] * 3),
+    "odd torus loses its first column": (_ising_sweep(2, 0.3), 7, (1.0, -1.0),
+                                         [("local", 8, 6), ("halve", 6, 6), ("first", 6, 6),
+                                          ("halve", 6, 6)]),
+    # every node peaks at the next column: the merged chain of 6 loses its
+    # first column, then halves twice
+    "chain merge": (_dimer_blocks(2, MatchingWeights(0.2, 3.0), 0.0), 12, (0.0,),
+                    [("local", 2, None), ("first", 2, None), ("first", 4, 4), ("halve", 4, 4),
+                     ("halve", 4, 4)]),
+    "chain merge of a torus": (_dimer_blocks(2, MatchingWeights(0.2, 3.0), 1.0), 6, (1.0, -1.0),
+                               [("local", 2, None), ("halve", 2, None), ("halve", 4, 4)]),
+    # the second level is refused, and the front loop sweeps the 5 columns
+    # left, whose ends differ from the interior ones
+    "chain level refused": (_ising_blocks(2, math.tanh(0.24), math.tanh(1.2), 1.0), 9, (1.0, -1.0),
+                            [("local", 8, 6), ("halve", 6, 6), ("halve", 6, None)]),
+    "chain merge refused": (_ising_blocks(2, math.tanh(0.24), math.tanh(1.2), 1.0), 11, (1.0, -1.0),
+                            [("local", 8, 6), ("halve", 6, 6), ("first", 6, None),
+                             ("halve", 12, None)]),
+    # strong coupling: every level steps aside, on a torus and a free chain
+    "strong odd torus": (_ising_sweep(2, 18.0), 9, (1.0, -1.0),
+                         [("local", 8, 6), ("halve", 6, None)]),
+    "strong free chain": (_ising_sweep(2, 18.0), 12, (0.0,),
+                          [("local", 8, 6), ("first", 6, None), ("first", 12, None)]),
 }
 
 
@@ -528,6 +563,7 @@ def test_sweep_reductions_take_each_branch(branch, monkeypatch):
 
     monkeypatch.setattr(module, "_local_nodes", spy("local", module._local_nodes))
     monkeypatch.setattr(module, "_halve", spy("halve", module._halve))
+    monkeypatch.setattr(module, "_first_column", spy("first", module._first_column))
     closes = _column_sweep(d, c, n, wraps)
     assert steps == want_steps
     for wrap, got in zip(wraps, closes):
@@ -556,7 +592,8 @@ def test_sweep_singular_at_criticality(m, n):
 
 
 @pytest.mark.parametrize("m,n", [(3, 5), (5, 3), (2, 12), (6, 6), (2, 2), (3, 1),
-                                 (2, 8), (3, 8), (4, 8), (2, 16)])
+                                 (2, 8), (3, 8), (4, 8), (2, 16), (3, 9), (2, 11), (4, 7),
+                                 (3, 15)])
 @pytest.mark.parametrize("k", [1e-8, 0.3, K_CRIT, 2.0, 18.0, 400.0])
 def test_both_closes_of_one_sweep(m, n, k):
     # one sweep per s1 closed for s2 = +1 and -1 equals the dense Pfaffian of
@@ -670,3 +707,97 @@ def test_free_dimer_count_is_positive_for_every_site_order():
     for m, n, want in [(3, 2, 3.0), (1, 2, 1.0), (3, 6, 41.0), (2, 3, 3.0), (5, 2, 8.0)]:
         assert dimer_count_free(m, n) == pytest.approx(want, rel=1e-12)
         assert dimer_count_free(m, n) == pytest.approx(count_matchings(m, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("z1,z2", [(0.7, 1.3), (1.3, 0.7)])
+def test_free_dimer_chain_at_every_column_count(m, z1, z2):
+    # columns 1 ... 41: every mix of first-column and odd-column levels, and
+    # with z2 > z1 the merge, against the row transfer and the product
+    w = MatchingWeights(z1, z2)
+    for n in range(1, 42):
+        got = dimer_count_free(m, n, w)
+        assert got == pytest.approx(count_matchings_dp(m, n, w), rel=1e-12), n
+        assert got == pytest.approx(dimer_product(m, n, w), rel=1e-12), n
+
+
+def _free_ising_log_z(m, n, kh, kv):
+    """ln Z of the free m x n Ising grid as one cluster Pfaffian, swept as a
+    free chain: Z = 2^(mn) prod_bonds cosh K * Pf, whose sign is -1 exactly
+    when the site count is odd."""
+    blocks = _ising_blocks(m, math.tanh(kv), math.tanh(kh), 0.0)
+    (sign, log_mag), = _column_sweep(*blocks, n, (0.0,))
+    assert sign == (-1 if m * n % 2 else 1)
+    return (m * n * math.log(2.0) + (m - 1) * n * math.log(math.cosh(kv))
+            + m * (n - 1) * math.log(math.cosh(kh)) + log_mag)
+
+
+@pytest.mark.parametrize("kh,kv", [(0.3, 0.3), (K_CRIT, K_CRIT), (0.9, 0.2), (-0.4, 0.7)])
+def test_free_ising_grid_through_the_sweep(kh, kv):
+    # every free grid of up to 24 sites, against the oracle: the chain levels
+    # on cluster columns that keep local nodes
+    for m in range(1, 25):
+        for n in range(1, 24 // m + 1):
+            g = build_lattice_graph(LatticeSpec(m, n, "square", "free"), ReducedCouplings(kh, kv))
+            assert _free_ising_log_z(m, n, kh, kv) == pytest.approx(
+                enumerate_partition_graph(g), rel=1e-13), (m, n)
+
+
+def _sweep_work(monkeypatch):
+    """Record the size of each elimination and the column count each
+    sweep's front loop starts from."""
+    module = importlib.import_module("isingexact.pfaffian")
+    fronts, loops = [], []
+    eliminate, sweep_fronts = module._eliminate, module._sweep_fronts
+
+    def traced_eliminate(a, *args):
+        fronts.append(len(a))
+        return eliminate(a, *args)
+
+    def traced_fronts(chain, *args):
+        loops.append(chain.n)
+        return sweep_fronts(chain, *args)
+
+    monkeypatch.setattr(module, "_eliminate", traced_eliminate)
+    monkeypatch.setattr(module, "_sweep_fronts", traced_fronts)
+    return fronts, loops
+
+
+@pytest.mark.parametrize("z1,z2", [(0.7, 1.1), (1.1, 0.7), (0.2, 3.0), (3.0, 0.2)])
+def test_free_dimer_sweep_takes_a_few_fronts(z1, z2, monkeypatch):
+    # 40 -> 39 -> 20 -> 19 -> 10 -> 9 -> 5 -> 3 -> 2 and one close, where the
+    # front loop took one front per column; with z2 > z1 the first level
+    # is refused and the merged chain of 20 takes it
+    fronts, loops = _sweep_work(monkeypatch)
+    w = MatchingWeights(z1, z2)
+    _column_sweep(*_dimer_blocks(32, w, 0.0), 40, (0.0,))
+    assert len(fronts) <= 10 and loops == [2]
+    fronts.clear()
+    assert dimer_count_free(24, 32, w) == pytest.approx(dimer_product(24, 32, w), rel=1e-12)
+    assert len(fronts) <= 10 and loops == [2, 2]
+
+
+@pytest.mark.parametrize("side", [9, 14])
+@pytest.mark.parametrize("kh,kv", [(0.3, 0.6), (0.6, 0.3), (0.4, 0.4), (0.2, 0.85), (0.85, 0.2)])
+def test_odd_torus_sweeps_take_no_front_loop(side, kh, kv, monkeypatch):
+    # 9 -> 5 -> 3 -> 2 and 14 -> 7 -> 4 -> 3 -> 2: both sweeps close at most
+    # three columns whole, so the front loop sweeps none
+    _, loops = _sweep_work(monkeypatch)
+    got = ising_pfaffian_torus(side, side, kh, kv)
+    assert len(loops) == 2 and max(loops) <= 3
+    assert got == pytest.approx(kacward_log_z(side, side, kh, kv), rel=1e-13)
+
+
+@pytest.mark.parametrize("side,kh,kv,left,fronts", [(9, 0.7, 0.7, 3, 12),
+                                                     (9, 0.811487, 0.811487, 5, 14),
+                                                     (14, 0.842017, 0.559882, 4, 15),
+                                                     (14, 0.7, 0.7, 4, 15)])
+def test_ordered_torus_sweeps_leave_a_few_columns(side, kh, kv, left, fronts, monkeypatch):
+    # deep in the ordered phase each level strengthens the couplings between
+    # columns until a pivot would be delayed, and the s1 = +1 sweep keeps
+    # `left` columns: 3 are closed whole, once per wrap (2 x 6 fronts in
+    # all at 9 x 9), and 4 or 5 go to the front loop
+    seen, loops = _sweep_work(monkeypatch)
+    got = ising_pfaffian_torus(side, side, kh, kv)
+    assert loops == [left, 2] and len(seen) == fronts
+    assert got == pytest.approx(kacward_log_z(side, side, kh, kv), rel=1e-13)

@@ -4,6 +4,7 @@
     python3 tools/mutants.py src/isingexact/pfaffian.py src/isingexact/spectral.py \\
         --seed 1 --count 40
     python3 tools/mutants.py src/isingexact/spectral.py --list
+    python3 tools/mutants.py src/isingexact/pfaffian.py --lines 159-354,386-449
 
 Run from the root of a checkout.  A site is one operator of the modules
 given: + <-> - and * <-> / (binary and augmented), < <-> <= and > <-> >=.
@@ -74,6 +75,10 @@ KNOWN_EQUIVALENT = [
     ("pfaffian.py", "sign *= 1 if piv > 0 else -1", "sign *= 1 if piv >= 0 else -1",
      "the pivot is nonzero: a column at or below 1e-12 * scale has returned"),
     ("pfaffian.py", "sign *= flip", "sign /= flip", "flip is +-1"),
+    ("pfaffian.py", "sign *= step_sign", "sign /= step_sign",
+     "a step's sign is +-1 where it is used: a singular step has returned"),
+    ("pfaffian.py", "sign, log_mag = flip ** (n - 1), 0.0", "sign, log_mag = flip ** (n + 1), 0.0",
+     "n - 1 and n + 1 have the same parity"),
     ("pfaffian.py",
      "return w.z1 * (h - h.T), w.z2 * np.diag((-1.0) ** (np.arange(m) + 1))",
      "return w.z1 * (h - h.T), w.z2 * np.diag((-1.0) ** (np.arange(m) - 1))",
@@ -181,10 +186,14 @@ def main(argv=None) -> int:
                         help="module paths relative to the checkout's root")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, help="sites to draw (default: all)")
+    parser.add_argument("--lines", help="only the sites on these lines, e.g. 159-354,386-449")
     parser.add_argument("--list", action="store_true", help="list the sites and exit")
     args = parser.parse_args(argv)
     sources = {path: path.read_text() for path in args.modules}
     every = [site for path in args.modules for site in sites(path)]
+    if args.lines:
+        spans = [tuple(int(x) for x in part.split("-")) for part in args.lines.split(",")]
+        every = [site for site in every if any(lo <= site.line <= hi for lo, hi in spans)]
     if args.list:
         for i, site in enumerate(every):
             text, mutated = site.lines(sources[site.path])
