@@ -4,7 +4,6 @@
     python3 tools/mutants.py src/isingexact/pfaffian.py src/isingexact/spectral.py \\
         --seed 1 --count 40
     python3 tools/mutants.py src/isingexact/spectral.py --list
-    python3 tools/mutants.py src/isingexact/pfaffian.py --lines 159-354,386-449
 
 Run from the root of a checkout.  A site is one operator of the modules
 given: + <-> - and * <-> / (binary and augmented), < <-> <= and > <-> >=.
@@ -186,14 +185,10 @@ def main(argv=None) -> int:
                         help="module paths relative to the checkout's root")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, help="sites to draw (default: all)")
-    parser.add_argument("--lines", help="only the sites on these lines, e.g. 159-354,386-449")
     parser.add_argument("--list", action="store_true", help="list the sites and exit")
     args = parser.parse_args(argv)
     sources = {path: path.read_text() for path in args.modules}
     every = [site for path in args.modules for site in sites(path)]
-    if args.lines:
-        spans = [tuple(int(x) for x in part.split("-")) for part in args.lines.split(",")]
-        every = [site for site in every if any(lo <= site.line <= hi for lo, hi in spans)]
     if args.list:
         for i, site in enumerate(every):
             text, mutated = site.lines(sources[site.path])
